@@ -139,7 +139,7 @@ let bench_mcheck_nopor =
    for ~0.3s of wall clock and report ns per expanded node (the bench's
    headline number; nodes/sec = 1e9 / ns). Measured with and without the
    partial-order reduction: POR spends extra work per node (footprints,
-   sleep-mask filtering, singleton validation clones) to expand far fewer
+   sleep-mask filtering, singleton validation) to expand far fewer
    of them, so the two per-node figures bracket its bookkeeping cost
    while the node-count rows show what it buys. *)
 (* The per-node rows run inside the same process as the Bechamel session,
@@ -592,8 +592,6 @@ let rows () =
         (mcheck_per_node_ns ~por:false ());
       per_node_row "price_adaptive mcheck/peterson n=2 per-node (ndjson sink)"
         (mcheck_per_node_ns_sinks ());
-      per_node_row "price_adaptive mcheck/peterson n=2 per-node (clone engine)"
-        (mcheck_per_node_ns ~engine:`Clone ~por:true ());
       per_node_row
         "price_adaptive mcheck/peterson n=2 per-node (compiled engine)"
         (mcheck_per_node_ns ~engine:`Compiled ~por:true ());
@@ -616,10 +614,6 @@ let rows () =
         "records_per_node";
       per_node_row "price_adaptive mcheck/recoverable-tas n=2 crash per-node"
         (mcheck_crash_per_node_ns ~por:true ());
-      per_node_row
-        "price_adaptive mcheck/recoverable-tas n=2 crash per-node (clone \
-         engine)"
-        (mcheck_crash_per_node_ns ~engine:`Clone ~por:true ());
       per_node_row
         "price_adaptive mcheck/recoverable-tas n=2 crash per-node (compiled \
          engine)"
@@ -661,14 +655,6 @@ let print_rows rows =
       Printf.printf "%-62s %13.0f nodes/sec\n" "mcheck explorer throughput"
         (1e9 /. ns)
   | None -> ());
-  (match
-     ( find "price_adaptive mcheck/peterson n=2 per-node",
-       find "price_adaptive mcheck/peterson n=2 per-node (clone engine)" )
-   with
-  | Some j, Some c when j > 0. ->
-      Printf.printf "%-62s %13.2f x\n" "mcheck journal vs clone speedup"
-        (c /. j)
-  | _ -> ());
   (match
      ( find "price_adaptive mcheck/peterson n=2 per-node (compiled engine)",
        find "price_adaptive mcheck/peterson n=2 per-node" )

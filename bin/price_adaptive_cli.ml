@@ -484,18 +484,17 @@ let verify_cmd =
   in
   let engine =
     let engine_conv =
-      Arg.enum
-        [ ("journal", `Journal); ("clone", `Clone); ("compiled", `Compiled) ]
+      Arg.enum [ ("journal", `Journal); ("compiled", `Compiled) ]
     in
     Arg.(
       value & opt engine_conv `Journal
       & info [ "engine" ]
           ~doc:
-            "child-expansion engine: journal (in-place step/undo, the \
-             default), clone (copy the machine per child), or compiled \
-             (journal plus compile-ahead program execution; locks whose \
-             programs are not declared pure fall back to the journal \
-             interpreter); identical verdicts and node counts")
+            "program execution under the explorer's in-place step/undo \
+             search: journal (the continuation interpreter, the \
+             default) or compiled (compile-ahead program execution; \
+             locks whose programs are not declared pure fall back to \
+             the interpreter); identical verdicts and node counts")
   in
   let profile_out =
     Arg.(
@@ -1299,15 +1298,23 @@ let () =
   in
   let info = Cmd.info "price_adaptive" ~version:"1.0.0" ~doc in
   (* Bad input must always surface as a one-line diagnostic with exit
-     code 2, never a backtrace: catch anything the commands let through
-     (unreadable files, Invalid_argument from deep in the stack). *)
+     code 2, never a backtrace: command-line errors (bad option values,
+     unknown options or commands, missing arguments) map to 2 instead of
+     cmdliner's 124, and with [~catch:false] the handler below sees
+     anything the commands let through (unreadable files, an unknown
+     PA_ENGINE, Invalid_argument from deep in the stack). *)
   let code =
     try
-      Cmd.eval
-        (Cmd.group info
-           [ list_cmd; lock_cmd; adversary_cmd; bounds_cmd; verify_cmd;
-             campaign_cmd; replay_cmd; stats_cmd; trace_cmd; analyze_cmd;
-             show_cmd; profile_cmd; litmus_cmd ])
+      match
+        Cmd.eval_value ~catch:false
+          (Cmd.group info
+             [ list_cmd; lock_cmd; adversary_cmd; bounds_cmd; verify_cmd;
+               campaign_cmd; replay_cmd; stats_cmd; trace_cmd; analyze_cmd;
+               show_cmd; profile_cmd; litmus_cmd ])
+      with
+      | Ok (`Ok () | `Help | `Version) -> Cmd.Exit.ok
+      | Error (`Parse | `Term) -> 2
+      | Error `Exn -> Cmd.Exit.internal_error
     with
     | Sys_error msg ->
         prerr_endline msg;

@@ -179,8 +179,8 @@ type stats = {
       (* parallel mode: idle window between the first and last domain
          finishing — load-imbalance cost paid at the join barrier *)
   journal_peak : int;
-      (* journal engine: high-water undo-log depth (max over domains) *)
-  undo_records : int;  (* journal engine: total undo records pushed *)
+      (* high-water undo-log depth (max over domains) *)
+  undo_records : int;  (* total undo records pushed *)
   steals : int;  (* parallel mode: work items taken from other domains *)
   store_evictions : int;  (* bounded store: states evicted under pressure *)
   store_drops : int;  (* shared store: states left unstored (window full) *)
@@ -402,7 +402,7 @@ let move_rmr m = function
 
 (* The fingerprint lives in {!Machine} since PR 5: a packed 63-bit XOR
    fold of per-variable Zobrist terms and per-process terms, chosen so
-   the journal engine can maintain it incrementally from undo records
+   the explorer can maintain it incrementally from undo records
    (O(1) per memory write plus one process-term refresh per event). The
    state abstraction is unchanged — memory, pending events, sections,
    passage/crash counts, continuations, buffered writes. *)
@@ -485,10 +485,11 @@ type seen_store =
    out the ctx claims another chunk from [pool] (CAS), or stops when
    [pool] is [None] (sequential: quota IS the budget) or drained.
 
-   [delegate] is installed by parallel workers: called with a successor
-   state that has just been admitted by the seen store, it may park the
-   subtree on the worker's deque (for thieves to steal) instead of
-   recursing. *)
+   [delegate] is installed by the parallel driver (BFS seed and
+   workers): called with a successor state that has just been admitted
+   by the seen store, it may clone the machine and park the subtree — on
+   the seed's frontier queue, or on the worker's deque for thieves to
+   steal — instead of recursing. *)
 type ctx = {
   seen : seen_store;
   dedup : bool;
@@ -514,10 +515,10 @@ type ctx = {
   fp_b : Footprint.t;
   mutable quota : int;  (* locally claimed node budget remaining *)
   mutable pid_counts : int array;
-      (* scratch for [singleton_ample]'s per-pid move tally, grown on
-         demand — the explorer's only per-node [Array.make] was here *)
-  mutable delegate :
-    (must_clone:bool -> Machine.t -> move list -> int -> int -> bool) option;
+      (* scratch for [singleton_ample_journal]'s per-pid move tally,
+         grown on demand — the explorer's only per-node [Array.make] was
+         here *)
+  mutable delegate : (Machine.t -> move list -> int -> int -> bool) option;
   mutable nodes : int;
   mutable max_depth : int;
   mutable nviol : int;  (* = List.length violations, kept O(1) *)
@@ -531,8 +532,8 @@ type ctx = {
   mutable c_fused : int;
   mutable c_crashes : int;
   mutable c_aborts : int;
-  mutable c_jpeak : int;  (* journal engine: max undo-log depth *)
-  mutable c_jrecords : int;  (* journal engine: undo records pushed *)
+  mutable c_jpeak : int;  (* max undo-log depth *)
+  mutable c_jrecords : int;  (* undo records pushed *)
   mutable c_steals : int;  (* work items stolen from other domains *)
   (* heartbeat bookkeeping (only touched when [obs] is enabled) *)
   mutable hb_nodes : int;
@@ -669,8 +670,8 @@ let heartbeat ctx depth now =
   | None -> ());
   Obs.Telemetry.instant ctx.obs "explore.heartbeat"
 
-(* The ~1 Hz gate around [heartbeat], shared by both engines' poll
-   blocks. Re-arms one second after the beat actually fired, so the
+(* The ~1 Hz gate around [heartbeat], called from the DFS loop's poll
+   block. Re-arms one second after the beat actually fired, so the
    cadence adapts to stalls instead of bursting to catch up. *)
 let heartbeat_due ctx depth =
   let now = Obs.Telemetry.now_us ctx.obs in
@@ -716,13 +717,12 @@ let[@inline] est_leave ctx =
 
 (* Profile hook: charge the just-admitted node to its cell. Runs at
    admission (after the seen store said yes, before delegation), which
-   gives exactly-once semantics per counted node across both engines,
-   delegation and the BFS seed. The move class and RMR charge were
-   stashed in the ctx by the expansion loop (they must be read in the
-   pre-state); section and location are read from the post-state of the
-   process that moved. Undo records are attributed as the delta of the
-   machine's monotone [Journal.records] counter (0 on the clone
-   engine). *)
+   gives exactly-once semantics per counted node across delegation and
+   the BFS seed. The move class and RMR charge were stashed in the ctx
+   by the expansion loop (they must be read in the pre-state); section
+   and location are read from the post-state of the process that moved.
+   Undo records are attributed as the delta of the machine's monotone
+   [Journal.records] counter. *)
 let prof_record ctx prof m schedule depth =
   let cls, pid =
     match schedule with
@@ -785,10 +785,11 @@ let[@inline] prof_stash ctx m mv =
      class would change once the forwarding entry commits): eligible
      only when the step is [p]'s sole enabled move.
 
-   Validation is post hoc on the cloned successor: the step must not
-   make its owner CS-enabled (other processes' CS executions read that
-   predicate). A candidate that becomes CS-enabled or raises is skipped;
-   exceptions are left for the full expansion to diagnose. *)
+   Validation is post hoc on the successor, applied in place and undone
+   on failure: the step must not make its owner CS-enabled (other
+   processes' CS executions read that predicate). A candidate that
+   becomes CS-enabled or raises is skipped; exceptions are left for the
+   full expansion to diagnose. *)
 let singleton_eligible m p ~sole =
   match Machine.pending_class m p with
   | Machine.K_enter | Machine.K_exit | Machine.K_begin_fence
@@ -812,44 +813,6 @@ let pid_counts ctx m moves =
   else Array.fill ctx.pid_counts 0 n 0;
   tally_pids ctx.pid_counts moves;
   ctx.pid_counts
-
-let singleton_ample ctx m moves =
-  (* Singleton ample sets (and their chase fusion) are switched off while
-     crash budget remains: a crash of the stepping process is dependent on
-     its own local step (it is enabled alongside it and wipes the state
-     the step would advance), so a lone local step is not an ample set —
-     fusing it would skip the crash-before-step interleavings. Once the
-     budget is spent no crash move is ever enabled again and the original
-     argument applies unchanged. The abort budget suspends them for the
-     same reason: a local step may enter or leave an abortable window,
-     which enables or disables the process's own abort move. *)
-  if
-    (not ctx.por)
-    || Machine.crashes_total m < ctx.max_crashes
-    || Machine.aborts_total m < ctx.max_aborts
-  then None
-  else begin
-    let count = pid_counts ctx m moves in
-    let rec pick = function
-      | [] -> None
-      | (Step p as mv) :: rest
-        when singleton_eligible m p ~sole:(count.(p) = 1) ->
-          Footprint.of_move_into ctx.fp_a m mv;
-          if Footprint.purely_local ctx.fp_a then begin
-            let m' = Machine.clone m in
-            match apply m' mv with
-            | () when Machine.pending_class m' p <> Machine.K_cs ->
-                Some (mv, m')
-            | () -> pick rest
-            | exception (Machine.Exclusion_violation _ | Prog.Spin_exhausted _)
-              ->
-                pick rest
-          end
-          else pick rest
-      | _ :: rest -> pick rest
-    in
-    pick moves
-  end
 
 (* Child sleep set after executing [mv] from state [m]: keep the sleeping
    moves independent of [mv]; dependent ones wake up (are explored again
@@ -962,181 +925,16 @@ let seen_admit ctx fp z =
               if ctx.sleepable then lnot fresh land Footprint.full_mask ctx.codec
               else 0)
 
-(* Hand a just-admitted subtree to the worker's deque when a delegate is
-   installed (parallel mode) and willing; [~must_clone] marks machines
-   that are stepped in place (journal engine) and so cannot be parked
-   as-is. *)
-let try_delegate ctx ~must_clone m schedule depth z =
-  match ctx.delegate with
-  | None -> false
-  | Some f -> f ~must_clone m schedule depth z
+(* --- the DFS engine ---------------------------------------------------- *)
 
-let visit_child ctx m' schedule depth z ~child =
-  (match ctx.on_fingerprint with
-  | Some f -> f (fingerprint m')
-  | None -> ());
-  let admitted =
-    if ctx.dedup then seen_admit ctx (fingerprint m') z else z
-  in
-  if admitted <> admit_pruned then begin
-    let z = admitted in
-    (match ctx.prof with
-    | Some p -> if Obs.Profile.armed p then prof_record ctx p m' schedule depth
-    | None -> ());
-    if not (try_delegate ctx ~must_clone:false m' schedule depth z) then
-      child m' schedule depth z
-    else est_leaf ctx (* parked: the subtree is someone else's estimate *)
-  end
-  else est_leaf ctx
-
-(* Expand one state: count it, then either diagnose a dead end or visit
-   the selected moves through [child]. The deadlock scan is only run when
-   there are no moves — it is O(n) and pointless otherwise. *)
-let expand ctx m schedule depth sleep ~child =
-  if not (charge ctx) then begin
-    ctx.stopped <- Some `Nodes;
-    raise Done
-  end;
-  (* the deadline is polled — and a telemetry heartbeat considered —
-     every 1024 nodes: a gettimeofday (or sink write) per node would
-     dominate the ~2µs/node hot path *)
-  if ctx.nodes land 1023 = 0 then begin
-    (match ctx.stop with
-    | Some s when Atomic.get s ->
-        ctx.stopped <- Some `Aborts;
-        raise Done
-    | _ -> ());
-    (match ctx.deadline with
-    | Some t when Unix.gettimeofday () > t ->
-        ctx.stopped <- Some `Millis;
-        raise Done
-    | _ -> ());
-    if Obs.Telemetry.enabled ctx.obs then heartbeat_due ctx depth
-  end;
-  ctx.nodes <- ctx.nodes + 1;
-  if depth > ctx.max_depth then ctx.max_depth <- depth;
-  let moves =
-    enabled_moves ~max_crashes:ctx.max_crashes ~max_aborts:ctx.max_aborts m
-  in
-  if moves = [] then begin
-    est_enter ctx 0;
-    let n = Machine.n_procs m in
-    let unfinished = ref false in
-    for p = 0 to n - 1 do
-      if Machine.pending_class m p <> Machine.K_done then unfinished := true
-    done;
-    est_leave ctx;
-    if !unfinished then record_violation ctx schedule `Deadlock
-  end
-  else begin
-    (match singleton_ample ctx m moves with
-    | Some (mv0, m'0) ->
-        (* Persistent singleton: explore it alone (unless asleep, in
-           which case everything from here is covered elsewhere).
-           Successive singletons are fused into one transition: each
-           intermediate state has exactly one explored move, so it is
-           passed through without being counted, fingerprinted or stored
-           — only the chain's endpoint becomes a search node. Chains are
-           finite (every local move strictly advances a continuation, and
-           spin reads are not chase-eligible); the fuel is a defensive
-           backstop only. For the estimator the whole chain is ONE child
-           slot: its terminal event is either the endpoint's admission
-           or the asleep abandonment. *)
-        let rec chase m mv m' schedule depth z fuel =
-          let bit =
-            if ctx.sleepable then 1 lsl Footprint.encode ctx.codec mv else 0
-          in
-          if z land bit <> 0 then begin
-            ctx.c_sleep_prunes <- ctx.c_sleep_prunes + 1;
-            (* asleep: covered elsewhere *)
-            est_leaf ctx
-          end
-          else begin
-            (match mv with
-            | Crash _ -> ctx.c_crashes <- ctx.c_crashes + 1
-            | Abort _ -> ctx.c_aborts <- ctx.c_aborts + 1
-            | _ -> ());
-            let z = if ctx.sleepable then filter_sleep ctx m mv z else 0 in
-            let schedule = mv :: schedule and depth = depth + 1 in
-            if fuel = 0 then visit_child ctx m' schedule depth z ~child
-            else
-              match
-                singleton_ample ctx m'
-                  (enabled_moves ~max_crashes:ctx.max_crashes
-                     ~max_aborts:ctx.max_aborts m')
-              with
-              | Some (mv', m'') ->
-                  ctx.c_fused <- ctx.c_fused + 1;
-                  chase m' mv' m'' schedule depth z (fuel - 1)
-              | None -> visit_child ctx m' schedule depth z ~child
-          end
-        in
-        ctx.c_chains <- ctx.c_chains + 1;
-        est_enter ctx 1;
-        (* chase moves are purely-local Steps by construction *)
-        ctx.prof_cls <- cls_step;
-        ctx.prof_rmr <- 0;
-        chase m mv0 m'0 schedule depth sleep 4096
-    | None ->
-        (* full expansion with sleep sets: skip sleeping moves; each
-           explored move falls asleep for its later siblings' subtrees *)
-        est_enter ctx (List.length moves);
-        let explored = ref 0 in
-        List.iter
-          (fun mv ->
-            let bit =
-              if ctx.sleepable then 1 lsl Footprint.encode ctx.codec mv
-              else 0
-            in
-            if sleep land bit <> 0 then begin
-              ctx.c_sleep_prunes <- ctx.c_sleep_prunes + 1;
-              est_leaf ctx
-            end
-            else begin
-              let m' = Machine.clone m in
-              prof_stash ctx m mv;
-              (match apply m' mv with
-              | () ->
-                  (match mv with
-                  | Crash _ -> ctx.c_crashes <- ctx.c_crashes + 1
-                  | Abort _ -> ctx.c_aborts <- ctx.c_aborts + 1
-                  | _ -> ());
-                  let z =
-                    if ctx.sleepable then
-                      filter_sleep ctx m mv (sleep lor !explored)
-                    else 0
-                  in
-                  visit_child ctx m' (mv :: schedule) (depth + 1) z ~child
-              | exception Machine.Exclusion_violation { holder; intruder } ->
-                  est_leaf ctx;
-                  record_violation ctx (mv :: schedule)
-                    (`Exclusion (holder, intruder))
-              | exception Prog.Spin_exhausted _ -> (
-                  est_leaf ctx;
-                  match ctx.on_spin with
-                  | `Prune -> ()
-                  | `Violation ->
-                      record_violation ctx (mv :: schedule) `Spin_exhausted));
-              explored := !explored lor bit
-            end)
-          moves);
-    est_leave ctx
-  end
-
-let rec dfs ctx m schedule depth sleep =
-  expand ctx m schedule depth sleep ~child:(dfs ctx)
-
-(* --- in-place (journal) engine ---------------------------------------- *)
-
-(* The journal engine mirrors [expand]/[dfs] decision-for-decision — same
-   move order, same ample/chase selection, same sleep filtering and
-   mask-aware dedup — but expands children by apply → recurse → undo on a
-   single journaling machine instead of cloning per child, and reads the
+(* One DFS loop serves every search: it expands children by apply →
+   recurse → undo on a single journaling machine, and reads the
    incrementally-maintained fingerprint instead of rehashing the state.
-   [Machine.clone] survives only for BFS frontier handoff (the parallel
-   seed), post-hoc ample validation in the clone engine, and replay.
-   Verdicts, node counts and fingerprint sets are asserted equal across
-   the engines by suite_journal's differential tests.
+   [Machine.clone] survives only for subtree hand-off (the parallel BFS
+   seed and work-stealing delegation) and replay. The test-only
+   reference explorer (test/reference.ml: clone per child, full
+   fingerprint, no reduction) checks state sets and verdicts against
+   this loop.
 
    Invariant: every path through these functions leaves the machine's
    journal exactly where the caller's mark put it, except when [Done]
@@ -1156,10 +954,10 @@ let node_fp ctx m =
   end;
   fp
 
-(* Journal counterpart of [singleton_ample]: validates the candidate by
-   applying it on the machine itself, undoing on failure. On success the
-   machine is LEFT in the successor state (the caller owns the rollback)
-   and the returned mask is the child sleep set — filtered against the
+(* Singleton ample selection: validates the candidate by applying it on
+   the machine itself, undoing on failure. On success the machine is
+   LEFT in the successor state (the caller owns the rollback) and the
+   returned mask is the child sleep set — filtered against the
    pre-state, which is why it must be computed here, before the apply. *)
 let rec ample_pick_journal ctx m z count = function
   | [] -> None
@@ -1184,6 +982,15 @@ let rec ample_pick_journal ctx m z count = function
       else ample_pick_journal ctx m z count rest)
   | _ :: rest -> ample_pick_journal ctx m z count rest
 
+(* Singleton ample sets (and their chase fusion) are switched off while
+   crash budget remains: a crash of the stepping process is dependent on
+   its own local step (it is enabled alongside it and wipes the state the
+   step would advance), so a lone local step is not an ample set — fusing
+   it would skip the crash-before-step interleavings. Once the budget is
+   spent no crash move is ever enabled again and the original argument
+   applies unchanged. The abort budget suspends them for the same reason:
+   a local step may enter or leave an abortable window, which enables or
+   disables the process's own abort move. *)
 let singleton_ample_journal ctx m z moves =
   if
     (not ctx.por)
@@ -1197,6 +1004,9 @@ let rec dfs_journal ctx m schedule depth sleep =
     ctx.stopped <- Some `Nodes;
     raise Done
   end;
+  (* the deadline is polled — and a telemetry heartbeat considered —
+     every 1024 nodes: a gettimeofday (or sink write) per node would
+     dominate the hot path *)
   if ctx.nodes land 1023 = 0 then begin
     (match ctx.stop with
     | Some s when Atomic.get s ->
@@ -1294,7 +1104,12 @@ and dfs_journal_moves ctx m schedule depth sleep explored = function
 
 (* [m] is in the successor state of [mv]; [z_in] is the sleep mask the
    move was selected under (the asleep check), [z_out] the filtered child
-   mask. Mirrors [chase] inside [expand]. *)
+   mask. Successive singletons are fused into one transition: each
+   intermediate state has exactly one explored move, so it is passed
+   through without being counted, fingerprinted or stored — only the
+   chain's endpoint becomes a search node. Chains are finite (every local
+   move strictly advances a continuation, and spin reads are not
+   chase-eligible); the fuel is a defensive backstop only. *)
 and chase_journal ctx m ~chain_mark mv ~z_in ~z_out schedule depth fuel =
   let bit =
     if ctx.sleepable then 1 lsl Footprint.encode ctx.codec mv else 0
@@ -1330,11 +1145,13 @@ and chase_journal ctx m ~chain_mark mv ~z_in ~z_out schedule depth fuel =
           Machine.Journal.undo_to m chain_mark
   end
 
-(* Same dedup rule as [visit_child], with the fingerprint read from the
-   journal fold (computed once, shared by the hook and the store). A
-   delegated subtree clones the machine — the clone sheds the active
-   journal (see {!Machine.clone}), and the popping worker re-enables it
-   through [run_start]. *)
+(* Admit a successor through the seen store, with the fingerprint read
+   from the journal fold (computed once, shared by the hook and the
+   store), then recurse — or hand the subtree to the delegate when one is
+   installed (parallel mode) and willing. A delegate that parks the
+   subtree clones the machine — the clone sheds the active journal (see
+   {!Machine.clone}), and whoever pops it re-enables journaling through
+   [run_start]. *)
 and visit_child_journal ctx m schedule depth z =
   let fp = node_fp ctx m in
   (match ctx.on_fingerprint with Some f -> f fp | None -> ());
@@ -1344,15 +1161,13 @@ and visit_child_journal ctx m schedule depth z =
     (match ctx.prof with
     | Some p -> if Obs.Profile.armed p then prof_record ctx p m schedule depth
     | None -> ());
-    if not (try_delegate ctx ~must_clone:true m schedule depth z) then
-      dfs_journal ctx m schedule depth z
-    else est_leaf ctx
+    match ctx.delegate with
+    | Some park when park m schedule depth z ->
+        est_leaf ctx (* parked: the subtree is someone else's estimate *)
+    | _ -> dfs_journal ctx m schedule depth z
   end
   else est_leaf ctx
 
-(* Run one start state to completion under the configured engine,
-   folding the machine's journal gauges into the ctx even when [Done]
-   aborts mid-subtree. *)
 (* Root machine for a search. Search machines run lean
    ({!Machine.set_lean}): no search consumer reads the RMR / awareness /
    cache / contention accounting (violations are re-executed by [replay]
@@ -1364,34 +1179,40 @@ let search_machine cfg =
   if not cfg.Config.record_trace then Machine.set_lean m true;
   m
 
-let run_start ctx ~engine m schedule depth sleep =
-  match (engine : Config.engine) with
-  | `Clone -> dfs ctx m schedule depth sleep
-  | `Journal | `Compiled ->
-      Machine.Journal.enable m;
-      (* [enable] zeroes the machine's record counter; re-base the
-         profiler's per-node undo attribution on the fresh counter *)
-      ctx.prof_jbase <- Machine.Journal.records m;
-      Fun.protect
-        ~finally:(fun () ->
-          ctx.c_jpeak <- max ctx.c_jpeak (Machine.Journal.peak m);
-          ctx.c_jrecords <- ctx.c_jrecords + Machine.Journal.records m)
-        (fun () -> dfs_journal ctx m schedule depth sleep)
+(* Run one start state to completion, folding the machine's journal
+   gauges into the ctx even when [Done] aborts mid-subtree. *)
+let run_start ctx m schedule depth sleep =
+  Machine.Journal.enable m;
+  (* [enable] zeroes the machine's record counter; re-base the profiler's
+     per-node undo attribution on the fresh counter *)
+  ctx.prof_jbase <- Machine.Journal.records m;
+  Fun.protect
+    ~finally:(fun () ->
+      ctx.c_jpeak <- max ctx.c_jpeak (Machine.Journal.peak m);
+      ctx.c_jrecords <- ctx.c_jrecords + Machine.Journal.records m)
+    (fun () -> dfs_journal ctx m schedule depth sleep)
 
 (* --- parallel driver -------------------------------------------------- *)
 
 (* Expand breadth-first from the root until at least [target] pending
-   states exist (or the space is exhausted / a violation cap fires).
-   Returns the pending frontier — states with their sleep masks — in
-   deterministic (BFS) order. *)
+   states exist (or the space is exhausted / a violation cap fires):
+   each popped state runs the DFS loop with a delegate that clones every
+   admitted child onto the queue, so exactly one node is expanded per
+   pop. Returns the pending frontier — states with their sleep masks —
+   in deterministic (BFS) order. *)
 let bfs_frontier ctx m0 ~target =
   let pending = Queue.create () in
   Queue.add (m0, [], 0, 0) pending;
+  ctx.delegate <-
+    Some
+      (fun m sched d z ->
+        Queue.add (Machine.clone m, sched, d, z) pending;
+        true);
   while Queue.length pending > 0 && Queue.length pending < target do
     let m, schedule, depth, sleep = Queue.pop pending in
-    expand ctx m schedule depth sleep ~child:(fun m' sched d z ->
-        Queue.add (m', sched, d, z) pending)
+    run_start ctx m schedule depth sleep
   done;
+  ctx.delegate <- None;
   List.of_seq (Queue.to_seq pending)
 
 let result_of_ctx ctx ~exhausted =
@@ -1435,7 +1256,7 @@ type worker_out = {
 
 (* How eagerly a worker parks subtrees for thieves: only when its own
    deque has run low, and at most one park per [delegate_period] nodes so
-   the clone cost (journal engine: O(state) per park) stays far off the
+   the clone cost (O(state) per park) stays far off the
    per-node budget while stealable work is replenished every ~64 nodes. *)
 let deque_low_water = 4
 
@@ -1447,7 +1268,7 @@ let delegate_period_mask = 63
    exiting guarantees every parked item is processed by someone; the
    [busy] count (workers currently holding work) lets idle thieves
    distinguish "momentarily empty" from "globally done". *)
-let shared_worker ~engine ~paranoid ~store ~pool ~deques ~busy ~d ~dedup ~por
+let shared_worker ~paranoid ~store ~pool ~deques ~busy ~d ~dedup ~por
     ~codec ~on_spin ~max_violations ~max_crashes ~max_aborts ~stop ~deadline
     ~est_cfg ~profile_shard () =
   (* each domain owns an independent estimator (distinct seed — the
@@ -1469,16 +1290,15 @@ let shared_worker ~engine ~paranoid ~store ~pool ~deques ~busy ~d ~dedup ~por
   let cur_idx = ref 0 in
   ctx.delegate <-
     Some
-      (fun ~must_clone m sched depth z ->
+      (fun m sched depth z ->
         if
           Deque.size own >= deque_low_water
           || ctx.nodes land delegate_period_mask <> 0
         then false
         else begin
-          let m = if must_clone then Machine.clone m else m in
           Deque.push own
-            { w_idx = !cur_idx; w_m = m; w_sched = sched; w_depth = depth;
-              w_sleep = z };
+            { w_idx = !cur_idx; w_m = Machine.clone m; w_sched = sched;
+              w_depth = depth; w_sleep = z };
           true
         end);
   let tagged = ref [] in
@@ -1490,7 +1310,7 @@ let shared_worker ~engine ~paranoid ~store ~pool ~deques ~busy ~d ~dedup ~por
   in
   let run_item it =
     cur_idx := it.w_idx;
-    match run_start ctx ~engine it.w_m it.w_sched it.w_depth it.w_sleep with
+    match run_start ctx it.w_m it.w_sched it.w_depth it.w_sleep with
     | () -> drain it.w_idx
     | exception Done ->
         drain it.w_idx;
@@ -1563,11 +1383,12 @@ let shared_worker ~engine ~paranoid ~store ~pool ~deques ~busy ~d ~dedup ~por
 let explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
     ~on_spin ~max_crashes ~max_aborts ~stop ~deadline ~obs ~paranoid
     ~estimator ~profile cfg =
-  (* the BFS seed expands on the coordinator with the clone engine under
-     BOTH engines: frontier states must be independent machines that can
-     be handed to other domains; workers then re-enable journaling on
-     their own copies (run_start). The seed shares the store with the
-     workers, so frontier states are already claimed when parked.
+  (* the BFS seed expands on the coordinator with the same DFS loop as
+     the workers; its delegate clones every admitted child, because
+     frontier states must be independent machines that can be handed to
+     other domains, and workers re-enable journaling on their own copies
+     (run_start). The seed shares the store with the workers, so
+     frontier states are already claimed when parked.
      The coordinator profiles into the caller's accumulator directly (it
      runs alone until the spawn) but carries no estimator: queue-order
      BFS breaks the enter/leaf/leave stack discipline, so the parallel
@@ -1615,7 +1436,6 @@ let explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
       let pool = Atomic.make (max 0 ctx.quota) in
       let busy = Atomic.make k in
       let wall0 = Unix.gettimeofday () in
-      let engine = cfg.Config.engine in
       (* one profile shard per domain, created here and absorbed below in
          array order — the merged accumulator is deterministic however the
          work was stolen *)
@@ -1628,7 +1448,7 @@ let explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
       let spawned =
         Array.init k (fun d ->
             Domain.spawn
-              (shared_worker ~engine ~paranoid ~store ~pool ~deques ~busy ~d
+              (shared_worker ~paranoid ~store ~pool ~deques ~busy ~d
                  ~dedup ~por ~codec ~on_spin ~max_violations ~max_crashes
                  ~max_aborts ~stop ~deadline ~est_cfg:estimator
                  ~profile_shard:shards.(d)))
@@ -1806,8 +1626,8 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(dedup = true)
   Prog.default_spin_fuel := spin_fuel;
   Fun.protect ~finally:(fun () -> Prog.default_spin_fuel := saved_fuel)
   @@ fun () ->
-  (* The root node never passes through a [visit_child]; attribute it
-     here so [total_nodes] matches [nodes] exactly on exhausted runs.
+  (* The root node never passes through [visit_child_journal]; attribute
+     it here so [total_nodes] matches [nodes] exactly on exhausted runs.
      The accumulator's clock starts now and keeps running through the
      whole search (partial runs flush whatever accrued). *)
   (match profile with
@@ -1875,7 +1695,7 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(dedup = true)
     let t0 = Obs.Telemetry.now_us obs in
     let exhausted =
       try
-        run_start ctx ~engine:cfg.Config.engine (search_machine cfg) [] 0 0;
+        run_start ctx (search_machine cfg) [] 0 0;
         true
       with Done -> false
     in
@@ -1900,13 +1720,11 @@ type replay_outcome =
 
 let replay (cfg : Config.t) (schedule : move list) =
   let m = Machine.create cfg in
-  (* Replays reuse the journal engine when configured: the same apply
-     path (with journaling and incremental fingerprints live) drives
-     trace-producing replays, so the Chrome-trace fixtures double as a
-     byte-level check that journaling is invisible to execution. *)
-  (match cfg.Config.engine with
-  | `Journal | `Compiled -> Machine.Journal.enable m
-  | `Clone -> ());
+  (* Replays run with the journal on: the same apply path (with
+     journaling and incremental fingerprints live) drives trace-producing
+     replays, so the Chrome-trace fixtures double as a byte-level check
+     that journaling is invisible to execution. *)
+  Machine.Journal.enable m;
   (* Validate pids up front: a schedule referencing a process the machine
      does not have is a malformed input (wrong lock, wrong -n, truncated
      file), not a property of this configuration — report it as such

@@ -62,8 +62,9 @@
       local state, so its footprint and successor are stable. Exploring
       it alone is a persistent set; the skipped interleavings commute
       into the explored ones. Validation is post hoc: the move is applied
-      to a clone and the successor's pending event inspected; candidates
-      that become CS-enabled or raise fall back to full expansion.
+      in place and the successor's pending event inspected; candidates
+      that become CS-enabled or raise are undone and fall back to full
+      expansion.
       Local move chains are finite and acyclic in fingerprint space
       (spin fuel lives in the hashed continuation, passage counts are
       fingerprinted), so the reduction cannot postpone the other
@@ -156,11 +157,10 @@ type stats = {
       (** summed idle time of early-finishing domains waiting for the
           slowest one to join; 0 for the sequential engine *)
   journal_peak : int;
-      (** journal engine: high-water undo-log depth in records (max over
-          domains); 0 under the clone engine *)
+      (** high-water undo-log depth in records (max over domains) *)
   undo_records : int;
-      (** journal engine: total undo records pushed across the search
-          (summed over domains); 0 under the clone engine *)
+      (** total undo records pushed across the search (summed over
+          domains, BFS seed included) *)
   steals : int;
       (** parallel mode: work items taken from another domain's deque
           (load-balancing events); 0 for the sequential engine *)
@@ -352,19 +352,21 @@ val explore :
     then the {e only} omission channel, and it is the one
     [omission_prob] measures.
 
-    The child-expansion strategy is selected by {!Config.t.engine}:
-    [`Journal] (the default) steps one machine per domain in place and
-    rolls back through {!Machine.Journal} after each subtree; [`Clone]
-    copies the machine per child (the legacy engine). The two engines
-    visit identical state spaces — same verdicts, node counts and
-    fingerprint sets. Parallel frontier hand-off always clones, under
-    either engine, so frontier machines are independent.
+    The explorer has one DFS loop: it steps one machine per domain in
+    place and rolls back through {!Machine.Journal} after each subtree.
+    {!Config.t.engine} only selects how that machine executes programs
+    — the interpreter ([`Journal], the default) or compile-ahead code
+    ([`Compiled]) — and both visit identical state spaces: same
+    verdicts, node counts and fingerprint sets. Subtrees handed to
+    another domain (the BFS seed's frontier, work-stealing delegation)
+    are cloned, so parked machines are independent. The test suite
+    checks this loop against a clone-per-child reference explorer with
+    no reduction and full fingerprint recomputes.
 
-    [~paranoid_fp:true] makes the journal engine cross-check the
-    incrementally-maintained fingerprint against a full recompute at
-    every node ({!Machine.fingerprint_fast} = {!Machine.fingerprint}),
-    failing loudly on drift. A debug mode; off by default. No effect
-    under the clone engine.
+    [~paranoid_fp:true] cross-checks the incrementally-maintained
+    fingerprint against a full recompute at every node
+    ({!Machine.fingerprint_fast} = {!Machine.fingerprint}), failing
+    loudly on drift. A debug mode; off by default.
 
     [~obs] attaches a telemetry hub ({!Obs.Telemetry}): the search emits
     a time-based heartbeat (~1 Hz, re-armed from a deadline checked

@@ -47,35 +47,27 @@ let crash_semantics_name = function
   | Flush_buffer -> "flush-buffer"
   | Atomic_prefix -> "atomic-prefix"
 
-(* How the explorer expands children:
+(* How machines execute programs under the explorer: the continuation
+   interpreter ([`Journal], the default) or compile-ahead code
+   ([`Compiled], see Compile). Verdicts, node counts and fingerprints are
+   identical. *)
+type engine = [ `Journal | `Compiled ]
 
-   - [`Journal]: step the node's machine in place, recurse, then roll it
-     back through the mutation journal (Machine.Journal) — O(touched
-     words) per node instead of O(state), with incrementally-maintained
-     fingerprints. The default.
-   - [`Clone]: copy the machine per child (the pre-PR5 engine); kept
-     selectable for differential testing and as a fallback.
-   - [`Compiled]: journal engine on top of compile-ahead program
-     execution (Compile): continuations interned into a flat instruction
-     array, cached structural hashes, allocation-free steps. Verdicts,
-     node counts and fingerprints are identical to [`Journal]. *)
-type engine = [ `Clone | `Journal | `Compiled ]
+let engine_name = function `Journal -> "journal" | `Compiled -> "compiled"
 
-let engine_name = function
-  | `Clone -> "clone"
-  | `Journal -> "journal"
-  | `Compiled -> "compiled"
-
-(* Default engine for configurations that do not pick one explicitly.
-   The PA_ENGINE environment variable overrides it ("journal", "clone",
-   "compiled") so CI can run every existing suite under another engine
-   without touching the suites; unknown values fall back to the
+(* PA_ENGINE overrides the default so CI can run every existing suite
+   under another engine without touching the suites. Empty counts as
+   unset; any other value is rejected rather than silently run as the
    journal engine. *)
 let default_engine () : engine =
   match Sys.getenv_opt "PA_ENGINE" with
+  | None | Some "" | Some "journal" -> `Journal
   | Some "compiled" -> `Compiled
-  | Some "clone" -> `Clone
-  | Some _ | None -> `Journal
+  | Some other ->
+      invalid_arg
+        (Printf.sprintf
+           "PA_ENGINE=%S: unknown engine (expected journal or compiled)"
+           other)
 
 (* How the explorer remembers visited states:
 
@@ -137,7 +129,7 @@ type t = {
          means the lock is not abortable: abort moves are never
          deliverable *)
   engine : engine;
-      (* exploration child-expansion strategy (journal vs clone) *)
+      (* program execution under exploration (interpreter vs compiled) *)
   pure_programs : bool;
       (* declared promise that [entry]/[exit_section]/[recovery] and every
          continuation they build are effect-free: constructing a program

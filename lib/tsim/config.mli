@@ -30,24 +30,26 @@ type crash_semantics = Drop_buffer | Flush_buffer | Atomic_prefix
 
 val crash_semantics_name : crash_semantics -> string
 
-(** Exploration child-expansion strategy: [`Journal] steps one machine in
-    place and rolls back through the mutation journal ({!Machine.Journal},
-    the default — O(touched words) per node); [`Clone] copies the machine
-    per child (the legacy engine, kept selectable for differential
-    testing); [`Compiled] is the journal engine on top of compile-ahead
-    program execution ({!Compile}: continuations interned into a flat
-    instruction array, cached structural hashes, allocation-free steps).
-    The three engines visit identical state spaces with identical
-    verdicts and fingerprints. *)
-type engine = [ `Clone | `Journal | `Compiled ]
+(** How machines execute programs under exploration. The explorer has
+    one DFS loop, which steps one machine in place and rolls back through
+    the mutation journal ({!Machine.Journal} — O(touched words) per
+    node). [`Journal] (the default) runs the continuation interpreter;
+    [`Compiled] runs compile-ahead program execution ({!Compile}:
+    continuations interned into a flat instruction array, cached
+    structural hashes, allocation-free steps) for declared-pure programs
+    and the interpreter otherwise. Both visit identical state spaces with
+    identical verdicts and fingerprints. *)
+type engine = [ `Journal | `Compiled ]
 
 val engine_name : engine -> string
 
 val default_engine : unit -> engine
 (** The engine {!make} uses when [?engine] is omitted: [`Journal], unless
     the [PA_ENGINE] environment variable selects another ("journal",
-    "clone", "compiled") — the hook CI uses to run every suite under a
-    different engine. *)
+    "compiled") — the hook CI uses to run every suite under a different
+    engine. An empty [PA_ENGINE] counts as unset.
+    @raise Invalid_argument for any other value, naming the accepted
+    ones. *)
 
 (** Exploration seen-state memory policy:
 
@@ -103,7 +105,7 @@ type t = {
       (** cleanup section run after the adversary aborts the process at a
           declared wait point ({!Machine.abort}); must leave the lock
           reusable. [None] = not abortable, abort moves never apply *)
-  engine : engine;  (** exploration child-expansion strategy *)
+  engine : engine;  (** program execution under exploration *)
   pure_programs : bool;
       (** declared promise that the program constructors and every
           continuation they build are effect-free (constructing a program

@@ -200,7 +200,7 @@ let create (cfg : Config.t) =
        interpreter *)
     match cfg.engine with
     | `Compiled when cfg.pure_programs -> Some (Compile.get cfg)
-    | `Compiled | `Clone | `Journal -> None
+    | `Compiled | `Journal -> None
   in
   let pc0 = match code with Some c -> Compile.unit_pc c | None -> -1 in
   let procs =

@@ -337,8 +337,9 @@ val abort : t -> Pid.t -> Event.t
     and one term recomputation per event. *)
 
 val fingerprint : t -> int
-(** Full recompute from the current state. Engine-independent: journal
-    and clone exploration see identical fingerprint sets. *)
+(** Full recompute from the current state, independent of how the state
+    was reached: stepped in place under the journal or stepped forward
+    on a clone. *)
 
 val fingerprint_fast : t -> int
 (** The incrementally-maintained fingerprint when journaling is enabled

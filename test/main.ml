@@ -22,6 +22,7 @@ let () =
       ("coord", Suite_coord.suite);
       ("mcheck", Suite_mcheck.suite);
       ("mcheck_equiv", Suite_mcheck_equiv.suite);
+      ("reference", Suite_reference.suite);
       ("compile", Suite_compile.suite);
       ("journal", Suite_journal.suite);
       ("fpstore", Suite_fpstore.suite);

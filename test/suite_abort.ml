@@ -7,8 +7,9 @@
    errors. Explorer level: the abort adversary proves the abortable TAS
    and abortable queue locks safe under an abort budget, refutes the
    deliberately buggy cleanup (which frees a lock the aborting process
-   does not hold), and composes with crash faults — all three engines,
-   por on and off, agreeing on verdicts and fingerprint multisets.
+   does not hold), and composes with crash faults — both engines, por on
+   and off, agreeing on verdicts and fingerprint multisets, and with the
+   reference explorer on the state set.
    Replay level: abort schedules replay bit-identically, ill-timed abort
    lines are a typed outcome, walk/undo restores abort transitions
    exactly, and the schedule codec round-trips Abort moves. Lincheck
@@ -183,7 +184,7 @@ let test_buggy_cleanup_refuted () =
       | E.R_exclusion _ -> ()
       | _ -> Alcotest.fail "replay did not reproduce the exclusion")
 
-(* --- abort × crash composition across all three engines ----------------- *)
+(* --- abort × crash composition across engines and the reference --------- *)
 
 let atas_crashy_cfg () =
   Locks.Harness.config_of_lock ~model:Config.Cc_wb
@@ -202,10 +203,16 @@ let fp_multiset ~engine ~por ~max_crashes ~max_aborts cfg =
   (r, tbl)
 
 (* Both fault budgets at once: exclusion still holds (crashes may land
-   inside abort cleanup sections), both fault kinds are exercised, and
-   the clone / journal / compiled engines visit identical fingerprint
-   multisets with and without the reduction. *)
+   inside abort cleanup sections), both fault kinds are exercised, the
+   journal and compiled engines visit identical fingerprint multisets
+   with and without the reduction, and the explorer agrees with the
+   reference explorer: without the reduction it reaches exactly the
+   reference's 29,442 states at 1, 2 and 4 domains. *)
+let composition_states = 29_442
+
 let test_abort_crash_composition () =
+  Suite_reference.check "vs reference" ~max_crashes:1 ~max_aborts:1
+    atas_crashy_cfg;
   List.iter
     (fun por ->
       let tag engine =
@@ -216,6 +223,9 @@ let test_abort_crash_composition () =
           (atas_crashy_cfg ())
       in
       Alcotest.(check bool) (tag `Journal ^ ": verified") true rj.E.verified;
+      if not por then
+        Alcotest.(check int) (tag `Journal ^ ": states") composition_states
+          rj.E.nodes;
       Alcotest.(check bool)
         (tag `Journal ^ ": crashes exercised")
         true
@@ -235,7 +245,7 @@ let test_abort_crash_composition () =
           Suite_mcheck_equiv.check_fp_multisets
             (tag engine ^ " vs journal")
             tj t)
-        [ `Clone; `Compiled ])
+        [ `Compiled ])
     [ true; false ]
 
 (* --- typed partial verdict for an external interrupt --------------------- *)
@@ -316,6 +326,16 @@ let prop_abort_replay_deterministic =
           && E.fingerprint m1 = E.fingerprint m2
           && violated o1)
         r.E.violations)
+
+(* The same abortable programs against the reference explorer under a
+   one-abort budget: verdicts, state counts at 1, 2 and 4 domains, and
+   state sets agree. *)
+let prop_abort_reference =
+  QCheck.Test.make ~count:40
+    ~name:"abortable random programs agree with the reference"
+    Suite_mcheck_equiv.arb_prog2 (fun progs ->
+      Suite_mcheck_equiv.agrees_with_reference ~max_aborts:1 (fun () ->
+          aborty_config progs))
 
 (* --- qcheck: step;undo over abort transitions ---------------------------- *)
 
@@ -467,5 +487,6 @@ let suite =
     Alcotest.test_case "metrics count aborts and cross-check" `Quick
       test_metrics_count_aborts;
     QCheck_alcotest.to_alcotest prop_abort_replay_deterministic;
+    QCheck_alcotest.to_alcotest prop_abort_reference;
   ]
   @ List.map QCheck_alcotest.to_alcotest walk_props

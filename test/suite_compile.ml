@@ -275,6 +275,34 @@ let test_impure_degrades () =
         (Option.value ~default:0 (Hashtbl.find_opt tc fp)))
     tj
 
+(* --- engine selection ---------------------------------------------------- *)
+
+(* PA_ENGINE picks the default engine; an empty value counts as unset and
+   anything else is rejected by name, never silently run as the journal
+   engine. The variable is restored however the test exits (to empty,
+   i.e. unset, when it was unset). *)
+let test_pa_engine () =
+  let saved = Sys.getenv_opt "PA_ENGINE" in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "PA_ENGINE" (Option.value saved ~default:""))
+    (fun () ->
+      let with_env v = Unix.putenv "PA_ENGINE" v; Config.default_engine () in
+      Alcotest.(check string) "journal" "journal"
+        (Config.engine_name (with_env "journal"));
+      Alcotest.(check string) "compiled" "compiled"
+        (Config.engine_name (with_env "compiled"));
+      Alcotest.(check string) "empty is unset" "journal"
+        (Config.engine_name (with_env ""));
+      List.iter
+        (fun v ->
+          Alcotest.check_raises (Printf.sprintf "PA_ENGINE=%s rejected" v)
+            (Invalid_argument
+               (Printf.sprintf
+                  "PA_ENGINE=%S: unknown engine (expected journal or compiled)"
+                  v))
+            (fun () -> ignore (with_env v)))
+        [ "clone"; "bogus"; "Journal" ])
+
 (* --- workloads for the walks ------------------------------------------- *)
 
 let rtas () =
@@ -307,4 +335,6 @@ let suite =
       test_fanout_degrades;
     Alcotest.test_case "impure configuration degrades to the interpreter"
       `Quick test_impure_degrades;
+    Alcotest.test_case "PA_ENGINE: unknown engines rejected" `Quick
+      test_pa_engine;
   ]

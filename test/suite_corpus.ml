@@ -99,7 +99,7 @@ let check_fixture file mk_cfg =
         (Config.engine_name engine ^ " replay: same final state")
         (Mcheck.Explore.fingerprint m1)
         (Mcheck.Explore.fingerprint m2))
-    [ `Journal; `Clone; `Compiled ]
+    [ `Journal; `Compiled ]
 
 let test_peterson_fixture () =
   check_fixture "peterson_unfenced_tso.sched" (fun () ->

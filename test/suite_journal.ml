@@ -10,12 +10,11 @@
      fingerprint, and the incrementally-maintained fingerprint must agree
      with the full recompute at every visited state;
 
-   - a differential check over the golden workloads: the clone and
-     journal engines, at 1 and 4 domains, with and without the reduction,
-     produce identical verdicts (node counts and depths too at one
-     domain; at 4 the shared store makes those timing-dependent), and
-     sequentially, via [~on_fingerprint], identical fingerprint
-     multisets;
+   - a differential check over the golden workloads against the
+     clone-per-child reference explorer (reference.ml,
+     suite_reference.ml): with and without the reduction, sequential and
+     parallel, the same violation kinds, and without the reduction the
+     same state count and, via [~on_fingerprint], the same state set;
 
    - byte-level invisibility: replaying the corpus fixture with trace
      recording on under either engine produces the byte-identical Chrome
@@ -146,90 +145,34 @@ let walk_props =
       };
   ]
 
-(* --- engine differential ------------------------------------------------ *)
+(* --- the journal engine against the reference ------------------------- *)
 
-let kind_name = function
-  | `Exclusion (a, b) -> Printf.sprintf "exclusion(%d,%d)" a b
-  | `Deadlock -> "deadlock"
-  | `Spin_exhausted -> "spin"
+(* Verdicts, state counts and state sets against the reference explorer
+   (Suite_reference.check) on the golden workloads, per engine — pinned,
+   because the config default bends to PA_ENGINE: the journal
+   interpreter on every workload, and compile-ahead execution on the
+   pure ones. *)
+let check_engine engine name ?max_crashes mk_cfg =
+  Suite_reference.check
+    (Printf.sprintf "%s (%s)" name (Config.engine_name engine))
+    ?max_crashes
+    (fun () -> { (mk_cfg ()) with Config.engine })
 
-let explore_with ~engine ~domains ~por ?on_fingerprint ?max_crashes cfg =
-  E.explore ~max_nodes:200_000 ~domains ~por ?on_fingerprint ?max_crashes
-    { cfg with Config.engine }
+let test_engines_peterson () =
+  check_engine `Journal "peterson" peterson_unfenced
 
-(* Clone vs journal at the same (domains, por): same verdict, same
-   violation kinds, same exhaustion. Node counts and max depth are only
-   compared sequentially: with the shared fingerprint store, which
-   domain claims a state first decides the depth it is recorded at (and,
-   under nontrivial sleep masks, how much mask-aware re-exploration
-   happens), so those tallies are timing-dependent at domains > 1 —
-   deliberately outside the determinism contract (explore.mli). *)
-let check_engines name ?max_crashes cfg =
-  List.iter
-    (fun (domains, por) ->
-      let rc = explore_with ~engine:`Clone ~domains ~por ?max_crashes cfg in
-      let rj = explore_with ~engine:`Journal ~domains ~por ?max_crashes cfg in
-      let tag =
-        Printf.sprintf "%s domains=%d por=%b" name domains por
-      in
-      Alcotest.(check bool) (tag ^ ": verified") rc.E.verified rj.E.verified;
-      Alcotest.(check bool)
-        (tag ^ ": exhausted") rc.E.exhausted rj.E.exhausted;
-      if domains = 1 then begin
-        Alcotest.(check int) (tag ^ ": nodes") rc.E.nodes rj.E.nodes;
-        Alcotest.(check int)
-          (tag ^ ": max depth") rc.E.max_depth rj.E.max_depth
-      end;
-      Alcotest.(check (list string))
-        (tag ^ ": violation kinds")
-        (List.map (fun v -> kind_name v.E.kind) rc.E.violations)
-        (List.map (fun v -> kind_name v.E.kind) rj.E.violations))
-    [ (1, true); (1, false); (4, true); (4, false) ]
-
-let test_engines_peterson () = check_engines "peterson" (peterson_unfenced ())
-let test_engines_mp_pso () = check_engines "mp_pso" (mp_pso ())
+let test_engines_mp_pso () = check_engine `Journal "mp_pso" mp_pso
 
 let test_engines_rtas () =
-  check_engines "rtas" ~max_crashes:1
-    (rtas ~crash_semantics:Config.Drop_buffer ())
+  check_engine `Journal "rtas" ~max_crashes:1
+    (rtas ~crash_semantics:Config.Drop_buffer)
 
-(* Sequentially the two engines must visit the same fingerprint multiset,
-   not just the same number of nodes. *)
-let fp_multiset ~engine ?max_crashes cfg =
-  let tbl = Hashtbl.create 1024 in
-  let r =
-    explore_with ~engine ~domains:1 ~por:true ?max_crashes
-      ~on_fingerprint:(fun fp ->
-        Hashtbl.replace tbl fp
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl fp)))
-      cfg
-  in
-  (r, tbl)
-
-let check_fp_sets name ?max_crashes cfg =
-  let rc, tc = fp_multiset ~engine:`Clone ?max_crashes cfg in
-  let rj, tj = fp_multiset ~engine:`Journal ?max_crashes cfg in
-  Alcotest.(check int) (name ^ ": nodes") rc.E.nodes rj.E.nodes;
-  Alcotest.(check int)
-    (name ^ ": distinct fingerprints")
-    (Hashtbl.length tc) (Hashtbl.length tj);
-  Hashtbl.iter
-    (fun fp n ->
-      match Hashtbl.find_opt tj fp with
-      | Some n' when n = n' -> ()
-      | Some n' ->
-          Alcotest.failf "%s: fingerprint %#x visited %d (clone) vs %d \
-                          (journal) times"
-            name fp n n'
-      | None ->
-          Alcotest.failf "%s: fingerprint %#x visited by clone only" name fp)
-    tc
-
-let test_fp_sets_peterson () = check_fp_sets "peterson" (peterson_unfenced ())
+let test_fp_sets_peterson () =
+  check_engine `Compiled "peterson" peterson_unfenced
 
 let test_fp_sets_rtas () =
-  check_fp_sets "rtas" ~max_crashes:1
-    (rtas ~crash_semantics:Config.Atomic_prefix ())
+  check_engine `Compiled "rtas" ~max_crashes:1
+    (rtas ~crash_semantics:Config.Atomic_prefix)
 
 (* Paranoid mode recomputes the full fingerprint at every node and fails
    on drift — a whole-space version of the walk property. *)
@@ -246,19 +189,20 @@ let test_paranoid () =
       ("rtas", 1, rtas ~crash_semantics:Config.Atomic_prefix ());
     ]
 
-(* Journal gauges surface in stats under the journal engine only. *)
+(* Journal gauges surface in stats, sequentially and in the parallel
+   driver. *)
 let test_journal_stats () =
-  (* pin the engine: the config default bends to PA_ENGINE, and this
-     test is specifically about the journal gauges *)
+  (* pin the engine: the config default bends to PA_ENGINE *)
   let cfg = { (peterson_unfenced ()) with Config.engine = `Journal } in
-  let rj = E.explore ~max_nodes:200_000 cfg in
-  let rc = E.explore ~max_nodes:200_000 { cfg with Config.engine = `Clone } in
-  Alcotest.(check bool) "journal pushes records" true
-    (rj.E.stats.E.undo_records > 0);
-  Alcotest.(check bool) "journal has a peak" true
-    (rj.E.stats.E.journal_peak > 0);
-  Alcotest.(check int) "clone pushes none" 0 rc.E.stats.E.undo_records;
-  Alcotest.(check int) "clone has no peak" 0 rc.E.stats.E.journal_peak
+  List.iter
+    (fun domains ->
+      let r = E.explore ~max_nodes:200_000 ~domains cfg in
+      let tag = Printf.sprintf "d=%d: " domains in
+      Alcotest.(check bool) (tag ^ "journal pushes records") true
+        (r.E.stats.E.undo_records > 0);
+      Alcotest.(check bool) (tag ^ "journal has a peak") true
+        (r.E.stats.E.journal_peak > 0))
+    [ 1; 2 ]
 
 (* --- byte-identical Chrome export under the journal engine ------------- *)
 
@@ -287,8 +231,6 @@ let test_chrome_byte_identical () =
   in
   Alcotest.(check string) "journal replay matches the golden bytes" golden
     (export `Journal);
-  Alcotest.(check string) "clone replay matches the golden bytes" golden
-    (export `Clone);
   Alcotest.(check string) "compiled replay matches the golden bytes" golden
     (export `Compiled)
 

@@ -88,22 +88,12 @@ let verdict = Alcotest.testable
     (fun fmt v -> Format.pp_print_string fmt (verdict_to_string v))
     ( = )
 
-let kind_set (r : Mcheck.Explore.result) =
-  List.sort_uniq compare
-    (List.map
-       (fun v ->
-         match v.Mcheck.Explore.kind with
-         | `Exclusion _ -> "exclusion"
-         | `Deadlock -> "deadlock"
-         | `Spin_exhausted -> "spin")
-       r.Mcheck.Explore.violations)
-
-(* The engine configurations under comparison: the reference point (trace
-   on, no reduction, single domain — the seed engine), then the
-   throughput features and the partial-order reduction in every
-   combination of domains, under all three child-expansion engines
-   (clone, journal and compiled) now that all domain counts share one
-   fingerprint store. POR must be verdict-invisible everywhere. *)
+(* The explorer configurations under comparison: trace recording on with
+   no reduction at a single domain (the seed engine's operating point),
+   then the throughput features and the partial-order reduction in every
+   combination of domains, under both program-execution engines (journal
+   and compiled). POR must be verdict-invisible everywhere, and every
+   verdict must match the reference explorer's (reference.ml). *)
 let with_engine engine cfg = { cfg with Config.engine }
 
 let engines =
@@ -123,14 +113,6 @@ let engines =
        Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:4 ~por:false cfg);
     ("parallel (por on, d=8)",
      fun cfg -> Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:8 cfg);
-    ("parallel clone (por on, d=4)",
-     fun cfg ->
-       Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:4
-         (with_engine `Clone cfg));
-    ("parallel clone (por off, d=8)",
-     fun cfg ->
-       Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:8 ~por:false
-         (with_engine `Clone cfg));
     ("compiled (por on, d=1)",
      fun cfg ->
        Mcheck.Explore.explore ~max_nodes:2_000_000
@@ -151,6 +133,14 @@ let engines =
 
 let check_equiv name mk_cfg expected =
   Alcotest.test_case name `Quick (fun () ->
+      let kinds = (Reference.explore (mk_cfg ())).Reference.kinds in
+      Alcotest.(check bool)
+        ("reference explorer on " ^ name)
+        true
+        (match expected with
+        | Verified -> kinds = []
+        | Violation k -> List.mem k kinds
+        | Inconclusive -> false);
       List.iter
         (fun (engine, run) ->
           let r = run (mk_cfg ()) in
@@ -193,17 +183,14 @@ let test_parallel_deterministic () =
   Alcotest.(check bool) "por on: same exhausted" a.Mcheck.Explore.exhausted
     b.Mcheck.Explore.exhausted
 
-(* Under a widened violation cap, every engine must surface the same SET
-   of violation kinds — the cap no longer truncates the interesting part
-   of the space, so the kind set is part of the determinism contract. *)
+(* Under a widened violation cap, every engine must surface the
+   reference explorer's SET of violation kinds — the cap no longer
+   truncates the interesting part of the space, so the kind set is part
+   of the determinism contract. *)
 let test_kind_set_equiv () =
   List.iter
     (fun (name, mk_cfg) ->
-      let expected =
-        kind_set
-          (Mcheck.Explore.explore ~max_nodes:2_000_000 ~max_violations:8
-             ~por:false (mk_cfg ()))
-      in
+      let expected = (Reference.explore (mk_cfg ())).Reference.kinds in
       List.iter
         (fun (engine, domains, por) ->
           let r =
@@ -215,9 +202,9 @@ let test_kind_set_equiv () =
             (Printf.sprintf "%s kinds (%s d=%d por=%b)" name
                (Tsim.Config.engine_name engine)
                domains por)
-            expected (kind_set r))
-        [ (`Journal, 1, true); (`Journal, 4, true); (`Journal, 8, false);
-          (`Clone, 4, false); (`Compiled, 1, true); (`Compiled, 4, true);
+            expected (Reference.kinds_of r))
+        [ (`Journal, 1, true); (`Journal, 4, true); (`Journal, 4, false);
+          (`Journal, 8, false); (`Compiled, 1, true); (`Compiled, 4, true);
           (`Compiled, 8, false) ])
     [ ("peterson unfenced", fun () -> peterson ~fenced:false);
       ("mp pso", mp_pso) ]
@@ -330,10 +317,11 @@ let test_compiled_sequential_deterministic () =
    explored exhaustively with and without the reduction under both
    orderings. No mutual exclusion is attempted, so exclusion violations
    abound; conditional spins make some programs spin-exhaust and some
-   verify. The engines must agree on [verified], [exhausted] and the SET
-   of violation kinds, and the reduced run's visited states must be a
-   subset of the full run's (fused chain intermediates are skipped, so
-   containment — not equality — is the invariant). *)
+   verify. Every run must exhaust and find the reference explorer's SET
+   of violation kinds; without the reduction it must visit exactly the
+   reference's states (node counts at 1, 2 and 4 domains, the state set
+   at one), and with it a subset of them (fused chain intermediates are
+   skipped, so containment — not equality — is the invariant). *)
 
 type rop =
   | Rwrite of int * int
@@ -412,71 +400,18 @@ let config_of_rops ?recovery ?crash_semantics (ops0, ops1, pso) =
     ~exit_section:(fun _ -> Prog.unit)
     ()
 
+let agrees_with_reference ?max_crashes ?max_aborts cfg_of =
+  match
+    Suite_reference.disagreements ?max_crashes ?max_aborts ~on_spin:`Violation
+      cfg_of
+  with
+  | [] -> true
+  | errors -> QCheck.Test.fail_report (String.concat "; " errors)
+
 let prop_por_differential =
   QCheck.Test.make ~count:120 ~name:"por on/off: same verdict, subset states"
     arb_prog2 (fun progs ->
-      let run ~por sink =
-        Mcheck.Explore.explore ~max_nodes:500_000 ~max_violations:max_int
-          ~on_spin:`Violation ~por ~on_fingerprint:sink
-          (config_of_rops progs)
-      in
-      let fps_off = Hashtbl.create 256 and fps_on = Hashtbl.create 256 in
-      let off = run ~por:false (fun fp -> Hashtbl.replace fps_off fp ()) in
-      let on = run ~por:true (fun fp -> Hashtbl.replace fps_on fp ()) in
-      if not off.Mcheck.Explore.exhausted then
-        QCheck.Test.fail_report "full run did not exhaust";
-      if on.Mcheck.Explore.exhausted <> off.Mcheck.Explore.exhausted then
-        QCheck.Test.fail_report "exhausted disagrees";
-      if on.Mcheck.Explore.verified <> off.Mcheck.Explore.verified then
-        QCheck.Test.fail_report "verified disagrees";
-      if kind_set on <> kind_set off then
-        QCheck.Test.fail_report
-          (Printf.sprintf "violation kinds disagree: por-on {%s} vs por-off {%s}"
-             (String.concat "," (kind_set on))
-             (String.concat "," (kind_set off)));
-      Hashtbl.iter
-        (fun fp () ->
-          if not (Hashtbl.mem fps_off fp) then
-            QCheck.Test.fail_report
-              "por-on visited a state the full exploration never saw")
-        fps_on;
-      true)
-
-(* Same differential under a one-crash budget: crash moves are pairwise
-   dependent (shared budget) and suspend singleton-ample fusion, so the
-   reduced crash exploration must still agree with the full one on every
-   verdict and visit only states the full run visits. *)
-let prop_por_differential_crashes =
-  QCheck.Test.make ~count:60
-    ~name:"por on/off with max_crashes=1: same verdict, subset states"
-    arb_prog2 (fun progs ->
-      let run ~por sink =
-        Mcheck.Explore.explore ~max_nodes:500_000 ~max_violations:max_int
-          ~on_spin:`Violation ~por ~max_crashes:1 ~on_fingerprint:sink
-          (config_of_rops progs)
-      in
-      let fps_off = Hashtbl.create 256 and fps_on = Hashtbl.create 256 in
-      let off = run ~por:false (fun fp -> Hashtbl.replace fps_off fp ()) in
-      let on = run ~por:true (fun fp -> Hashtbl.replace fps_on fp ()) in
-      if not off.Mcheck.Explore.exhausted then
-        QCheck.Test.fail_report "full run did not exhaust";
-      if on.Mcheck.Explore.exhausted <> off.Mcheck.Explore.exhausted then
-        QCheck.Test.fail_report "exhausted disagrees";
-      if on.Mcheck.Explore.verified <> off.Mcheck.Explore.verified then
-        QCheck.Test.fail_report "verified disagrees";
-      if kind_set on <> kind_set off then
-        QCheck.Test.fail_report
-          (Printf.sprintf
-             "violation kinds disagree: por-on {%s} vs por-off {%s}"
-             (String.concat "," (kind_set on))
-             (String.concat "," (kind_set off)));
-      Hashtbl.iter
-        (fun fp () ->
-          if not (Hashtbl.mem fps_off fp) then
-            QCheck.Test.fail_report
-              "por-on visited a state the full exploration never saw")
-        fps_on;
-      true)
+      agrees_with_reference (fun () -> config_of_rops progs))
 
 (* --- differential property: engines agree on random programs ----------- *)
 
@@ -519,6 +454,17 @@ let arb_crashy =
 let config_of_crashy c =
   config_of_rops ?recovery:c.c_recovery ~crash_semantics:c.c_sem c.c_progs
 
+(* Same differential under a one-crash budget, over the crash generator's
+   recovery sections and crash semantics: crash moves are pairwise
+   dependent (shared budget) and suspend singleton-ample fusion, so the
+   reduced crash exploration must still find the reference's verdicts
+   and visit only states the reference reaches. *)
+let prop_por_differential_crashes =
+  QCheck.Test.make ~count:60
+    ~name:"por on/off with max_crashes=1: same verdict, subset states"
+    arb_crashy (fun c ->
+      agrees_with_reference ~max_crashes:1 (fun () -> config_of_crashy c))
+
 (* Compiled vs journal on a random program: sequentially the contract is
    total, so the two runs must agree on verdict, exhaustion, kind set,
    node count, max depth and the fingerprint MULTISET, por on and off. *)
@@ -552,11 +498,11 @@ let check_engine_pair ~max_crashes ~por cfg_of () =
          rj.Mcheck.Explore.nodes rc.Mcheck.Explore.nodes);
   if rj.Mcheck.Explore.max_depth <> rc.Mcheck.Explore.max_depth then
     QCheck.Test.fail_report "max depth disagrees";
-  if kind_set rj <> kind_set rc then
+  if Reference.kinds_of rj <> Reference.kinds_of rc then
     QCheck.Test.fail_report
       (Printf.sprintf "violation kinds disagree: journal {%s} vs compiled {%s}"
-         (String.concat "," (kind_set rj))
-         (String.concat "," (kind_set rc)));
+         (String.concat "," (Reference.kinds_of rj))
+         (String.concat "," (Reference.kinds_of rc)));
   if not (multisets_agree tj tc) then
     QCheck.Test.fail_report "fingerprint multisets disagree";
   (* at d=4 only the verdict contract survives (claim races move node
@@ -569,7 +515,7 @@ let check_engine_pair ~max_crashes ~por cfg_of () =
   let pj = par `Journal and pc = par `Compiled in
   if pj.Mcheck.Explore.verified <> pc.Mcheck.Explore.verified then
     QCheck.Test.fail_report "d=4 verified disagrees";
-  if kind_set pj <> kind_set pc then
+  if Reference.kinds_of pj <> Reference.kinds_of pc then
     QCheck.Test.fail_report "d=4 violation kinds disagree";
   true
 

@@ -170,7 +170,6 @@ let test_estimator_unbiased_in_search () =
         Alcotest.failf "%s por=%b: mean estimate %.1f vs true %d (%.1f%% off)"
           (Config.engine_name engine) por mean truth (100. *. rel))
     [
-      (`Clone, true); (`Clone, false);
       (`Journal, true); (`Journal, false);
       (`Compiled, true); (`Compiled, false);
     ]
@@ -203,7 +202,7 @@ let test_profile_no_perturbation () =
         (Printf.sprintf "%s fingerprint multiset identical"
            (Config.engine_name engine))
         true (fp0 = fp1))
-    [ `Clone; `Journal; `Compiled ]
+    [ `Journal; `Compiled ]
 
 (* --- exactly-once attribution ------------------------------------------- *)
 
@@ -218,7 +217,7 @@ let test_profile_totals_match_nodes () =
         (Printf.sprintf "%s profile nodes = search nodes"
            (Config.engine_name engine))
         r.Mcheck.Explore.nodes (Obs.Profile.total_nodes p))
-    [ `Clone; `Journal; `Compiled ]
+    [ `Journal; `Compiled ]
 
 (* Strided sampling: with [~every:k] the gate fires on the first record
    and every k-th after, and each armed record books k nodes — so the
@@ -500,7 +499,7 @@ let suite =
     Alcotest.test_case "estimator mean on an unbalanced tree" `Quick
       test_estimator_unbalanced_mean;
     Alcotest.test_case
-      "estimator unbiased in-search (3 engines x por on/off)" `Slow
+      "estimator unbiased in-search (2 engines x por on/off)" `Slow
       test_estimator_unbiased_in_search;
     Alcotest.test_case "profiling does not perturb the search" `Quick
       test_profile_no_perturbation;
