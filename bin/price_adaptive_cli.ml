@@ -403,25 +403,23 @@ let verify_cmd =
   in
   let store =
     let store_conv =
-      Arg.enum [ ("exact", `Exact); ("bitstate", `Bitstate); ("bounded", `Bounded) ]
+      Arg.enum [ ("exact", `Exact); ("bitstate", `Bitstate) ]
     in
     Arg.(
       value & opt store_conv `Exact
       & info [ "store" ]
           ~doc:
             "seen-state memory policy: exact (every state stored, the \
-             default), bitstate (SPIN-style supertrace hashing — bounded \
-             memory, verdicts carry a measured omission probability), or \
-             bounded (fixed slot count with eviction — exhaustive, pays \
-             re-exploration)")
+             default) or bitstate (SPIN-style supertrace hashing — bounded \
+             memory, verdicts carry a measured omission probability)")
   in
   let store_bits =
     Arg.(
-      value & opt (some int) None
+      value & opt int 26
       & info [ "store-bits" ]
           ~doc:
-            "log2 of the store size: bits of the bitstate array (default \
-             26 = 8 MiB) or slots of the bounded table (default 20)")
+            "bitstate mode: log2 of the bit array size, 10-36 (26 = 8 \
+             MiB)")
   in
   let store_hashes =
     Arg.(
@@ -479,22 +477,8 @@ let verify_cmd =
           ~doc:
             "print search-internals tallies (dedup hits, sleep-set and \
              ample-set prunes, fingerprint-store occupancy, per-domain \
-             nodes, steals, evictions/drops/omission probability of the \
-             memory-bounded stores, journal depth)")
-  in
-  let engine =
-    let engine_conv =
-      Arg.enum [ ("journal", `Journal); ("compiled", `Compiled) ]
-    in
-    Arg.(
-      value & opt engine_conv `Journal
-      & info [ "engine" ]
-          ~doc:
-            "program execution under the explorer's in-place step/undo \
-             search: journal (the continuation interpreter, the \
-             default) or compiled (compile-ahead program execution; \
-             locks whose programs are not declared pure fall back to \
-             the interpreter); identical verdicts and node counts")
+             nodes, steals, drops of the shared exact store, bitstate \
+             omission probability, journal depth)")
   in
   let profile_out =
     Arg.(
@@ -529,8 +513,8 @@ let verify_cmd =
              probes are spent along a path)")
   in
   let run name n max_nodes spin_fuel domains no_por save_schedule max_crashes
-      max_aborts max_millis crash_semantics search_stats engine store
-      store_bits store_hashes profile_out progress probes obs_opts =
+      max_aborts max_millis crash_semantics search_stats store store_bits
+      store_hashes profile_out progress probes obs_opts =
     if domains < 1 then die2 "--domains must be >= 1";
     if max_crashes < 0 then die2 "--max-crashes must be >= 0";
     if max_aborts < 0 then die2 "--max-aborts must be >= 0";
@@ -540,17 +524,12 @@ let verify_cmd =
       match store with
       | `Exact -> Tsim.Config.Store_exact
       | `Bitstate ->
-          let log2_bits = Option.value store_bits ~default:26 in
-          if log2_bits < 10 || log2_bits > 36 then
+          if store_bits < 10 || store_bits > 36 then
             die2 "--store-bits must be in [10, 36] for bitstate";
           if store_hashes < 1 || store_hashes > 8 then
             die2 "--store-hashes must be in [1, 8]";
-          Tsim.Config.Store_bitstate { log2_bits; hashes = store_hashes }
-      | `Bounded ->
-          let log2_slots = Option.value store_bits ~default:20 in
-          if log2_slots < 8 || log2_slots > 30 then
-            die2 "--store-bits must be in [8, 30] for bounded";
-          Tsim.Config.Store_bounded { log2_slots }
+          Tsim.Config.Store_bitstate
+            { log2_bits = store_bits; hashes = store_hashes }
     in
     match find_lock name with
     | Error e -> die2 "%s" e
@@ -567,9 +546,7 @@ let verify_cmd =
           Locks.Harness.config_of_lock ~model:Tsim.Config.Cc_wb
             ~crash_semantics lock ~n
         in
-        let cfg =
-          { cfg with Tsim.Config.engine; Tsim.Config.store = store_mode }
-        in
+        let cfg = { cfg with Tsim.Config.store = store_mode } in
         (* ctrl-C stops the search at the next budget poll: the explorer
            returns normally with a typed `Aborts partial verdict, so the
            stats below still print, the obs sinks still flush, and a
@@ -620,7 +597,7 @@ let verify_cmd =
               chains %d (+%d fused), seen entries %d, crashes applied %d, \
               aborts applied %d\n\
               domains: %d%s, merge stall %dus, steals %d\n\
-              store: %s, evictions %d, drops %d%s\n\
+              store: %s, drops %d%s\n\
               journal: peak %d records, %d undo records (%.1f/node)\n"
              s.Mcheck.Explore.dedup_hits s.Mcheck.Explore.resleeps
              s.Mcheck.Explore.sleep_prunes s.Mcheck.Explore.ample_chains
@@ -634,7 +611,7 @@ let verify_cmd =
                    (String.concat "/" (List.map string_of_int ns)))
              s.Mcheck.Explore.merge_stall_us s.Mcheck.Explore.steals
              (Tsim.Config.store_mode_name store_mode)
-             s.Mcheck.Explore.store_evictions s.Mcheck.Explore.store_drops
+             s.Mcheck.Explore.store_drops
              (if s.Mcheck.Explore.omission_prob > 0.0 then
                 Printf.sprintf ", omission probability %.2e"
                   s.Mcheck.Explore.omission_prob
@@ -711,7 +688,7 @@ let verify_cmd =
     Term.(
       const run $ lock_arg $ n $ max_nodes $ spin_fuel $ domains $ no_por
       $ save_schedule $ max_crashes $ max_aborts $ max_millis
-      $ crash_semantics $ search_stats $ engine $ store $ store_bits
+      $ crash_semantics $ search_stats $ store $ store_bits
       $ store_hashes $ profile_out $ progress $ probes $ obs_term)
 
 (* --- replay -------------------------------------------------------------- *)
@@ -1301,8 +1278,8 @@ let () =
      code 2, never a backtrace: command-line errors (bad option values,
      unknown options or commands, missing arguments) map to 2 instead of
      cmdliner's 124, and with [~catch:false] the handler below sees
-     anything the commands let through (unreadable files, an unknown
-     PA_ENGINE, Invalid_argument from deep in the stack). *)
+     anything the commands let through (unreadable files,
+     Invalid_argument from deep in the stack). *)
   let code =
     try
       match

@@ -74,8 +74,6 @@ let store_code = function
   | Config.Store_exact -> "exact"
   | Config.Store_bitstate { log2_bits; hashes } ->
       Printf.sprintf "bitstate:%d:%d" log2_bits hashes
-  | Config.Store_bounded { log2_slots } ->
-      Printf.sprintf "bounded:%d" log2_slots
 
 let store_of_code s =
   match String.split_on_char ':' s with
@@ -85,10 +83,6 @@ let store_of_code s =
       | Some log2_bits, Some hashes ->
           Some (Config.Store_bitstate { log2_bits; hashes })
       | _ -> None)
-  | [ "bounded"; b ] -> (
-      match int_of_string_opt b with
-      | Some log2_slots -> Some (Config.Store_bounded { log2_slots })
-      | None -> None)
   | _ -> None
 
 let key c =

@@ -53,10 +53,7 @@ let config_of (c : Cell.t) =
     | Tsim.Config.Store_exact -> ()
     | Tsim.Config.Store_bitstate { log2_bits; hashes } ->
         if log2_bits < 10 || log2_bits > 36 || hashes < 1 || hashes > 8 then
-          raise (Bad_cell "bitstate store parameters out of range")
-    | Tsim.Config.Store_bounded { log2_slots } ->
-        if log2_slots < 8 || log2_slots > 30 then
-          raise (Bad_cell "bounded store slots out of range"));
+          raise (Bad_cell "bitstate store parameters out of range"));
     Some { cfg with Tsim.Config.store = c.Cell.store }
 
 let resolve c = ignore (config_of c)

@@ -27,8 +27,8 @@
    bounded abort budget) stay far below the default capacity.
 
    The slot drawn in the entry section travels to the exit and cleanup
-   sections through a per-process scratch array, so the lock is impure:
-   the compile-ahead engine falls back to the interpreter for it. *)
+   sections through a per-process scratch array outside the machine
+   state (see Lock_intf). *)
 
 open Tsim
 open Tsim.Ids
@@ -79,7 +79,6 @@ let make ?(capacity = 32) () ~n : Lock_intf.t =
   {
     Lock_intf.name = "abortable-queue";
     uses_rmw = true;
-    pure = false;  (* per-passage scratch slot *)
     one_time = false;
     adaptive = false;
     layout;

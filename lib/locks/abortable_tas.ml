@@ -40,7 +40,6 @@ let make_with ~name ~abort ~n : Lock_intf.t =
   {
     Lock_intf.name;
     uses_rmw = true;
-    pure = true;
     one_time = false;
     adaptive = false;
     layout;

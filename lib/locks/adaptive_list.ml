@@ -59,7 +59,6 @@ let make ~n : Lock_intf.t =
   {
     Lock_intf.name = "adaptive-list";
     uses_rmw = true;
-    pure = true;
     one_time = true;
     adaptive = true;
     layout;

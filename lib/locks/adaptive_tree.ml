@@ -55,7 +55,6 @@ let make ?(d0 = 4) ~n () : Lock_intf.t =
   {
     Lock_intf.name = "adaptive-tree";
     uses_rmw = false;
-    pure = false;  (* per-passage scratch array *)
     one_time = true;  (* splitters are single-use *)
     adaptive = true;
     layout;

@@ -63,7 +63,6 @@ let make ?(pso_safe = false) ~n () : Lock_intf.t =
   {
     Lock_intf.name = (if pso_safe then "bakery-pso" else "bakery");
     uses_rmw = false;
-    pure = true;
     one_time = false;
     adaptive = false;
     layout;

@@ -47,7 +47,6 @@ let make ~n : Lock_intf.t =
   {
     Lock_intf.name = "burns-lamport";
     uses_rmw = false;
-    pure = true;
     one_time = false;
     adaptive = false;
     layout;

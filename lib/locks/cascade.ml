@@ -76,7 +76,6 @@ let make ?(d0 = 4) ~n () : Lock_intf.t =
   {
     Lock_intf.name = "cascade";
     uses_rmw = false;
-    pure = false;  (* per-passage scratch array *)
     one_time = true;
     adaptive = true;
     layout;

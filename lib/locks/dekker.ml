@@ -51,7 +51,6 @@ let make ~n : Lock_intf.t =
   {
     Lock_intf.name = "dekker";
     uses_rmw = false;
-    pure = true;
     one_time = false;
     adaptive = false;
     layout;

@@ -69,7 +69,6 @@ let make ~n : Lock_intf.t =
   {
     Lock_intf.name = "fastpath";
     uses_rmw = false;
-    pure = true;
     one_time = false;
     adaptive = false;
     layout;

@@ -57,7 +57,6 @@ let make ~n : Lock_intf.t =
   {
     Lock_intf.name = "filter";
     uses_rmw = false;
-    pure = true;
     one_time = false;
     adaptive = false;
     layout;

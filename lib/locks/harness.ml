@@ -12,7 +12,7 @@ let config_of_lock ?(model = Config.Cc_wb) ?(ordering = Config.Tso)
          lock.Lock_intf.name);
   Config.make ~model ~ordering ~max_passages ~rmw_drains ~check_exclusion
     ~crash_semantics ?recovery:lock.Lock_intf.recovery
-    ?abort_section:lock.Lock_intf.abort ~pure_programs:lock.Lock_intf.pure ~n
+    ?abort_section:lock.Lock_intf.abort ~n
     ~layout:lock.Lock_intf.layout ~entry:lock.Lock_intf.entry
     ~exit_section:lock.Lock_intf.exit_section ()
 

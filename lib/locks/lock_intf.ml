@@ -2,12 +2,17 @@
 
    A lock declares its shared variables into a [Layout.t] (choosing DSM
    ownership for variables a process spins on) and provides entry- and
-   exit-section programs per process. Per-passage scratch state (a ticket
-   number, a tree position) lives in OCaml arrays inside the context: the
-   entry program stores into them as it executes and the exit program —
-   constructed only when the process reaches its CS — reads them back.
-   This is deterministic under replay because replay re-executes the entry
-   section before constructing the exit section. *)
+   exit-section programs per process. Some locks (ticket, CLH, Anderson,
+   the adaptive tree, cascade, the abortable queue) keep per-passage
+   scratch state — a ticket number, a tree position — in OCaml arrays
+   inside the context: the entry program stores into them as it executes
+   and the exit program — constructed only when the process reaches its
+   CS — reads them back. A single run or schedule replay sees a
+   consistent value, because it re-executes the entry section before
+   constructing the exit section. Exploration does not: the scratch lives
+   outside the machine state, so every explored branch shares it and no
+   journal rollback restores it, and state counts for these locks depend
+   on the exploration order (EXPERIMENTS.md E22). *)
 
 open Tsim
 open Tsim.Ids
@@ -17,11 +22,6 @@ type t = {
   uses_rmw : bool;  (* uses comparison primitives (CAS/FAA/SWAP)? *)
   one_time : bool;  (* only supports a single passage per process *)
   adaptive : bool;  (* RMR complexity a function of contention? *)
-  pure : bool;
-      (* programs are effect-free (no per-passage scratch arrays): the
-         compile-ahead engine may cache and reuse their continuations
-         (Config.pure_programs). Locks that smuggle a ticket/slot from
-         entry to exit through a mutable array must say false. *)
   layout : Layout.t;
   entry : Pid.t -> unit Prog.t;
   exit_section : Pid.t -> unit Prog.t;

@@ -2,11 +2,14 @@
 
     A lock declares its shared variables into a {!Tsim.Layout.t} (choosing
     DSM ownership for spin cells) and provides entry and exit-section
-    programs. Per-passage scratch state lives in OCaml arrays inside the
-    lock's closure: the entry program stores into them as it executes and
-    the exit program — constructed only when the process reaches its CS —
-    reads them back; replay re-executes entries before exits, so this is
-    deterministic. *)
+    programs. Some locks keep per-passage scratch state in OCaml arrays
+    inside the lock's closure: the entry program stores into them as it
+    executes and the exit program — constructed only when the process
+    reaches its CS — reads them back. A single run or schedule replay is
+    consistent, since it re-executes entries before exits; exploration is
+    not, because the scratch is outside the machine state and shared by
+    every explored branch (no journal rollback restores it), so state
+    counts for those locks depend on exploration order. *)
 
 open Tsim
 open Tsim.Ids
@@ -16,11 +19,6 @@ type t = {
   uses_rmw : bool;  (** uses comparison primitives (CAS/FAA/SWAP)? *)
   one_time : bool;  (** supports a single passage per process only *)
   adaptive : bool;  (** RMR complexity a function of contention? *)
-  pure : bool;
-      (** programs are effect-free (no per-passage scratch arrays), so
-          the compile-ahead engine may cache their continuations
-          ({!Tsim.Config.t.pure_programs}); locks that pass scratch from
-          entry to exit through mutable arrays must declare [false] *)
   layout : Layout.t;
   entry : Pid.t -> unit Prog.t;
   exit_section : Pid.t -> unit Prog.t;

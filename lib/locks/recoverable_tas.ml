@@ -35,7 +35,6 @@ let make_with ~name ~recovery ~n : Lock_intf.t =
   {
     Lock_intf.name;
     uses_rmw = true;
-    pure = true;
     one_time = false;
     adaptive = false;
     layout;

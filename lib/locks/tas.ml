@@ -26,7 +26,6 @@ let make ~n : Lock_intf.t =
   {
     Lock_intf.name = "tas";
     uses_rmw = true;
-    pure = true;
     one_time = false;
     adaptive = false;
     layout;

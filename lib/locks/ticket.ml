@@ -41,7 +41,6 @@ let make ~n : Lock_intf.t =
   {
     Lock_intf.name = "ticket";
     uses_rmw = true;
-    pure = false;  (* per-passage scratch array *)
     one_time = false;
     adaptive = false;
     layout;

@@ -182,7 +182,6 @@ type stats = {
       (* high-water undo-log depth (max over domains) *)
   undo_records : int;  (* total undo records pushed *)
   steals : int;  (* parallel mode: work items taken from other domains *)
-  store_evictions : int;  (* bounded store: states evicted under pressure *)
   store_drops : int;  (* shared store: states left unstored (window full) *)
   omission_prob : float;
       (* bitstate store: estimated probability that the next distinct
@@ -201,7 +200,7 @@ let zero_stats =
     ample_fused = 0; seen_entries = 0; crashes_applied = 0;
     aborts_applied = 0; domains_used = 1;
     domain_nodes = []; merge_stall_us = 0; journal_peak = 0;
-    undo_records = 0; steals = 0; store_evictions = 0; store_drops = 0;
+    undo_records = 0; steals = 0; store_drops = 0;
     omission_prob = 0.0; est_nodes = 0.0; est_progress = 0.0 }
 
 type result = {
@@ -235,7 +234,8 @@ let render_verdict r =
       (if r.stats.store_drops > 0 then
          Printf.sprintf
            " (seen store saturated: %d states never stored, re-explored \
-            on every visit — consider --store bounded)"
+            on every visit — the --domains 1 table has no cap, or use \
+            --store bitstate)"
            r.stats.store_drops
        else ""),
       0 )
@@ -470,8 +470,8 @@ end
 
 (* Seen-state memory. The sequential default is the mask-aware hash
    table (fingerprint -> sleep mask last explored under). Parallel
-   search — and the memory-bounded modes at any domain count — use the
-   shared lock-free store instead ({!Fpstore}), which expresses the same
+   search — and bitstate mode at any domain count — use the shared
+   lock-free store instead ({!Fpstore}), which expresses the same
    rule as atomic claims on a per-state "remaining moves" word. *)
 type seen_store =
   | Seen_tbl of Seenmap.t
@@ -579,11 +579,10 @@ let seen_len ctx =
   | Seen_shared st -> Fpstore.entries st
 
 let stats_of_ctx ctx =
-  let store_evictions, store_drops, omission_prob =
+  let store_drops, omission_prob =
     match ctx.seen with
-    | Seen_tbl _ -> (0, 0, 0.0)
-    | Seen_shared st ->
-        (Fpstore.evictions st, Fpstore.drops st, Fpstore.omission_prob st)
+    | Seen_tbl _ -> (0, 0.0)
+    | Seen_shared st -> (Fpstore.drops st, Fpstore.omission_prob st)
   in
   { zero_stats with
     dedup_hits = ctx.c_dedup; resleeps = ctx.c_resleeps;
@@ -592,7 +591,7 @@ let stats_of_ctx ctx =
     crashes_applied = ctx.c_crashes; aborts_applied = ctx.c_aborts;
     domain_nodes = [ ctx.nodes ];
     journal_peak = ctx.c_jpeak; undo_records = ctx.c_jrecords;
-    steals = ctx.c_steals; store_evictions; store_drops; omission_prob;
+    steals = ctx.c_steals; store_drops; omission_prob;
     est_nodes =
       (match ctx.est with Some e -> Obs.Estimator.estimate e | None -> 0.);
     est_progress =
@@ -731,16 +730,12 @@ let prof_record ctx prof m schedule depth =
   in
   let pr = Machine.proc m pid in
   let section = Machine.section_code pr.Machine.sec in
-  let pc = pr.Machine.pc in
-  let loc, is_pc =
-    if pc >= 0 then (pc, true) else (Machine.loc_key m pid, false)
-  in
+  let loc = Machine.loc_key m pid in
   let jr = Machine.Journal.records m in
   let undo = jr - ctx.prof_jbase in
   let undo = if undo < 0 then 0 else undo in
   ctx.prof_jbase <- jr;
-  Obs.Profile.record prof ~depth ~cls ~section ~loc ~is_pc ~rmr:ctx.prof_rmr
-    ~undo
+  Obs.Profile.record prof ~depth ~cls ~section ~loc ~rmr:ctx.prof_rmr ~undo
 
 (* Stash class + RMR charge for the child [mv] is about to produce;
    [move_rmr] reads footprints, so this is gated on the sampling gate:
@@ -1491,9 +1486,8 @@ let explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
       (* Merged search stats: coordinator (BFS seed) tallies plus every
          domain's. A domain that finishes early idles until the slowest
          one joins — that idle window, summed over domains, is the merge
-         stall. Store-level tallies (occupancy, evictions, drops,
-         omission) are global: read once from the shared store, not
-         summed. *)
+         stall. Store-level tallies (occupancy, drops, omission) are
+         global: read once from the shared store, not summed. *)
       let last_finish =
         Array.fold_left (fun a p -> max a p.o_t1) wall0 parts
       in
@@ -1524,7 +1518,6 @@ let explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
       let stats =
         { stats with
           seen_entries = Fpstore.entries store;
-          store_evictions = Fpstore.evictions store;
           store_drops = Fpstore.drops store;
           omission_prob = Fpstore.omission_prob store }
       in
@@ -1635,7 +1628,7 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(dedup = true)
       Obs.Profile.start p;
       if Obs.Profile.armed p then
         Obs.Profile.record p ~depth:0 ~cls:cls_root ~section:0 ~loc:0
-          ~is_pc:false ~rmr:0 ~undo:0
+          ~rmr:0 ~undo:0
   | None -> ());
   Fun.protect
     ~finally:(fun () ->
@@ -1653,7 +1646,6 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(dedup = true)
       Obs.Telemetry.set (t "explore.aborts_applied") r.stats.aborts_applied;
       Obs.Telemetry.set (t "explore.violations") (List.length r.violations);
       Obs.Telemetry.set (t "explore.steals") r.stats.steals;
-      Obs.Telemetry.set (t "explore.store_evictions") r.stats.store_evictions;
       Obs.Telemetry.set (t "explore.store_drops") r.stats.store_drops;
       Obs.Telemetry.flush_counters obs;
       if r.stats.omission_prob > 0.0 then
@@ -1676,9 +1668,9 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(dedup = true)
          ~paranoid:paranoid_fp ~estimator ~profile cfg)
   else begin
     (* one domain: the hash table serves the exact mode (no
-       synchronization to pay for); the memory-bounded modes go through
-       the shared store even sequentially, so their semantics do not
-       depend on the domain count *)
+       synchronization to pay for); bitstate goes through the shared
+       store even sequentially, so its semantics do not depend on the
+       domain count *)
     let seen =
       match cfg.Config.store with
       | Config.Store_exact -> Seen_tbl (Seenmap.create ())

@@ -144,8 +144,8 @@ type stats = {
   ample_fused : int;  (** extra singleton moves fused into those chases *)
   seen_entries : int;
       (** seen-store occupancy at the end. Sequential exact mode: hash
-          table size; shared store (parallel, or any memory-bounded
-          mode): the ONE global store's occupancy — domains share it, so
+          table size; shared store (parallel, or bitstate at any
+          domain count): the ONE global store's occupancy — domains share it, so
           this is a global count, not a per-domain sum *)
   crashes_applied : int;  (** crash moves executed (≠ distinct schedules) *)
   aborts_applied : int;  (** abort moves executed (≠ distinct schedules) *)
@@ -164,17 +164,14 @@ type stats = {
   steals : int;
       (** parallel mode: work items taken from another domain's deque
           (load-balancing events); 0 for the sequential engine *)
-  store_evictions : int;
-      (** [Store_bounded]: states evicted from the full store; each may
-          cost one re-exploration of its subtree, never soundness *)
   store_drops : int;
-      (** shared store: states left unstored (probe window or eviction
-          retries exhausted) and therefore re-explored on every visit *)
+      (** shared store: states left unstored (a full probe window of the
+          capped exact store) and therefore re-explored on every visit *)
   omission_prob : float;
       (** [Store_bitstate]: estimated probability that the next distinct
           state falsely aliases as already-seen at the final bit-array
-          fill — [(ones/m)^k] ({!Fpstore.omission_prob}); 0.0 in the
-          exact and bounded modes *)
+          fill — [(ones/m)^k] ({!Fpstore.omission_prob}); 0.0 in exact
+          mode *)
   est_nodes : float;
       (** online Knuth estimate of the TOTAL (pruned) search-space size,
           live mid-search and final at the end; 0.0 when the estimator is
@@ -209,7 +206,8 @@ val render_verdict : result -> string * int
     2 is reserved for bad input. A [VERIFIED] line confesses qualified
     coverage inline: nonzero [omission_prob] (bitstate aliasing) and
     nonzero [store_drops] (a saturated exact store that fell back to
-    re-exploration) are appended rather than hidden in the stats. *)
+    re-exploration, with the remedy: the uncapped [--domains 1] table or
+    [--store bitstate]) are appended rather than hidden in the stats. *)
 
 val enabled_moves :
   ?max_crashes:int -> ?max_aborts:int -> Machine.t -> move list
@@ -341,11 +339,10 @@ val explore :
     driver unchanged (see DESIGN.md §5f for the soundness argument).
 
     The seen-state memory policy is selected by {!Config.t.store}:
-    [Store_exact] (default), or the memory-bounded [Store_bitstate] /
-    [Store_bounded] modes, which run through the shared store at every
-    domain count — bitstate verdicts of [verified] carry the
-    [omission_prob] caveat; bounded mode stays exhaustive and pays
-    re-exploration for evictions. Under bitstate the sleep-set
+    [Store_exact] (default), or the fixed-memory [Store_bitstate] mode,
+    which runs through the shared store at every domain count — its
+    verdicts of [verified] carry the [omission_prob] caveat. Under
+    bitstate the sleep-set
     reduction is suspended at each newly-admitted state (the one-bit
     store cannot remember which moves were slept, so first-visit
     coverage must be full — see {!Fpstore.masks}); hash aliasing is
@@ -353,11 +350,8 @@ val explore :
     [omission_prob] measures.
 
     The explorer has one DFS loop: it steps one machine per domain in
-    place and rolls back through {!Machine.Journal} after each subtree.
-    {!Config.t.engine} only selects how that machine executes programs
-    — the interpreter ([`Journal], the default) or compile-ahead code
-    ([`Compiled]) — and both visit identical state spaces: same
-    verdicts, node counts and fingerprint sets. Subtrees handed to
+    place, running the continuation interpreter, and rolls back through
+    {!Machine.Journal} after each subtree. Subtrees handed to
     another domain (the BFS seed's frontier, work-stealing delegation)
     are cloned, so parked machines are independent. The test suite
     checks this loop against a clone-per-child reference explorer with

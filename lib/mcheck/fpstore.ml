@@ -2,14 +2,11 @@
    overview and DESIGN.md §5f for the soundness argument; the short form
    of the invariant maintained here is:
 
-     every remaining-word transition either HANDS OUT bits (fetch_and, to
-     a visitor who then explores them) or RESURRECTS bits (a store of
-     all-ones), never silently discards them — so for every state, the
-     union of move sets handed out over time covers the union of move
-     sets requested. Exact mode never resurrects (its masks only ever
-     shrink), so there each bit is granted exactly once and the node
-     count is race-free; bounded mode resurrects around evictions, so a
-     lost race there costs re-exploration, never coverage.
+     every remaining-word transition HANDS OUT bits (fetch_and, to a
+     visitor who then explores them) and never silently discards them —
+     so for every state, the union of move sets handed out over time
+     covers the union of move sets requested. Masks only ever shrink, so
+     each bit is granted exactly once and the node count is race-free.
 
    The flat region is a Bigarray of kind [int]: untagged native words,
    malloc'd outside the OCaml heap (stable pointer, shareable across
@@ -18,7 +15,6 @@
 type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 external a_get : buf -> int -> int = "pa_fps_get" [@@noalloc]
-external a_set : buf -> int -> int -> unit = "pa_fps_set" [@@noalloc]
 external a_cas : buf -> int -> int -> int -> bool = "pa_fps_cas" [@@noalloc]
 
 external a_fetch_and : buf -> int -> int -> int = "pa_fps_fetch_and"
@@ -30,23 +26,15 @@ external a_fetch_or : buf -> int -> int -> int = "pa_fps_fetch_or"
 external a_fetch_add : buf -> int -> int -> int = "pa_fps_fetch_add"
   [@@noalloc]
 
-external a_fence : unit -> unit = "pa_fps_fence" [@@noalloc]
-
-type kind =
-  | K_exact
-  | K_bounded
-  | K_bits of { words : int; hashes : int }
+type kind = K_exact | K_bits of { words : int; hashes : int }
 
 type t = {
   kind : kind;
   data : buf;
-      (* exact/bounded: 2 words per slot (fp, remaining); bitstate: the
-         bit array, 32 usable bits per word *)
+      (* exact: 2 words per slot (fp, remaining); bitstate: the bit
+         array, 32 usable bits per word *)
   stats : buf;  (* striped counters, one 8-cell cache line per stripe *)
-  evseq : buf;
-      (* bounded: per-shard eviction seqlock — a start counter and a
-         finish counter, each on its own cache line (see [evict]) *)
-  slots : int;  (* exact/bounded; 0 for bitstate *)
+  slots : int;  (* exact; 0 for bitstate *)
   n_shards : int;
   shard_size : int;  (* slots / n_shards, a power of two *)
   shard_bits : int;  (* log2 n_shards *)
@@ -61,9 +49,8 @@ type visit = New | Covered | Partial of int
    stripe is picked from fingerprint bits so concurrent visitors of
    unrelated states bump different lines. Offsets within a stripe: *)
 let o_entries = 0
-let o_evictions = 1
-let o_drops = 2
-let o_ones = 3  (* bitstate: bits newly set *)
+let o_drops = 1
+let o_ones = 2  (* bitstate: bits newly set *)
 
 let n_stripes = 16
 let stripe fp = (fp lsr 7) land (n_stripes - 1)
@@ -100,13 +87,6 @@ let canonical fp =
   let fp = fp land max_int in
   if fp = 0 then 0x2B992DDFA232 else fp
 
-(* Mid-eviction marker for the fingerprint word. Canonical fingerprints
-   are nonnegative and the empty sentinel is 0, so a negative value can
-   never collide with either; a probing visitor treats it like any other
-   mismatch and a found-path visitor's recheck treats it as "slot stolen
-   underneath me". *)
-let tombstone = min_int
-
 (* The remaining word's sign bit doubles as an "initialized" marker:
    covers are stripped to their 62 nonnegative bits on entry, so every
    claim leaves the sign bit set and an initialized-but-fully-claimed
@@ -128,25 +108,20 @@ let make_buf len : buf =
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
 
 let create ~mode ~expected =
-  let slot_store slots kind =
-    let slots = next_pow2 slots 1 in
-    let n_shards = max 1 (min 64 (slots / 64)) in
-    let shard_size = slots / n_shards in
-    { kind; data = make_buf (2 * slots); stats = make_buf (n_stripes * 8);
-      evseq = make_buf (n_shards * 16); slots; n_shards; shard_size;
-      shard_bits = log2 n_shards; window = min shard_size 64 }
-  in
   match (mode : Tsim.Config.store_mode) with
   | Tsim.Config.Store_exact ->
       let want = expected + (2 * expected / 5) in
-      slot_store (max 4096 (min want (1 lsl 23))) K_exact
-  | Tsim.Config.Store_bounded { log2_slots } ->
-      slot_store (1 lsl log2_slots) K_bounded
+      let slots = next_pow2 (max 4096 (min want (1 lsl 23))) 1 in
+      let n_shards = max 1 (min 64 (slots / 64)) in
+      let shard_size = slots / n_shards in
+      { kind = K_exact; data = make_buf (2 * slots);
+        stats = make_buf (n_stripes * 8); slots; n_shards; shard_size;
+        shard_bits = log2 n_shards; window = min shard_size 64 }
   | Tsim.Config.Store_bitstate { log2_bits; hashes } ->
       let words = max 32 (1 lsl (log2_bits - 5)) in
       { kind = K_bits { words; hashes }; data = make_buf words;
-        stats = make_buf (n_stripes * 8); evseq = make_buf 16; slots = 0;
-        n_shards = 1; shard_size = 0; shard_bits = 0; window = 0 }
+        stats = make_buf (n_stripes * 8); slots = 0; n_shards = 1;
+        shard_size = 0; shard_bits = 0; window = 0 }
 
 (* --- bitstate ---------------------------------------------------------- *)
 
@@ -170,74 +145,32 @@ let visit_bits t ~words ~hashes fp =
     New
   end
 
-(* --- exact / bounded --------------------------------------------------- *)
-
-(* Per-shard eviction seqlock. Slot recycling is the one place a found
-   visitor can be handed the WRONG state's remaining word, and the
-   fingerprint-word recheck alone cannot close it: the slot can cycle
-   victim → fp' → victim between a visitor's fetch_and and its recheck
-   (the same fingerprint legitimately re-inserted through a second
-   eviction), so the recheck passes while the claimed bits belonged to
-   a dead incarnation — an ABA that silently un-owes moves. Each shard
-   therefore counts evictions twice: [ev_start] is bumped before an
-   eviction touches the slot and [ev_finish] after it has published.
-   A found visitor in bounded mode trusts its fetch_and only if no
-   eviction was in flight before it (start = finish) and none started
-   before its recheck (start unchanged); otherwise it resurrects the
-   word and serves its own cover (re-exploration, sound). The counters
-   live a cache line apart per shard, and false alarms (an eviction of
-   an unrelated slot in the same shard) only cost re-exploration. *)
-let ev_start shard = shard * 16
-let ev_finish shard = (shard * 16) + 8
-
-(* Consume [cover] from a found slot: the fetch_and atomically claims
-   remaining ∩ cover for this visitor. Exact mode never recycles slots,
-   so the claim is trustworthy as-is. *)
-let found_exact t ~ci cover =
-  let old = a_fetch_and t.data (ci + 1) (lnot cover) in
-  let fresh = old land cover in
-  if fresh = 0 then Covered else Partial fresh
-
-(* Bounded mode wraps the same claim in the shard seqlock (above) plus
-   the fingerprint recheck; any doubt falls to self-service. *)
-let found_bounded t ~shard ~ci fp cover =
-  let s1 = a_get t.evseq (ev_start shard) in
-  let f1 = a_get t.evseq (ev_finish shard) in
-  if s1 <> f1 then Partial cover  (* eviction in flight: touch nothing *)
-  else begin
-    let old = a_fetch_and t.data (ci + 1) (lnot cover) in
-    a_fence ();
-    if a_get t.data ci <> fp || a_get t.evseq (ev_start shard) <> s1
-    then begin
-      (* the slot may have been recycled underneath the fetch_and:
-         resurrect whatever we clawed (a stale clear only ever costs
-         the new occupant re-exploration) and self-serve *)
-      a_set t.data (ci + 1) (-1);
-      Partial cover
-    end
-    else
-      let fresh = old land cover in
-      if fresh = 0 then Covered else Partial fresh
-  end
+(* --- exact --------------------------------------------------------------- *)
 
 let visit_slots t fp cover =
   let cover = strip cover in
   let shard = (fp lsr (62 - t.shard_bits)) land (t.n_shards - 1) in
   let base = shard * t.shard_size in
   let home = mix fp land (t.shard_size - 1) in
-  (* [attempt] bounds eviction retries: each retry means another visitor
-     just won a CAS on the home slot, so progress is global even when we
-     personally give up and fall back to an unstored exploration. *)
-  let rec probe i attempt =
-    if i >= t.window then overflow attempt
+  let rec probe i =
+    if i >= t.window then begin
+      (* the probe window is full: leave the state unstored (counted)
+         and let the caller explore its full cover *)
+      bump t fp o_drops 1;
+      Partial cover
+    end
     else begin
       let s = base + ((home + i) land (t.shard_size - 1)) in
       let ci = 2 * s in
       let stored = a_get t.data ci in
-      if stored = fp then
-        match t.kind with
-        | K_bounded -> found_bounded t ~shard ~ci fp cover
-        | K_exact | K_bits _ -> found_exact t ~ci cover
+      if stored = fp then begin
+        (* the fetch_and atomically claims remaining ∩ cover for this
+           visitor; slots are never recycled, so the claim is
+           trustworthy as-is *)
+        let old = a_fetch_and t.data (ci + 1) (lnot cover) in
+        let fresh = old land cover in
+        if fresh = 0 then Covered else Partial fresh
+      end
       else if stored = 0 then begin
         (* Initialize the remaining word to all-ones exactly once (CAS
            from pristine 0 — see [strip]) BEFORE publishing the
@@ -257,91 +190,44 @@ let visit_slots t fp cover =
           else if fresh = 0 then Covered  (* racers claimed it all *)
           else Partial fresh
         end
-        else probe i attempt  (* lost the claim: re-read this slot *)
+        else probe i  (* lost the claim: re-read this slot *)
       end
-      else probe (i + 1) attempt  (* mismatch or tombstone: move on *)
+      else probe (i + 1)  (* another state's slot: move on *)
     end
-  and overflow attempt =
-    match t.kind with
-    | K_exact | K_bits _ ->
-        (* exact mode never evicts: leave the state unstored (counted)
-           and let the caller explore its full cover *)
-        bump t fp o_drops 1;
-        Partial cover
-    | K_bounded ->
-        if attempt >= 8 then begin
-          bump t fp o_drops 1;
-          Partial cover
-        end
-        else begin
-          (* Two-phase eviction of the window's home slot, inside the
-             shard seqlock: (1) CAS the fingerprint word to a tombstone
-             — from here no new visitor can match the victim, and the
-             CAS grants this evictor exclusive ownership of the slot
-             against other evictors; (2) rebuild the remaining word from
-             scratch with our own cover already claimed; (3) publish the
-             new fingerprint. Publishing BEFORE the rebuild (or skipping
-             the tombstone) would let a victim visitor's in-flight claim
-             survive into the new state's mask, pruning moves nobody
-             explored. Victim visitors racing any of this are caught by
-             their recheck/seqlock and self-serve. *)
-          let ci = 2 * (base + home) in
-          ignore (a_fetch_add t.evseq (ev_start shard) 1);
-          let victim = a_get t.data ci in
-          let claimed =
-            victim <> fp && victim <> tombstone && victim <> 0
-            && a_cas t.data ci victim tombstone
-          in
-          if claimed then begin
-            a_set t.data (ci + 1) (lnot cover);
-            a_fence ();
-            a_set t.data ci fp;
-            bump t fp o_evictions 1
-          end;
-          ignore (a_fetch_add t.evseq (ev_finish shard) 1);
-          if claimed then New
-          else probe 0 (attempt + 1)
-            (* the slot is busy (our fp arriving via a racer, a foreign
-               tombstone, or a lost CAS): re-run the probe *)
-        end
   in
-  probe 0 0
+  probe 0
 
 let visit t ~fp ~cover =
   let fp = canonical fp in
   match t.kind with
   | K_bits { words; hashes } -> visit_bits t ~words ~hashes fp
-  | K_exact | K_bounded -> visit_slots t fp cover
+  | K_exact -> visit_slots t fp cover
 
 (* --- statistics -------------------------------------------------------- *)
 
-(* Occupancy only ever changes on an empty→claimed transition (evictions
-   swap the occupant without freeing the slot), so one counter serves
-   every mode. *)
+(* Occupancy only ever changes on an empty→claimed transition, so one
+   counter serves both modes. *)
 let entries t = total t o_entries
 
-let evictions t = total t o_evictions
 let drops t = total t o_drops
 
 let omission_prob t =
   match t.kind with
-  | K_exact | K_bounded -> 0.0
+  | K_exact -> 0.0
   | K_bits { words; hashes } ->
       let m = float_of_int (32 * words) in
       let ones = float_of_int (total t o_ones) in
       (ones /. m) ** float_of_int hashes
 
-let masks t =
-  match t.kind with K_exact | K_bounded -> true | K_bits _ -> false
+let masks t = match t.kind with K_exact -> true | K_bits _ -> false
 
 let capacity t =
   match t.kind with
-  | K_exact | K_bounded -> t.slots
+  | K_exact -> t.slots
   | K_bits { words; _ } -> 32 * words
 
 let mode_name t =
   match t.kind with
   | K_exact -> Printf.sprintf "exact(%d slots)" t.slots
-  | K_bounded -> Printf.sprintf "bounded(%d slots)" t.slots
   | K_bits { words; hashes } ->
       Printf.sprintf "bitstate(%d bits, k=%d)" (32 * words) hashes

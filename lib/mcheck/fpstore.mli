@@ -10,7 +10,7 @@
 
     The store is a flat [Bigarray] of untagged native ints, accessed
     through C stubs wrapping [__atomic] builtins (fpstore_stubs.c). In
-    the exact and bounded modes each slot is a pair of words:
+    exact mode each slot is a pair of words:
 
     - the {b fingerprint word}: 0 = empty, otherwise the packed 63-bit
       Zobrist fingerprint (a real fingerprint of 0 is remapped to a fixed
@@ -43,25 +43,15 @@
       [cover] the state is fully covered ([Covered]); otherwise the
       visitor owes exactly the [Partial] fresh bits it claimed.
 
-    In exact mode masks only ever shrink, so every move bit is granted
-    to exactly one visitor — which is what makes the explored node count
-    independent of domain timing under trivial masks. Bounded mode adds
-    eviction, whose races fall to the sound side: a visitor that may
-    have straddled a slot recycle restores all-ones ({e resurrecting}
-    remaining bits — re-exploration, never a missed interleaving) and
-    explores its full cover itself. See DESIGN.md §5f for the full
-    argument.
+    Masks only ever shrink and slots are never recycled, so every move
+    bit is granted to exactly one visitor — which is what makes the
+    explored node count independent of domain timing under trivial
+    masks. See DESIGN.md §5f for the full argument.
 
     {2 Modes}
 
     - [Store_exact]: sized from the node budget; on (rare, counted)
       shard-window overflow a state is simply left unstored and explored.
-    - [Store_bounded]: fixed 2^log2_slots capacity; overflow evicts the
-      home slot of the probe window (re-exploration, counted). Eviction
-      recycles slots, so the found path is additionally guarded by a
-      tombstoned two-phase swap and a per-shard eviction seqlock: a
-      visitor whose claim may have straddled an eviction resurrects the
-      remaining word and explores its own cover itself.
     - [Store_bitstate]: SPIN-style supertrace — k hash bits per state in
       a fixed bit array; {!masks} is [false], a revisit always prunes,
       and the FIRST visit decides coverage forever, so the caller must
@@ -84,10 +74,10 @@ val create : mode:Tsim.Config.store_mode -> expected:int -> t
     Beyond the cap the exact mode degrades gracefully but measurably —
     overflowing states are left unstored and re-explored on every visit
     (counted in {!drops}, surfaced in the verdict line) — which diverges
-    from the uncapped sequential [Hashtbl] path at [domains = 1] with
-    [Store_exact]; prefer [Store_bounded] for spaces past ~8M states.
-    Bitstate and bounded modes take their fixed size from the mode
-    itself. *)
+    from the uncapped sequential table the explorer uses at
+    [domains = 1] with [Store_exact]; for spaces past ~8M states run at
+    one domain, or use [Store_bitstate]. Bitstate mode takes its fixed
+    size from the mode itself. *)
 
 val visit : t -> fp:int -> cover:int -> visit
 (** Visit a state. Safe to call from any number of domains
@@ -100,27 +90,22 @@ val entries : t -> int
     least one new bit). Approximate only while visitors are concurrently
     inserting; exact once they have joined. *)
 
-val evictions : t -> int
-(** Bounded mode: states evicted to make room (each may cost one
-    re-exploration of its subtree). 0 in other modes. *)
-
 val drops : t -> int
-(** States left unstored: an exact-mode shard whose probe window filled
-    up, or a bounded-mode eviction abandoned after repeated CAS races.
-    Each visit of such a state re-explores it. Always 0 in bitstate
-    mode. *)
+(** States left unstored because an exact-mode shard's probe window
+    filled up. Each visit of such a state re-explores it (answered
+    [Partial] with the full cover). Always 0 in bitstate mode. *)
 
 val omission_prob : t -> float
 (** Bitstate mode: the probability that the {e next} distinct state
     aliases an already-set bit pattern and is wrongly pruned —
-    [(ones/m)^k] at the current fill. 0.0 in exact and bounded modes
-    (which never alias beyond the 63-bit fingerprint itself). The
+    [(ones/m)^k] at the current fill. 0.0 in exact mode (which never
+    aliases beyond the 63-bit fingerprint itself). The
     estimate accounts for {e all} bitstate omissions only if callers
     honor the full-cover-on-[New] contract (see {!masks}). *)
 
 val masks : t -> bool
 (** Whether the store tracks a per-state remaining-moves mask ([true]
-    for exact and bounded modes). When [false] (bitstate), [cover] is
+    for exact mode). When [false] (bitstate), [cover] is
     ignored, [Partial] is never returned, and a caller doing sleep-set
     POR must explore the {e full} move set on [New]: the single seen-bit
     cannot record that some moves were slept, so a first visit under a
@@ -128,7 +113,7 @@ val masks : t -> bool
     omission estimate accounts for. *)
 
 val capacity : t -> int
-(** Slots (exact/bounded) or usable bits (bitstate). *)
+(** Slots (exact) or usable bits (bitstate). *)
 
 val mode_name : t -> string
 (** Human-readable mode + size, for logs and stats dumps. *)

@@ -30,12 +30,6 @@ CAMLprim value pa_fps_get(value ba, value i)
   return Val_long(__atomic_load_n(cell(ba, i), __ATOMIC_ACQUIRE));
 }
 
-CAMLprim value pa_fps_set(value ba, value i, value v)
-{
-  __atomic_store_n(cell(ba, i), Long_val(v), __ATOMIC_RELEASE);
-  return Val_unit;
-}
-
 CAMLprim value pa_fps_cas(value ba, value i, value expected, value desired)
 {
   intnat exp = Long_val(expected);
@@ -60,15 +54,4 @@ CAMLprim value pa_fps_fetch_add(value ba, value i, value v)
 {
   return Val_long(__atomic_fetch_add(cell(ba, i), Long_val(v),
                                      __ATOMIC_ACQ_REL));
-}
-
-/* Sequentially-consistent fence. The bounded store's eviction seqlock
- * needs a store-load ordering point (the visitor's mask RMW must be
- * globally ordered before its validation re-reads of the fingerprint
- * word and the shard eviction counter), which acq_rel on two different
- * locations does not by itself provide on weakly-ordered hardware. */
-CAMLprim value pa_fps_fence(value unit)
-{
-  __atomic_thread_fence(__ATOMIC_SEQ_CST);
-  return Val_unit;
 }

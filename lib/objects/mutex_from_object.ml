@@ -76,7 +76,6 @@ let make ?(name_suffix = "") (builder : Obj_intf.builder) ~n :
     Locks.Lock_intf.name =
       "mutex-from-" ^ provider.Obj_intf.provider_name ^ name_suffix;
     uses_rmw = provider.Obj_intf.uses_rmw;
-    pure = false;  (* provider scratch arrays *)
     one_time = true;
     adaptive = false;
     layout;

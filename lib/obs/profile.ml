@@ -5,11 +5,10 @@
 
    Packed cell key (fits a 63-bit immediate, always >= 0):
 
-     bit 0        is_pc        (1 = loc is a compiled pc)
-     bits 1..3    move class   (<= 8 classes)
-     bits 4..6    section      (<= 8 sections)
-     bits 7..12   depth band   (log2 bucket, < 64)
-     bits 13..60  loc          (pc or continuation digest, low 48 bits)
+     bits 0..2    move class   (<= 8 classes)
+     bits 3..5    section      (<= 8 sections)
+     bits 6..11   depth band   (log2 bucket, < 64)
+     bits 12..59  loc          (pending-operation digest, low 48 bits)
 *)
 
 external ticks : unit -> int = "pa_obs_ticks" [@@noalloc]
@@ -89,18 +88,16 @@ let band_label i =
   else if i = 1 then "1"
   else Printf.sprintf "%d-%d" (1 lsl (i - 1)) ((1 lsl i) - 1)
 
-let pack ~band ~cls ~section ~loc ~is_pc =
-  ((loc land 0xFFFFFFFFFFFF) lsl 13)
-  lor ((band land 63) lsl 7)
-  lor ((section land 7) lsl 4)
-  lor ((cls land 7) lsl 1)
-  lor (if is_pc then 1 else 0)
+let pack ~band ~cls ~section ~loc =
+  ((loc land 0xFFFFFFFFFFFF) lsl 12)
+  lor ((band land 63) lsl 6)
+  lor ((section land 7) lsl 3)
+  lor (cls land 7)
 
-let key_band k = (k lsr 7) land 63
-let key_section k = (k lsr 4) land 7
-let key_cls k = (k lsr 1) land 7
-let key_loc k = k lsr 13
-let key_is_pc k = k land 1 = 1
+let key_band k = (k lsr 6) land 63
+let key_section k = (k lsr 3) land 7
+let key_cls k = k land 7
+let key_loc k = k lsr 12
 
 let hash_key k =
   let h = k lxor (k lsr 33) in
@@ -155,7 +152,7 @@ and add_cell t key ~nodes ~tk ~undo ~rmr =
    caller accumulates them across disarmed nodes — so the profile's
    tick and undo totals stay exact at any stride. With [every = 1]
    (the default) everything is exact. *)
-let record t ~depth ~cls ~section ~loc ~is_pc ~rmr ~undo =
+let record t ~depth ~cls ~section ~loc ~rmr ~undo =
   let now = ticks () in
   let dt =
     if t.last_ticks < 0 then 0
@@ -164,7 +161,7 @@ let record t ~depth ~cls ~section ~loc ~is_pc ~rmr ~undo =
       if d < 0 then 0 else d
   in
   t.last_ticks <- now;
-  let key = pack ~band:(band_of_depth depth) ~cls ~section ~loc ~is_pc in
+  let key = pack ~band:(band_of_depth depth) ~cls ~section ~loc in
   let i = find_slot t key in
   let b = 4 * i in
   t.vals.(b) <- t.vals.(b) + t.every;
@@ -286,7 +283,6 @@ let to_json ?(meta = []) t =
                    ("class", Json.String (name t.classes (key_cls k)));
                    ("section", Json.String (name t.sections (key_section k)));
                    ("loc", Json.Int (key_loc k));
-                   ("pc", Json.Bool (key_is_pc k));
                    ("nodes", Json.Int nodes);
                    ("ns", Json.Float (ns_of tk));
                    ("undo", Json.Int undo);
@@ -343,14 +339,13 @@ let of_json j =
                     in
                     let cls = index classes (gets "class")
                     and section = index sections (gets "section") in
-                    let is_pc = member "pc" c = Some (Bool true) in
                     if
                       band < 0 || band > 63 || loc < 0 || nodes < 0 || undo < 0
                       || rmr < 0 || ns < 0 || cls < 0 || section < 0
                     then bad := Some "malformed cell"
                     else
                       add_cell t
-                        (pack ~band ~cls ~section ~loc ~is_pc)
+                        (pack ~band ~cls ~section ~loc)
                         ~nodes ~tk:ns ~undo ~rmr)
                 cells;
               match !bad with
@@ -365,9 +360,7 @@ let of_json j =
           | _ -> Error "missing cells array"))
   | _ -> Error "expected a profile object"
 
-let loc_label k =
-  if key_is_pc k then Printf.sprintf "pc:%d" (key_loc k)
-  else Printf.sprintf "k:%x" (key_loc k)
+let loc_label k = Printf.sprintf "k:%x" (key_loc k)
 
 let folded ?(weight = `Nodes) t =
   let r = ns_per_tick t in

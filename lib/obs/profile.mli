@@ -8,9 +8,8 @@
       node — step / commit / crash / recover / abort, plus a synthetic
       root class),
     - the {b section} the moving process was in (NCS, entry, exit, ...),
-    - the {b program location} of the moving process: the compiled
-      engine's pc when available, otherwise a structural digest of the
-      interpreter continuation.
+    - the {b program location} of the moving process: a digest of its
+      pending operation ([Machine.loc_key]).
 
     and accumulates four counters: nodes, elapsed ticks, undo records
     appended, and RMR events charged. Time is attributed by a
@@ -75,12 +74,11 @@ val record :
   cls:int ->
   section:int ->
   loc:int ->
-  is_pc:bool ->
   rmr:int ->
   undo:int ->
   unit
 (** Charge one (armed) node to the cell
-    [(band depth, cls, section, loc, is_pc)]: nodes += {!every},
+    [(band depth, cls, section, loc)]: nodes += {!every},
     ticks += time since the previous [record] on this shard,
     rmrs += [rmr]·{!every}, undo += [undo]. [loc] is truncated to its
     low 48 bits. The first record after [create]/[start] charges 0
@@ -123,7 +121,9 @@ val to_json : ?meta:(string * Json.t) list -> t -> Json.t
 val of_json : Json.t -> (t, string) result
 (** Parse a profile written by {!to_json}. The round-trip
     [of_json (to_json p)] preserves every cell (with ticks already in
-    ns and a unit calibration). *)
+    ns and a unit calibration). Cell members it does not know are
+    ignored, so profiles that still carry the boolean ["pc"] member of
+    earlier versions load unchanged. *)
 
 val folded : ?weight:[ `Nodes | `Ns ] -> t -> string
 (** Folded-stack export, one line per non-empty cell:

@@ -48,26 +48,9 @@ let crash_semantics_name = function
   | Atomic_prefix -> "atomic-prefix"
 
 (* How machines execute programs under the explorer: the continuation
-   interpreter ([`Journal], the default) or compile-ahead code
-   ([`Compiled], see Compile). Verdicts, node counts and fingerprints are
-   identical. *)
-type engine = [ `Journal | `Compiled ]
-
-let engine_name = function `Journal -> "journal" | `Compiled -> "compiled"
-
-(* PA_ENGINE overrides the default so CI can run every existing suite
-   under another engine without touching the suites. Empty counts as
-   unset; any other value is rejected rather than silently run as the
-   journal engine. *)
-let default_engine () : engine =
-  match Sys.getenv_opt "PA_ENGINE" with
-  | None | Some "" | Some "journal" -> `Journal
-  | Some "compiled" -> `Compiled
-  | Some other ->
-      invalid_arg
-        (Printf.sprintf
-           "PA_ENGINE=%S: unknown engine (expected journal or compiled)"
-           other)
+   interpreter, stepped in place and rolled back through the mutation
+   journal. The one-value type keeps the field for code that sets it. *)
+type engine = [ `Journal ]
 
 (* How the explorer remembers visited states:
 
@@ -77,29 +60,21 @@ let default_engine () : engine =
      shared store caps at 2^23 slots: past ~8M states parallel exact
      mode drops (counts, confesses in the verdict) overflowing states
      and re-explores them, where the sequential hash table just grows —
-     prefer [Store_bounded] for spaces that big.
+     for spaces that big run at one domain or use [Store_bitstate].
    - [Store_bitstate]: SPIN-style bitstate/supertrace hashing — [hashes]
      hash functions into a bit array of 2^[log2_bits] bits. Memory is
      fixed; distinct states may alias (the search then under-approximates
      coverage), and the explorer reports a measured omission-probability
      estimate in its stats. Sleep-set pruning is suspended at admitted
-     states under this mode, so aliasing is the only omission source.
-   - [Store_bounded]: exact fingerprints in a fixed table of
-     2^[log2_slots] slots with eviction on collision-window overflow.
-     Memory is fixed and the search stays exhaustive: an evicted state
-     reached again is simply re-explored (the cost is time, counted as
-     [store_evictions], never soundness). *)
+     states under this mode, so aliasing is the only omission source. *)
 type store_mode =
   | Store_exact
   | Store_bitstate of { log2_bits : int; hashes : int }
-  | Store_bounded of { log2_slots : int }
 
 let store_mode_name = function
   | Store_exact -> "exact"
   | Store_bitstate { log2_bits; hashes } ->
       Printf.sprintf "bitstate(2^%d bits, k=%d)" log2_bits hashes
-  | Store_bounded { log2_slots } ->
-      Printf.sprintf "bounded(2^%d slots)" log2_slots
 
 type t = {
   n : int;  (* number of processes *)
@@ -128,51 +103,32 @@ type t = {
          reusable in a statically bounded number of own-steps. [None]
          means the lock is not abortable: abort moves are never
          deliverable *)
-  engine : engine;
-      (* program execution under exploration (interpreter vs compiled) *)
-  pure_programs : bool;
-      (* declared promise that [entry]/[exit_section]/[recovery] and every
-         continuation they build are effect-free: constructing a program
-         twice yields structurally identical terms and applying a
-         continuation has no observable effect besides its result. The
-         compile-ahead engine ([`Compiled]) caches interned continuations
-         and applies them at most once each, which is only faithful under
-         this promise — locks that pass per-passage scratch through
-         mutable OCaml arrays (ticket, CLH, the adaptive tree) must leave
-         it false, and [`Compiled] then degrades to the journal
-         interpreter for them *)
+  engine : engine;  (* program execution under exploration *)
   store : store_mode;
-      (* exploration seen-state memory policy (exact vs memory-bounded) *)
+      (* exploration seen-state memory policy (exact vs bitstate) *)
 }
 
 let make ?(model = Cc_wb) ?(ordering = Tso) ?(max_passages = 1)
     ?(rmw_drains = true) ?(check_exclusion = true) ?(record_trace = true)
-    ?(crash_semantics = Drop_buffer) ?recovery ?abort_section ?engine
-    ?(pure_programs = false) ?(store = Store_exact) ~n ~layout ~entry
-    ~exit_section () =
+    ?(crash_semantics = Drop_buffer) ?recovery ?abort_section
+    ?(store = Store_exact) ~n ~layout ~entry ~exit_section () =
   if n <= 0 then invalid_arg "Config.make: n must be positive";
-  let engine =
-    match engine with Some e -> e | None -> default_engine ()
-  in
   (match store with
   | Store_exact -> ()
   | Store_bitstate { log2_bits; hashes } ->
       if log2_bits < 10 || log2_bits > 36 then
         invalid_arg "Config.make: bitstate log2_bits must be in [10, 36]";
       if hashes < 1 || hashes > 8 then
-        invalid_arg "Config.make: bitstate hashes must be in [1, 8]"
-  | Store_bounded { log2_slots } ->
-      if log2_slots < 8 || log2_slots > 30 then
-        invalid_arg "Config.make: bounded log2_slots must be in [8, 30]");
+        invalid_arg "Config.make: bitstate hashes must be in [1, 8]");
   { n; model; ordering; layout; entry; exit_section; max_passages;
     rmw_drains; check_exclusion; record_trace; crash_semantics; recovery;
-    abort_section; engine; pure_programs; store }
+    abort_section; engine = `Journal; store }
 
 let summary c =
   Printf.sprintf
-    "n=%d model=%s ordering=%s passages=%d engine=%s store=%s crash=%s%s%s"
+    "n=%d model=%s ordering=%s passages=%d engine=journal store=%s crash=%s%s%s"
     c.n (mem_model_name c.model) (ordering_name c.ordering) c.max_passages
-    (engine_name c.engine) (store_mode_name c.store)
+    (store_mode_name c.store)
     (crash_semantics_name c.crash_semantics)
     (if c.recovery = None then "" else " recovery")
     (if c.abort_section = None then "" else " abortable")

@@ -30,26 +30,12 @@ type crash_semantics = Drop_buffer | Flush_buffer | Atomic_prefix
 
 val crash_semantics_name : crash_semantics -> string
 
-(** How machines execute programs under exploration. The explorer has
-    one DFS loop, which steps one machine in place and rolls back through
+(** How machines execute programs under exploration. There is one
+    engine: the explorer's single DFS loop runs the continuation
+    interpreter on one machine stepped in place and rolled back through
     the mutation journal ({!Machine.Journal} — O(touched words) per
-    node). [`Journal] (the default) runs the continuation interpreter;
-    [`Compiled] runs compile-ahead program execution ({!Compile}:
-    continuations interned into a flat instruction array, cached
-    structural hashes, allocation-free steps) for declared-pure programs
-    and the interpreter otherwise. Both visit identical state spaces with
-    identical verdicts and fingerprints. *)
-type engine = [ `Journal | `Compiled ]
-
-val engine_name : engine -> string
-
-val default_engine : unit -> engine
-(** The engine {!make} uses when [?engine] is omitted: [`Journal], unless
-    the [PA_ENGINE] environment variable selects another ("journal",
-    "compiled") — the hook CI uses to run every suite under a different
-    engine. An empty [PA_ENGINE] counts as unset.
-    @raise Invalid_argument for any other value, naming the accepted
-    ones. *)
+    node). *)
+type engine = [ `Journal ]
 
 (** Exploration seen-state memory policy:
 
@@ -64,14 +50,15 @@ val default_engine : unit -> engine
       explorer suspends sleep-set pruning at each newly-admitted state
       under this mode (a one-bit store cannot remember slept moves), so
       aliasing is the only omission source the estimate must cover.
-    - [Store_bounded { log2_slots }]: exact fingerprints in a fixed
-      table of [2^log2_slots] slots with eviction under collision
-      pressure. Fixed memory, still exhaustive — evicted states reached
-      again are re-explored (time, never soundness). *)
+
+    The parallel explorer's exact store caps at 2^23 slots; past that it
+    leaves overflowing states unstored and re-explores them on every
+    visit (counted, and confessed on the verdict line). The sequential
+    table at one domain has no cap; [Store_bitstate] is the
+    fixed-memory alternative. *)
 type store_mode =
   | Store_exact
   | Store_bitstate of { log2_bits : int; hashes : int }
-  | Store_bounded of { log2_slots : int }
 
 val store_mode_name : store_mode -> string
 
@@ -106,16 +93,6 @@ type t = {
           declared wait point ({!Machine.abort}); must leave the lock
           reusable. [None] = not abortable, abort moves never apply *)
   engine : engine;  (** program execution under exploration *)
-  pure_programs : bool;
-      (** declared promise that the program constructors and every
-          continuation they build are effect-free (constructing a program
-          twice yields structurally identical terms; applying a
-          continuation has no observable effect besides its result). The
-          [`Compiled] engine caches interned continuations and applies
-          each at most once, which is faithful only under this promise;
-          configurations that do not declare it degrade [`Compiled] to
-          the journal interpreter. Locks passing per-passage scratch
-          through mutable OCaml arrays must leave it [false]. *)
   store : store_mode;  (** exploration seen-state memory policy *)
 }
 
@@ -129,8 +106,6 @@ val make :
   ?crash_semantics:crash_semantics ->
   ?recovery:(Pid.t -> unit Prog.t) ->
   ?abort_section:(Pid.t -> unit Prog.t) ->
-  ?engine:engine ->
-  ?pure_programs:bool ->
   ?store:store_mode ->
   n:int ->
   layout:Layout.t ->
@@ -140,11 +115,9 @@ val make :
   t
 (** Defaults: [Cc_wb], [Tso], one passage, RMWs drain, exclusion checked,
     trace recorded, [Drop_buffer] crash semantics, no recovery section,
-    {!default_engine} (journal unless [PA_ENGINE] overrides it), programs
-    not declared pure, [Store_exact] seen-state store.
+    [Store_exact] seen-state store.
     @raise Invalid_argument if [n <= 0] or a [store] parameter is out of
-    range ([log2_bits] outside [10, 36], [hashes] outside [1, 8],
-    [log2_slots] outside [8, 30]). *)
+    range ([log2_bits] outside [10, 36], [hashes] outside [1, 8]). *)
 
 val summary : t -> string
 (** One-line human identity of a configuration

@@ -45,11 +45,6 @@ type proc = {
   pid : Pid.t;
   mutable sec : section;
   mutable cont : unit Prog.t;
-  mutable pc : int;
-      (* compiled engine: [Compile] pc of [cont], or -1 when this process
-         is (temporarily) on the interpreter path. Invariant: [pc >= 0]
-         implies [cont == Compile.rep code pc]. Always -1 under the
-         interpreter engines. *)
   buf : Wbuf.t;
   mutable in_fence : bool;  (* issued BeginFence, not yet EndFence *)
   mutable fence_implicit : bool;  (* current fence is an RMW drain *)
@@ -117,7 +112,7 @@ let t_head_lean = 14
 let t_head_mini = 15
 (* lean-mode head for events that cannot touch the passage / crash /
    CS-entry / activity counters (reads, issues, commits, fences, RMWs):
-   pc, fp, fp_proc and the flag word only *)
+   fp, fp_proc and the flag word only *)
 
 type t = {
   cfg : Config.t;
@@ -132,11 +127,6 @@ type t = {
   mutable active_count : int;  (* processes currently outside their NCS *)
   mutable crash_count : int;  (* total crash faults injected *)
   mutable abort_count : int;  (* total abort faults injected *)
-  code : Compile.t option;  (* compiled programs ([`Compiled] engine) *)
-  mutable quiet : bool;
-      (* [`Compiled] with trace recording off, or [lean]: emission skips
-         even the event-record allocation and returns [Event.dummy] (the
-         RMR / critical counters are still maintained) *)
   mutable lean : bool;
       (* exploration mode: skip every piece of accounting the explorer
          never reads — cache-directory transitions, awareness sets,
@@ -144,7 +134,9 @@ type t = {
          counters, contention tracking. All of it is excluded from the
          fingerprint and from verdicts (exclusion, deadlock, footprints),
          so verdicts, node counts and fingerprints are identical with the
-         flag on or off — see [set_lean] *)
+         flag on or off — see [set_lean]. Lean emission is also quiet:
+         it skips the event-record allocation and returns
+         [Event.dummy] *)
   (* journal / incremental-fingerprint state (see module Journal) *)
   flog : Flatstate.t;
   mutable journaling : bool;
@@ -193,23 +185,12 @@ let pending_to_string = function
 let create (cfg : Config.t) =
   let nvars = Layout.size cfg.layout in
   let mem = Array.init nvars (fun v -> Layout.init cfg.layout v) in
-  let code =
-    (* compile-ahead caches continuations and applies each at most once,
-       which is only faithful to the interpreter for declared-pure
-       programs; without the declaration [`Compiled] runs the journal
-       interpreter *)
-    match cfg.engine with
-    | `Compiled when cfg.pure_programs -> Some (Compile.get cfg)
-    | `Compiled | `Journal -> None
-  in
-  let pc0 = match code with Some c -> Compile.unit_pc c | None -> -1 in
   let procs =
     Array.init cfg.n (fun p ->
         {
           pid = p;
           sec = Ncs;
           cont = Prog.unit;
-          pc = pc0;
           buf = Wbuf.create ();
           in_fence = false;
           fence_implicit = false;
@@ -248,8 +229,6 @@ let create (cfg : Config.t) =
     active_count = 0;
     crash_count = 0;
     abort_count = 0;
-    code;
-    quiet = Option.is_some code && not cfg.record_trace;
     lean = false;
     flog = Flatstate.create ();
     journaling = false;
@@ -290,8 +269,6 @@ let clone m =
     active_count = m.active_count;
     crash_count = m.crash_count;
     abort_count = m.abort_count;
-    code = m.code;  (* compiled code is immutable-shaped and shared *)
-    quiet = m.quiet;
     lean = m.lean;
     (* clones never inherit an active journal: parallel frontier handoff
        and counterexample materialization want plain machines; a worker
@@ -317,8 +294,7 @@ let clone m =
 let set_lean m b =
   if b && m.cfg.Config.record_trace then
     invalid_arg "Machine.set_lean: incompatible with record_trace";
-  m.lean <- b;
-  m.quiet <- (b || Option.is_some m.code) && not m.cfg.Config.record_trace
+  m.lean <- b
 
 let lean m = m.lean
 let config m = m.cfg
@@ -462,7 +438,7 @@ let pending_var m p : Var.t =
 
 (* --- fingerprints ----------------------------------------------------- *)
 
-(* Packed 63-bit state fingerprint, shared by both exploration engines.
+(* Packed 63-bit state fingerprint.
 
    Structure: an XOR fold of independent terms — one Zobrist-style term
    per shared variable and one term per process —
@@ -500,11 +476,13 @@ let[@inline] zfin x =
 (* Zobrist term for "variable [v] holds [x]". *)
 let[@inline] zmix v x = zfin (mix (mix fnv_basis (v + 1)) x)
 
-(* Continuations are hashed structurally (see Compile.hash_cont: raised
-   traversal bounds so distinct continuation shapes hash apart). The
-   compiled engine reads the hash from the instruction array instead of
-   re-traversing the continuation — same value, cached at interning. *)
-let hash_cont = Compile.hash_cont
+(* Continuations are hashed structurally. [Hashtbl.hash] stops after 10
+   meaningful nodes, which conflates deep spin states; raise both
+   traversal bounds so distinct continuation shapes (spin fuels, loop
+   indices, captured reads) hash apart. The runtime hashes a closure's
+   environment and skips its code pointers, so structurally equal
+   continuations hash equal no matter where they were built. *)
+let hash_cont (c : unit Prog.t) = Hashtbl.hash_param 128 256 c
 
 let sec_code = function
   | Ncs -> 0
@@ -566,20 +544,16 @@ let pending_hash m p h =
               else mix (mix (mix h 13) v) x
           | Prog.Abortable b -> mix (mix h 16) (if b then 1 else 0)))
 
-(* Profiling location digest. The compiled engine's pc is exact; the
-   interpreter fallback digests the {e pending operation} (op kind,
+(* Profiling location digest of the {e pending operation} (op kind,
    variable, static operands — exactly [pending_hash]'s classification)
-   rather than hashing the continuation structurally: a handful of
+   rather than a structural hash of the continuation: a handful of
    integer mixes instead of a heap traversal, which matters on a hook
    that runs once per search node (the structural hash alone measured
    ~25% of the whole search). The granularity is that of a sampling
    profiler — "about to read flag[1] in entry" — so distinct program
    points issuing the identical operation share a cell, which costs
    label resolution, never correctness. *)
-let loc_key m p =
-  let pr = m.procs.(p) in
-  if pr.pc >= 0 then pr.pc
-  else zfin (pending_hash m p fnv_basis)
+let loc_key m p = zfin (pending_hash m p fnv_basis)
 
 (* Non-capturing buffer fold (a closure over [Wbuf.iter] would allocate
    per call). *)
@@ -609,16 +583,11 @@ let proc_term m p =
       lor (pr.crashes lsl 34)
       lor (pr.aborts lsl 46))
   in
-  let h =
-    mix h
-      (match m.code with
-      | Some code when pr.pc >= 0 -> Compile.key code pr.pc
-      | _ -> hash_cont pr.cont)
-  in
+  let h = mix h (hash_cont pr.cont) in
   zfin (buf_hash pr.buf h 0 (Wbuf.size pr.buf))
 
-(* Full recompute: the reference implementation for both engines and the
-   paranoid cross-check for the incremental fold. *)
+(* Full recompute: the reference implementation and the paranoid
+   cross-check for the incremental fold. *)
 let fingerprint m =
   let h = ref (fnv_basis land max_int) in
   for v = 0 to Array.length m.mem - 1 do
@@ -652,13 +621,8 @@ let[@inline] flags_of (pr : proc) =
 (* Head of every public mutator: snapshot the stepping process and the
    machine-global scalars, including the fingerprint state, so undo can
    restore them wholesale. Operands first, header last; the decoder in
-   [undo_to] mirrors this order exactly.
-
-   The continuation is snapshotted only on the interpreter path
-   ([pc < 0]): every site that sets [pc >= 0] pairs it with
-   [cont <- Compile.rep code pc], so undo re-derives the continuation
-   from the popped pc instead — keeping the hot compiled path out of the
-   cont side-log entirely (and the side-log itself small). *)
+   [undo_to] mirrors this order exactly. The continuation goes to the
+   cont side-log. *)
 let j_head ?(force_full = false) m (pr : proc) =
   if m.journaling then
     if m.lean then begin
@@ -668,10 +632,10 @@ let j_head ?(force_full = false) m (pr : proc) =
          — reads, issues, commits, fence begin/end, RMWs: everything
          except enter, CS, exit, crash and recovery, i.e. a process in
          Entry/Exiting with an uncompleted program, or inside a fence —
-         get the 5-word mini head ([t_head_mini]); the rest snapshot the
+         get the 4-word mini head ([t_head_mini]); the rest snapshot the
          counters too ([t_head_lean]). *)
       let f = m.flog in
-      if pr.pc < 0 then Flatstate.push_cont f pr.cont;
+      Flatstate.push_cont f pr.cont;
       let mini =
         (not force_full)
         && (pr.in_fence
@@ -684,16 +648,14 @@ let j_head ?(force_full = false) m (pr : proc) =
            | Ncs | Crashed | Finished -> false)
       in
       if mini then begin
-        Flatstate.reserve f 5;
-        Flatstate.push_unsafe f pr.pc;
+        Flatstate.reserve f 4;
         Flatstate.push_unsafe f m.fp;
         Flatstate.push_unsafe f m.fp_proc.(pr.pid);
         Flatstate.push_unsafe f (flags_of pr);
         Flatstate.push_unsafe f (t_head_mini lor (pr.pid lsl 4))
       end
       else begin
-        Flatstate.reserve f 12;
-        Flatstate.push_unsafe f pr.pc;
+        Flatstate.reserve f 11;
         Flatstate.push_unsafe f pr.passages;
         Flatstate.push_unsafe f pr.crashes;
         Flatstate.push_unsafe f pr.aborts;
@@ -710,31 +672,30 @@ let j_head ?(force_full = false) m (pr : proc) =
     end
     else begin
       let f = m.flog in
-      if pr.pc < 0 then Flatstate.push_cont f pr.cont;
+      Flatstate.push_cont f pr.cont;
       Flatstate.push_set f pr.aw;
       Flatstate.push_set f pr.interval_set;
-      Flatstate.reserve f 20;
-      Flatstate.push_unsafe f pr.pc;
-    Flatstate.push_unsafe f pr.passages;
-    Flatstate.push_unsafe f pr.rmrs;
-    Flatstate.push_unsafe f pr.fences;
-    Flatstate.push_unsafe f pr.criticals;
-    Flatstate.push_unsafe f pr.cur_rmrs;
-    Flatstate.push_unsafe f pr.cur_fences;
-    Flatstate.push_unsafe f pr.cur_criticals;
-    Flatstate.push_unsafe f pr.point_max;
-    Flatstate.push_unsafe f pr.crashes;
-    Flatstate.push_unsafe f pr.aborts;
-    Flatstate.push_unsafe f m.fp;
-    Flatstate.push_unsafe f m.fp_proc.(pr.pid);
-    Flatstate.push_unsafe f m.cs_entries;
-    Flatstate.push_unsafe f m.active_count;
-    Flatstate.push_unsafe f m.crash_count;
-    Flatstate.push_unsafe f m.abort_count;
-    Flatstate.push_unsafe f (flags_of pr);
-    Flatstate.push_unsafe f (t_head lor (pr.pid lsl 4));
-    jdone m
-  end
+      Flatstate.reserve f 18;
+      Flatstate.push_unsafe f pr.passages;
+      Flatstate.push_unsafe f pr.rmrs;
+      Flatstate.push_unsafe f pr.fences;
+      Flatstate.push_unsafe f pr.criticals;
+      Flatstate.push_unsafe f pr.cur_rmrs;
+      Flatstate.push_unsafe f pr.cur_fences;
+      Flatstate.push_unsafe f pr.cur_criticals;
+      Flatstate.push_unsafe f pr.point_max;
+      Flatstate.push_unsafe f pr.crashes;
+      Flatstate.push_unsafe f pr.aborts;
+      Flatstate.push_unsafe f m.fp;
+      Flatstate.push_unsafe f m.fp_proc.(pr.pid);
+      Flatstate.push_unsafe f m.cs_entries;
+      Flatstate.push_unsafe f m.active_count;
+      Flatstate.push_unsafe f m.crash_count;
+      Flatstate.push_unsafe f m.abort_count;
+      Flatstate.push_unsafe f (flags_of pr);
+      Flatstate.push_unsafe f (t_head lor (pr.pid lsl 4));
+      jdone m
+    end
 
 (* Tail of every public mutator: fold the stepping process's refreshed
    fingerprint term into fp (memory deltas were applied inline). *)
@@ -810,12 +771,9 @@ let undo_record m =
     pr.fences <- Flatstate.pop f;
     pr.rmrs <- Flatstate.pop f;
     pr.passages <- Flatstate.pop f;
-    pr.pc <- Flatstate.pop f;
     pr.interval_set <- Flatstate.pop_set f;
     pr.aw <- Flatstate.pop_set f;
-    (match m.code with
-    | Some code when pr.pc >= 0 -> pr.cont <- Compile.rep code pr.pc
-    | _ -> pr.cont <- Flatstate.pop_cont f);
+    pr.cont <- Flatstate.pop_cont f;
     pr.sec <- sec_of_code (flags land 7);
     pr.in_fence <- flags land 8 <> 0;
     pr.fence_implicit <- flags land 16 <> 0;
@@ -835,10 +793,7 @@ let undo_record m =
     pr.aborts <- Flatstate.pop f;
     pr.crashes <- Flatstate.pop f;
     pr.passages <- Flatstate.pop f;
-    pr.pc <- Flatstate.pop f;
-    (match m.code with
-    | Some code when pr.pc >= 0 -> pr.cont <- Compile.rep code pr.pc
-    | _ -> pr.cont <- Flatstate.pop_cont f);
+    pr.cont <- Flatstate.pop_cont f;
     pr.sec <- sec_of_code (flags land 7);
     pr.in_fence <- flags land 8 <> 0;
     pr.fence_implicit <- flags land 16 <> 0;
@@ -851,10 +806,7 @@ let undo_record m =
     let flags = Flatstate.pop f in
     m.fp_proc.(aux) <- Flatstate.pop f;
     m.fp <- Flatstate.pop f;
-    pr.pc <- Flatstate.pop f;
-    (match m.code with
-    | Some code when pr.pc >= 0 -> pr.cont <- Compile.rep code pr.pc
-    | _ -> pr.cont <- Flatstate.pop_cont f);
+    pr.cont <- Flatstate.pop_cont f;
     pr.sec <- sec_of_code (flags land 7);
     pr.in_fence <- flags land 8 <> 0;
     pr.fence_implicit <- flags land 16 <> 0;
@@ -934,26 +886,12 @@ let emit m pr kind ~remote ~rmr ~critical =
   end;
   e
 
-(* Quiet emission ([`Compiled] with trace recording off): skip even the
-   event-record allocation — callers guard the kind construction too —
-   but keep the RMR / critical counters exact. The returned event is
-   [Event.dummy]; exploration never reads it. *)
-let[@inline] emit_q (pr : proc) ~rmr ~critical =
-  if rmr then begin
-    pr.rmrs <- pr.rmrs + 1;
-    pr.cur_rmrs <- pr.cur_rmrs + 1
-  end;
-  if critical then begin
-    pr.criticals <- pr.criticals + 1;
-    pr.cur_criticals <- pr.cur_criticals + 1
-  end;
-  Event.dummy
-
-(* Emission of constant-constructor kinds: quiet-aware without needing a
-   guard at the call site (the kind itself allocates nothing). *)
-let[@inline] emit_k m pr kind ~remote ~rmr ~critical =
-  if m.quiet then emit_q pr ~rmr ~critical
-  else emit m pr kind ~remote ~rmr ~critical
+(* Emission of a local event (no shared access, so no RMR and not
+   critical). Lean machines emit quietly: no event record, and the
+   returned event is [Event.dummy] — exploration never reads it. *)
+let[@inline] emit_k m pr kind =
+  if m.lean then Event.dummy
+  else emit m pr kind ~remote:false ~rmr:false ~critical:false
 
 (* Awareness propagation on a shared (non-buffer) read of [v]: the reader
    becomes aware of the last writer and of everything that writer was aware
@@ -989,59 +927,6 @@ let read_criticality m pr v ~remote =
   end;
   critical
 
-(* --- compiled-program advance ----------------------------------------- *)
-
-(* Advance a process across its pending operation. On the compiled path
-   ([pc >= 0]) this follows (and on first use, memoizes) an instruction
-   edge — no closure application, no fresh continuation. When the edge
-   cannot be compiled the process parks on the interpreter path
-   ([pc <- -1]) until the next section root; [k]'s exceptions
-   (Prog.Spin_exhausted) propagate identically on both paths. *)
-let[@inline] adv_unit m (pr : proc) (k : unit -> unit Prog.t) =
-  match m.code with
-  | Some code when pr.pc >= 0 ->
-      let pc = Compile.advance_unit code pr.pc k in
-      if pc >= 0 then begin
-        pr.pc <- pc;
-        pr.cont <- Compile.rep code pc
-      end
-      else begin
-        pr.pc <- -1;
-        pr.cont <- k ()
-      end
-  | _ -> pr.cont <- k ()
-
-let[@inline] adv_bool m (pr : proc) (k : bool -> unit Prog.t) b =
-  match m.code with
-  | Some code when pr.pc >= 0 ->
-      let pc = Compile.advance_bool code pr.pc k b in
-      if pc >= 0 then begin
-        pr.pc <- pc;
-        pr.cont <- Compile.rep code pc
-      end
-      else begin
-        pr.pc <- -1;
-        pr.cont <- k b
-      end
-  | _ -> pr.cont <- k b
-
-let[@inline] adv_val m (pr : proc) (k : Value.t -> unit Prog.t) x =
-  match m.code with
-  | Some code when pr.pc >= 0 ->
-      let pc = Compile.advance_val code pr.pc k x in
-      if pc >= 0 then begin
-        pr.pc <- pc;
-        pr.cont <- Compile.rep code pc
-      end
-      else begin
-        pr.pc <- -1;
-        pr.cont <- k x
-      end
-  | _ -> pr.cont <- k x
-
-let[@inline] unit_pc_of m =
-  match m.code with Some code -> Compile.unit_pc code | None -> -1
-
 (* --- executing events ------------------------------------------------ *)
 
 let commit_entry_full m pr (entry : Wbuf.entry) =
@@ -1055,11 +940,9 @@ let commit_entry_full m pr (entry : Wbuf.entry) =
   m.writer.(v) <- Some pr.pid;
   m.writer_aw.(v) <- entry.Wbuf.aw;
   note_access m pr v;
-  if m.quiet then emit_q pr ~rmr ~critical
-  else
-    emit m pr
-      (Event.Commit_write { var = v; value = entry.Wbuf.value })
-      ~remote ~rmr ~critical
+  emit m pr
+    (Event.Commit_write { var = v; value = entry.Wbuf.value })
+    ~remote ~rmr ~critical
 
 let commit_entry m pr (entry : Wbuf.entry) =
   if m.lean then begin
@@ -1116,26 +999,25 @@ let finish_fence m pr =
      apply the continuation here, not at BeginFence, so op-boundary
      closures observe the drained buffer *)
   (match pr.cont with
-  | Prog.Bind (Prog.Fence, k) -> adv_unit m pr k
+  | Prog.Bind (Prog.Fence, k) -> pr.cont <- k ()
   | _ -> ());
-  emit_k m pr (Event.End_fence { implicit }) ~remote:false ~rmr:false
-    ~critical:false
+  emit_k m pr (Event.End_fence { implicit })
 
 let do_read m pr v k =
   match Wbuf.find pr.buf v with
   | Some x ->
       let e =
-        if m.quiet then emit_q pr ~rmr:false ~critical:false
+        if m.lean then Event.dummy
         else
           emit m pr
             (Event.Read { var = v; value = x; src = Event.From_buffer })
             ~remote:false ~rmr:false ~critical:false
       in
-      adv_val m pr k x;
+      pr.cont <- k x;
       e
   | None when m.lean ->
       (* cache / awareness / criticality accounting is frozen *)
-      adv_val m pr k m.mem.(v);
+      pr.cont <- k m.mem.(v);
       Event.dummy
   | None ->
       let remote = is_remote m pr.pid v in
@@ -1146,13 +1028,10 @@ let do_read m pr v k =
       note_access m pr v;
       let x = m.mem.(v) in
       let e =
-        if m.quiet then emit_q pr ~rmr ~critical
-        else
-          emit m pr
-            (Event.Read { var = v; value = x; src })
-            ~remote ~rmr ~critical
+        emit m pr (Event.Read { var = v; value = x; src }) ~remote ~rmr
+          ~critical
       in
-      adv_val m pr k x;
+      pr.cont <- k x;
       e
 
 let do_issue_write m pr v x k =
@@ -1172,13 +1051,13 @@ let do_issue_write m pr v x k =
         jdone m
       end);
   let e =
-    if m.quiet then emit_q pr ~rmr:false ~critical:false
+    if m.lean then Event.dummy
     else
       emit m pr
         (Event.Issue_write { var = v; value = x })
         ~remote:false ~rmr:false ~critical:false
   in
-  adv_unit m pr k;
+  pr.cont <- k ();
   e
 
 (* Explicit fences leave the continuation in place (applied by
@@ -1186,8 +1065,7 @@ let do_issue_write m pr v x k =
 let do_begin_fence m pr ~implicit =
   pr.in_fence <- true;
   pr.fence_implicit <- implicit;
-  emit_k m pr (Event.Begin_fence { implicit }) ~remote:false ~rmr:false
-    ~critical:false
+  emit_k m pr (Event.Begin_fence { implicit })
 
 (* Atomic RMWs access the variable directly in shared memory (their store
    buffer was drained first when [rmw_drains] is set). Criticality follows
@@ -1218,13 +1096,11 @@ let do_cas_full m pr v expected desired (k : bool -> unit Prog.t) =
   if success then rmw_install m pr v desired;
   pr.rmw_fenced <- false;
   let e =
-    if m.quiet then emit_q pr ~rmr ~critical
-    else
-      emit m pr
-        (Event.Cas_ev { var = v; expected; desired; observed; success })
-        ~remote ~rmr ~critical
+    emit m pr
+      (Event.Cas_ev { var = v; expected; desired; observed; success })
+      ~remote ~rmr ~critical
   in
-  adv_bool m pr k success;
+  pr.cont <- k success;
   e
 
 (* Lean counterparts: memory effect and continuation advance only. *)
@@ -1234,7 +1110,7 @@ let do_cas m pr v expected desired (k : bool -> unit Prog.t) =
     let success = Value.equal m.mem.(v) expected in
     if success then set_mem m v desired;
     pr.rmw_fenced <- false;
-    adv_bool m pr k success;
+    pr.cont <- k success;
     Event.dummy
   end
 
@@ -1249,13 +1125,11 @@ let do_faa_full m pr v delta (k : Value.t -> unit Prog.t) =
   rmw_install m pr v (observed + delta);
   pr.rmw_fenced <- false;
   let e =
-    if m.quiet then emit_q pr ~rmr ~critical
-    else
-      emit m pr
-        (Event.Faa_ev { var = v; delta; observed })
-        ~remote ~rmr ~critical
+    emit m pr
+      (Event.Faa_ev { var = v; delta; observed })
+      ~remote ~rmr ~critical
   in
-  adv_val m pr k observed;
+  pr.cont <- k observed;
   e
 
 let do_faa m pr v delta (k : Value.t -> unit Prog.t) =
@@ -1264,7 +1138,7 @@ let do_faa m pr v delta (k : Value.t -> unit Prog.t) =
     let observed = m.mem.(v) in
     set_mem m v (observed + delta);
     pr.rmw_fenced <- false;
-    adv_val m pr k observed;
+    pr.cont <- k observed;
     Event.dummy
   end
 
@@ -1279,13 +1153,11 @@ let do_swap_full m pr v x (k : Value.t -> unit Prog.t) =
   rmw_install m pr v x;
   pr.rmw_fenced <- false;
   let e =
-    if m.quiet then emit_q pr ~rmr ~critical
-    else
-      emit m pr
-        (Event.Swap_ev { var = v; stored = x; observed })
-        ~remote ~rmr ~critical
+    emit m pr
+      (Event.Swap_ev { var = v; stored = x; observed })
+      ~remote ~rmr ~critical
   in
-  adv_val m pr k observed;
+  pr.cont <- k observed;
   e
 
 let do_swap m pr v x (k : Value.t -> unit Prog.t) =
@@ -1294,7 +1166,7 @@ let do_swap m pr v x (k : Value.t -> unit Prog.t) =
     let observed = m.mem.(v) in
     set_mem m v x;
     pr.rmw_fenced <- false;
-    adv_val m pr k observed;
+    pr.cont <- k observed;
     Event.dummy
   end
 
@@ -1307,10 +1179,22 @@ let is_active (pr : proc) =
    only the per-process flag and the continuation. Emits no trace event
    (the marker is bookkeeping, not a memory operation), so the returned
    event is [Event.dummy] even with recording on. *)
-let do_marker m (pr : proc) b (k : unit -> unit Prog.t) =
+let do_marker (pr : proc) b (k : unit -> unit Prog.t) =
   pr.abortable <- b;
-  adv_unit m pr k;
+  pr.cont <- k ();
   Event.dummy
+
+(* The continuation of a recovering process: recovery section, then the
+   regular entry section (just the entry section when the configuration
+   has no recovery). Captures only immutable data: closing over the
+   machine would make the structural hash — part of the fingerprint —
+   depend on mutable state. *)
+let recovery_cont (cfg : Config.t) pid =
+  match cfg.Config.recovery with
+  | Some r ->
+      let entry = cfg.Config.entry in
+      Prog.bind (r pid) (fun () -> entry pid)
+  | None -> cfg.Config.entry pid
 
 (* --- crash faults ----------------------------------------------------- *)
 
@@ -1365,7 +1249,6 @@ let crash ?commit_prefix m p =
   if is_active pr then m.active_count <- m.active_count - 1;
   pr.sec <- Crashed;
   pr.cont <- Prog.unit;
-  pr.pc <- unit_pc_of m;
   pr.in_fence <- false;
   pr.fence_implicit <- false;
   pr.rmw_fenced <- false;
@@ -1374,7 +1257,7 @@ let crash ?commit_prefix m p =
   pr.crashes <- pr.crashes + 1;
   m.crash_count <- m.crash_count + 1;
   let e =
-    if m.quiet then emit_q pr ~rmr:false ~critical:false
+    if m.lean then Event.dummy
     else
       emit m pr
         (Event.Crash { committed = k; dropped })
@@ -1396,8 +1279,11 @@ let crash ?commit_prefix m p =
    abandoned with the rest of the entry section. *)
 let abort m p =
   let pr = m.procs.(p) in
-  if Option.is_none m.cfg.Config.abort_section then
-    invalid_arg "Machine.abort: configuration has no abort section";
+  let cleanup =
+    match m.cfg.Config.abort_section with
+    | Some a -> a
+    | None -> invalid_arg "Machine.abort: configuration has no abort section"
+  in
   (match pr.sec with
   | Entry when pr.abortable -> ()
   | Entry -> invalid_arg "Machine.abort: process is not at a wait point"
@@ -1411,66 +1297,29 @@ let abort m p =
   pr.in_fence <- false;
   pr.fence_implicit <- false;
   pr.rmw_fenced <- false;
-  (* the cleanup continuation is built by Compile.abort_cont on both
-     paths — capturing only immutable data — so the structural hash (part
-     of the state fingerprint) matches across engines *)
-  (match m.code with
-  | Some code ->
-      let root = Compile.abort_pc code pr.pid in
-      if root >= 0 then begin
-        pr.pc <- root;
-        pr.cont <- Compile.rep code root
-      end
-      else begin
-        pr.pc <- -1;
-        pr.cont <- Compile.abort_cont m.cfg pr.pid
-      end
-  | None -> pr.cont <- Compile.abort_cont m.cfg pr.pid);
+  (* reaching the cleanup's [Return ()] is the abort-done transition *)
+  pr.cont <- cleanup pr.pid;
   pr.aborts <- pr.aborts + 1;
   m.abort_count <- m.abort_count + 1;
-  let e =
-    emit_k m pr Event.Abort ~remote:false ~rmr:false ~critical:false
-  in
+  let e = emit_k m pr Event.Abort in
   j_refresh m pr;
   e
 
 let do_abort_done m pr =
   pr.sec <- Ncs;
   pr.cont <- Prog.unit;
-  pr.pc <- unit_pc_of m;
   m.active_count <- m.active_count - 1;
-  emit_k m pr Event.Abort_done ~remote:false ~rmr:false ~critical:false
+  emit_k m pr Event.Abort_done
 
 let do_recover m pr =
   pr.sec <- Ncs;
-  emit_k m pr Event.Recover ~remote:false ~rmr:false ~critical:false
+  emit_k m pr Event.Recover
 
 let do_enter m pr =
   pr.sec <- Entry;
-  (* The recovering continuation is built by Compile.recovery_cont on
-     both paths — capturing only immutable data — so the structural hash
-     (part of the state fingerprint) matches across engines. *)
-  (match m.code with
-  | Some code ->
-      let root =
-        if pr.needs_recovery && Option.is_some m.cfg.Config.recovery then
-          Compile.recover_pc code pr.pid
-        else Compile.entry_pc code pr.pid
-      in
-      if root >= 0 then begin
-        pr.pc <- root;
-        pr.cont <- Compile.rep code root
-      end
-      else begin
-        pr.pc <- -1;
-        pr.cont <-
-          (if pr.needs_recovery then Compile.recovery_cont m.cfg pr.pid
-           else m.cfg.entry pr.pid)
-      end
-  | None ->
-      pr.cont <-
-        (if pr.needs_recovery then Compile.recovery_cont m.cfg pr.pid
-         else m.cfg.entry pr.pid));
+  pr.cont <-
+    (if pr.needs_recovery then recovery_cont m.cfg pr.pid
+     else m.cfg.entry pr.pid);
   pr.needs_recovery <- false;
   m.active_count <- m.active_count + 1;
   if not m.lean then begin
@@ -1499,7 +1348,7 @@ let do_enter m pr =
         end)
       m.procs
   end;
-  emit_k m pr Event.Enter ~remote:false ~rmr:false ~critical:false
+  emit_k m pr Event.Enter
 
 let do_cs m pr =
   if m.cfg.check_exclusion then
@@ -1512,17 +1361,9 @@ let do_cs m pr =
         then raise (Exclusion_violation { holder = pr.pid; intruder = q.pid }))
       m.procs;
   pr.sec <- Exiting;
-  (match m.code with
-  | Some code when Compile.exit_pc code pr.pid >= 0 ->
-      let pc = Compile.exit_pc code pr.pid in
-      pr.pc <- pc;
-      pr.cont <- Compile.rep code pc
-  | Some _ ->
-      pr.pc <- -1;
-      pr.cont <- m.cfg.exit_section pr.pid
-  | None -> pr.cont <- m.cfg.exit_section pr.pid);
+  pr.cont <- m.cfg.exit_section pr.pid;
   m.cs_entries <- m.cs_entries + 1;
-  emit_k m pr Event.Cs ~remote:false ~rmr:false ~critical:false
+  emit_k m pr Event.Cs
 
 let do_exit m pr =
   pr.passages <- pr.passages + 1;
@@ -1539,7 +1380,7 @@ let do_exit m pr =
   end;
   pr.sec <- (if pr.passages >= m.cfg.max_passages then Finished else Ncs);
   m.active_count <- m.active_count - 1;
-  emit_k m pr Event.Exit ~remote:false ~rmr:false ~critical:false
+  emit_k m pr Event.Exit
 
 (* Execute the process's pending event. This is {!pending} fused with the
    dispatch — classification and execution in one pass over the same
@@ -1572,7 +1413,7 @@ let exec_cur m (pr : proc) : Event.t =
           | Prog.Swap (v, x) ->
               if rmw_needs_fence then do_begin_fence m pr ~implicit:true
               else do_swap m pr v x k
-          | Prog.Abortable b -> do_marker m pr b k))
+          | Prog.Abortable b -> do_marker pr b k))
 
 (* The journal head is pushed after the finished check (so a raising call
    leaves no record) but before execution: if the event itself raises
@@ -1761,7 +1602,6 @@ let entry_equal (a : Wbuf.entry) (b : Wbuf.entry) =
 
 let proc_equal (a : proc) (b : proc) =
   Pid.equal a.pid b.pid && a.sec = b.sec && a.cont == b.cont
-  && a.pc = b.pc
   && a.in_fence = b.in_fence
   && a.fence_implicit = b.fence_implicit
   && a.rmw_fenced = b.rmw_fenced

@@ -48,11 +48,6 @@ type proc = {
   pid : Pid.t;
   mutable sec : section;
   mutable cont : unit Prog.t;
-  mutable pc : int;
-      (** compiled-engine program counter: when [>= 0], [cont] is the
-          interned representative {!Compile.rep} of this pc; [-1] on
-          interpreter engines or when the compiled program degraded to
-          the interpreter path for this section *)
   buf : Wbuf.t;
   mutable in_fence : bool;
   mutable fence_implicit : bool;
@@ -193,11 +188,11 @@ val section : t -> Pid.t -> section
 val is_remote : t -> Pid.t -> Var.t -> bool
 
 val loc_key : t -> Pid.t -> int
-(** Stable program-location key of the process: the compiled pc when
-    the process is on the compiled path ([proc.pc >= 0]), otherwise the
-    structural continuation digest ({!Compile.hash_cont} — the same
-    value the compiled engine caches at interning, so a location keys
-    identically across engines). The profiler's location axis. *)
+(** Program-location key of the process: a digest of its {e pending
+    operation} (op kind, variable and static operands — the
+    classification of {!pending}), not of the continuation structure.
+    Distinct program points issuing the identical operation share a key.
+    The profiler's location axis. *)
 
 val passages : t -> Pid.t -> int
 val fences_completed : t -> Pid.t -> int

@@ -23,7 +23,6 @@ let () =
       ("mcheck", Suite_mcheck.suite);
       ("mcheck_equiv", Suite_mcheck_equiv.suite);
       ("reference", Suite_reference.suite);
-      ("compile", Suite_compile.suite);
       ("journal", Suite_journal.suite);
       ("fpstore", Suite_fpstore.suite);
       ("crash", Suite_crash.suite);

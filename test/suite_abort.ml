@@ -7,9 +7,8 @@
    errors. Explorer level: the abort adversary proves the abortable TAS
    and abortable queue locks safe under an abort budget, refutes the
    deliberately buggy cleanup (which frees a lock the aborting process
-   does not hold), and composes with crash faults — both engines, por on
-   and off, agreeing on verdicts and fingerprint multisets, and with the
-   reference explorer on the state set.
+   does not hold), and composes with crash faults — por on and off,
+   agreeing with the reference explorer on verdicts and the state set.
    Replay level: abort schedules replay bit-identically, ill-timed abort
    lines are a typed outcome, walk/undo restores abort transitions
    exactly, and the schedule codec round-trips Abort moves. Lincheck
@@ -184,30 +183,18 @@ let test_buggy_cleanup_refuted () =
       | E.R_exclusion _ -> ()
       | _ -> Alcotest.fail "replay did not reproduce the exclusion")
 
-(* --- abort × crash composition across engines and the reference --------- *)
+(* --- abort × crash composition against the reference ---------------------- *)
 
 let atas_crashy_cfg () =
   Locks.Harness.config_of_lock ~model:Config.Cc_wb
     ~crash_semantics:Config.Drop_buffer
     (Locks.Abortable_tas.make ~n:2) ~n:2
 
-let fp_multiset ~engine ~por ~max_crashes ~max_aborts cfg =
-  let tbl = Hashtbl.create 1024 in
-  let r =
-    E.explore ~max_nodes:500_000 ~por ~max_crashes ~max_aborts
-      ~on_fingerprint:(fun fp ->
-        Hashtbl.replace tbl fp
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl fp)))
-      (Suite_mcheck_equiv.with_engine engine cfg)
-  in
-  (r, tbl)
-
 (* Both fault budgets at once: exclusion still holds (crashes may land
-   inside abort cleanup sections), both fault kinds are exercised, the
-   journal and compiled engines visit identical fingerprint multisets
-   with and without the reduction, and the explorer agrees with the
-   reference explorer: without the reduction it reaches exactly the
-   reference's 29,442 states at 1, 2 and 4 domains. *)
+   inside abort cleanup sections), both fault kinds are exercised, and
+   the explorer agrees with the reference explorer: without the
+   reduction it reaches exactly the reference's 29,442 states at 1, 2
+   and 4 domains. *)
 let composition_states = 29_442
 
 let test_abort_crash_composition () =
@@ -215,37 +202,18 @@ let test_abort_crash_composition () =
     atas_crashy_cfg;
   List.iter
     (fun por ->
-      let tag engine =
-        Printf.sprintf "%s por=%b" (Config.engine_name engine) por
-      in
-      let rj, tj =
-        fp_multiset ~engine:`Journal ~por ~max_crashes:1 ~max_aborts:1
+      let tag = Printf.sprintf "por=%b" por in
+      let r =
+        E.explore ~max_nodes:500_000 ~por ~max_crashes:1 ~max_aborts:1
           (atas_crashy_cfg ())
       in
-      Alcotest.(check bool) (tag `Journal ^ ": verified") true rj.E.verified;
+      Alcotest.(check bool) (tag ^ ": verified") true r.E.verified;
       if not por then
-        Alcotest.(check int) (tag `Journal ^ ": states") composition_states
-          rj.E.nodes;
-      Alcotest.(check bool)
-        (tag `Journal ^ ": crashes exercised")
-        true
-        (rj.E.stats.E.crashes_applied > 0);
-      Alcotest.(check bool)
-        (tag `Journal ^ ": aborts exercised")
-        true
-        (rj.E.stats.E.aborts_applied > 0);
-      List.iter
-        (fun engine ->
-          let r, t =
-            fp_multiset ~engine ~por ~max_crashes:1 ~max_aborts:1
-              (atas_crashy_cfg ())
-          in
-          Alcotest.(check bool) (tag engine ^ ": verified") true r.E.verified;
-          Alcotest.(check int) (tag engine ^ ": nodes") rj.E.nodes r.E.nodes;
-          Suite_mcheck_equiv.check_fp_multisets
-            (tag engine ^ " vs journal")
-            tj t)
-        [ `Compiled ])
+        Alcotest.(check int) (tag ^ ": states") composition_states r.E.nodes;
+      Alcotest.(check bool) (tag ^ ": crashes exercised") true
+        (r.E.stats.E.crashes_applied > 0);
+      Alcotest.(check bool) (tag ^ ": aborts exercised") true
+        (r.E.stats.E.aborts_applied > 0))
     [ true; false ]
 
 (* --- typed partial verdict for an external interrupt --------------------- *)
@@ -343,9 +311,9 @@ let prop_abort_reference =
    any reachable state, applying an enabled move (including Abort and
    Crash) and rolling it back through the journal must restore the state
    exactly, with both fingerprints agreeing. *)
-let walk_restores ~engine cfg seed =
+let walk_restores cfg seed =
   let rng = Random.State.make [| seed |] in
-  let m = Machine.create { cfg with Config.engine } in
+  let m = Machine.create cfg in
   Machine.Journal.enable m;
   let steps = ref 0 and continue = ref true in
   while !continue && !steps < 60 do
@@ -378,19 +346,14 @@ let walk_restores ~engine cfg seed =
   done;
   true
 
-(* Only on the pure abortable TAS: the queue lock passes per-passage
-   scratch through a mutable OCaml array (pure_programs = false), which
-   the journal cannot roll back, so the strict restore law does not
-   apply to it — the same reason suite_journal's walks stick to pure
-   configurations. *)
+(* Only on the abortable TAS: the queue lock passes per-passage scratch
+   through a mutable OCaml array outside the machine state, which the
+   journal cannot roll back, so the strict restore law does not apply to
+   it — the same reason suite_journal's walks avoid such locks. *)
 let walk_props =
   [
     QCheck.Test.make ~count:60 ~name:"walk/undo over aborts (journal)"
-      QCheck.small_nat (fun seed ->
-        walk_restores ~engine:`Journal (atas_crashy_cfg ()) seed);
-    QCheck.Test.make ~count:60 ~name:"walk/undo over aborts (compiled)"
-      QCheck.small_nat (fun seed ->
-        walk_restores ~engine:`Compiled (atas_crashy_cfg ()) seed);
+      QCheck.small_nat (fun seed -> walk_restores (atas_crashy_cfg ()) seed);
   ]
 
 (* --- schedule codec ------------------------------------------------------ *)

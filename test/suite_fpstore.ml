@@ -9,10 +9,12 @@
    re-exploration, which is sound), occupancy counts distinct
    fingerprints, and the deque neither duplicates nor loses items.
 
-   The memory-bounded modes are then exercised end to end: a bitstate
-   search over a space larger than its bit array must still verify and
-   must confess a nonzero omission probability; a bounded store smaller
-   than the space must evict, re-explore, and reach the exact verdict. *)
+   Saturation of the exact store is pinned sequentially: past its probe
+   windows it drops states, which are then re-explored on every visit,
+   never reported covered, and confessed on the verdict line. Bitstate
+   is exercised end to end: a search over a space larger than its bit
+   array must still verify and must confess a nonzero omission
+   probability. *)
 
 open Tsim
 open Tsim.Prog
@@ -32,8 +34,7 @@ let test_exact_claim () =
   | F.Covered -> ()
   | _ -> Alcotest.fail "revisit with same cover must be Covered");
   Alcotest.(check int) "one entry" 1 (F.entries s);
-  Alcotest.(check int) "no drops" 0 (F.drops s);
-  Alcotest.(check int) "no evictions" 0 (F.evictions s)
+  Alcotest.(check int) "no drops" 0 (F.drops s)
 
 let test_exact_mask_widening () =
   let s = exact () in
@@ -125,84 +126,47 @@ let test_concurrent_no_lost_cover () =
   Alcotest.(check int) "entries = distinct fingerprints" n_fps (F.entries s);
   Alcotest.(check int) "no drops at this load" 0 (F.drops s)
 
-(* A bounded store under deterministic (sequential) eviction pressure:
-   256 slots = 4 shards of 64; fingerprints below 2^60 all land in shard
-   0, so 64 of them fill it exactly and the 65th must evict. The victim
-   is gone — re-visiting the original 64 re-inserts every missing one
-   (each a counted eviction, answered New = re-explore), and never
-   invents coverage: every answer is New or Covered, no drops. *)
-let test_bounded_evict_sequential () =
-  let s = F.create ~mode:(Config.Store_bounded { log2_slots = 8 }) ~expected:0 in
-  for i = 1 to 64 do
-    match F.visit s ~fp:i ~cover:(-1) with
-    | F.New -> ()
-    | _ -> Alcotest.failf "fp %d: first visit must be New" i
-  done;
-  Alcotest.(check int) "shard full, no evictions yet" 0 (F.evictions s);
-  (match F.visit s ~fp:65 ~cover:(-1) with
-  | F.New -> ()
-  | _ -> Alcotest.fail "overflowing insert must still be New");
-  Alcotest.(check int) "one eviction" 1 (F.evictions s);
-  Alcotest.(check int) "occupancy unchanged by eviction" 64 (F.entries s);
-  (match F.visit s ~fp:65 ~cover:(-1) with
-  | F.Covered -> ()
-  | _ -> Alcotest.fail "evicting insert must be remembered");
-  let news = ref 0 in
-  for i = 1 to 64 do
-    match F.visit s ~fp:i ~cover:(-1) with
-    | F.New -> incr news
-    | F.Covered -> ()
-    | F.Partial _ -> Alcotest.failf "fp %d: unexpected Partial" i
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "at least the victim re-explored (%d)" !news)
-    true (!news >= 1);
-  (* sequentially every re-insert evicts in one attempt: evictions track
-     the re-explorations exactly *)
-  Alcotest.(check int) "evictions = 1 + re-inserts" (1 + !news)
-    (F.evictions s);
-  Alcotest.(check int) "nothing dropped" 0 (F.drops s)
-
-(* The no-lost-cover hammer against a store 8x smaller than the
-   fingerprint set: eviction churn on every probe window, from 4 domains
-   at once. This is the regression test for the eviction race the review
-   caught — a single-CAS eviction let bits claimed for the victim leak
-   into the new occupant's remaining word, i.e. moves counted as granted
-   that nobody was ever handed; the union check below fails in that
-   world. With the two-phase tombstone + shard seqlock, grants may
-   duplicate (re-exploration) but must still union to every requested
-   cover. *)
-let test_concurrent_bounded_no_lost_cover () =
-  let n_domains = 4 and n_fps = 2048 and rounds = 50 in
-  let s = F.create ~mode:(Config.Store_bounded { log2_slots = 8 }) ~expected:0 in
+(* Saturation, the exact store's only overflow path: [~expected:0]
+   sizes it at the 4,096-slot floor (64 shards of 64, one probe window
+   per shard), so 5,000 distinct fingerprints must overflow. A state
+   whose window is full is left unstored and answered [Partial] with the
+   visitor's whole cover — on its first visit and on every revisit — and
+   is never reported [Covered]: dropping costs re-exploration, never
+   coverage. *)
+let test_exact_saturation () =
+  let s = F.create ~mode:Config.Store_exact ~expected:0 in
+  Alcotest.(check int) "floor capacity" 4096 (F.capacity s);
+  let n_fps = 5000 in
   let fp_of i = ((i + 1) * 0x2545F4914F6CDD1D) land max_int in
-  let grants = Array.init n_domains (fun _ -> Array.make n_fps 0) in
-  let covers = Array.init n_domains (fun d -> 1 lsl (d * 2 mod 6)) in
-  let worker d () =
-    let mine = grants.(d) in
-    for _ = 1 to rounds do
-      for i = 0 to n_fps - 1 do
-        let cover = covers.(d) lor 0b1000000 in
-        match F.visit s ~fp:(fp_of i) ~cover with
-        | F.New -> mine.(i) <- mine.(i) lor cover
-        | F.Partial fresh -> mine.(i) <- mine.(i) lor fresh
-        | F.Covered -> ()
-      done
-    done
+  let dropped =
+    Array.init n_fps (fun i ->
+        match F.visit s ~fp:(fp_of i) ~cover:(-1) with
+        | F.New -> false
+        | F.Partial fresh when fresh = max_int -> true
+        | F.Partial _ -> Alcotest.failf "fp %d: partial first visit" i
+        | F.Covered -> Alcotest.failf "fp %d: first visit covered" i)
   in
-  let ds = Array.init n_domains (fun d -> Domain.spawn (worker d)) in
-  Array.iter Domain.join ds;
-  let want = Array.fold_left (fun acc c -> acc lor c) 0b1000000 covers in
-  for i = 0 to n_fps - 1 do
-    let got = Array.fold_left (fun acc g -> acc lor g.(i)) 0 grants in
-    if got <> want then
-      Alcotest.failf "fp %d: granted cover %x <> requested union %x under \
-                      eviction churn" i got want
-  done;
-  let ev = F.evictions s in
+  let n_dropped = Array.fold_left (fun n d -> if d then n + 1 else n) 0 dropped in
   Alcotest.(check bool)
-    (Printf.sprintf "eviction churn really happened (%d)" ev)
-    true (ev > 0)
+    (Printf.sprintf "entries %d <= 4096" (F.entries s))
+    true (F.entries s <= 4096);
+  Alcotest.(check bool)
+    (Printf.sprintf "drops %d >= 904" (F.drops s))
+    true (F.drops s >= 904);
+  Alcotest.(check int) "every fingerprint stored or dropped" n_fps
+    (F.entries s + F.drops s);
+  Alcotest.(check int) "dropped answers = drops" n_dropped (F.drops s);
+  Array.iteri
+    (fun i d ->
+      let fp = fp_of i in
+      match (d, F.visit s ~fp ~cover:(-1), F.visit s ~fp ~cover:0b101) with
+      | true, F.Partial a, F.Partial b ->
+          Alcotest.(check int) "full cover again" max_int a;
+          Alcotest.(check int) "narrow cover again" 0b101 b
+      | true, _, _ -> Alcotest.failf "fp %d: dropped state revisit not Partial" i
+      | false, F.Covered, F.Covered -> ()
+      | false, _, _ -> Alcotest.failf "fp %d: stored state not Covered" i)
+    dropped
 
 (* --- deque ------------------------------------------------------------- *)
 
@@ -289,7 +253,7 @@ let test_deque_concurrent () =
       Alcotest.failf "item %d seen %d times (want exactly 1)" i hits.(i)
   done
 
-(* --- memory-bounded modes, end to end ---------------------------------- *)
+(* --- exact saturation and bitstate, end to end ------------------------- *)
 
 let peterson ~passages () =
   let layout = Layout.create () in
@@ -345,30 +309,32 @@ let test_bitstate_exceeds_bound () =
   Alcotest.(check bool) "fewer nodes than the exact space" true
     (r.Mcheck.Explore.nodes < 3022)
 
-(* A 256-slot bounded store against the 706-state single-passage space:
-   evictions must occur, re-exploration inflates the node count, and the
-   verdict must still match the exact engine's (bounded mode never trades
-   soundness, only time). *)
-let test_bounded_evicts_and_agrees () =
-  let exact_r =
-    Mcheck.Explore.explore ~max_nodes:2_000_000 ~por:false
-      (peterson ~passages:1 ())
+(* A saturated exact store confesses on the verdict line and points at
+   what exists: the uncapped sequential table or bitstate. No test-sized
+   search fills 2^23 slots, so the drop count of a real verified result
+   is overwritten. *)
+let test_saturation_verdict () =
+  let r =
+    Mcheck.Explore.explore ~max_nodes:2_000_000 (peterson ~passages:1 ())
   in
-  let cfg =
-    with_store
-      (Config.Store_bounded { log2_slots = 8 })
-      (peterson ~passages:1 ())
+  let line, code = Mcheck.Explore.render_verdict r in
+  Alcotest.(check int) "verified exit code" 0 code;
+  Alcotest.(check string) "no confession without drops"
+    "VERIFIED: no exclusion violation or deadlock in the full \
+     (deduplicated) schedule space"
+    line;
+  let saturated =
+    { r with
+      Mcheck.Explore.stats =
+        { r.Mcheck.Explore.stats with Mcheck.Explore.store_drops = 7 } }
   in
-  let r = Mcheck.Explore.explore ~max_nodes:2_000_000 ~por:false cfg in
-  Alcotest.(check bool) "verdicts agree" exact_r.Mcheck.Explore.verified
-    r.Mcheck.Explore.verified;
-  Alcotest.(check bool) "exhausted" true r.Mcheck.Explore.exhausted;
-  let ev = r.Mcheck.Explore.stats.Mcheck.Explore.store_evictions in
-  Alcotest.(check bool)
-    (Printf.sprintf "evictions %d > 0" ev)
-    true (ev > 0);
-  Alcotest.(check bool) "re-exploration inflates nodes" true
-    (r.Mcheck.Explore.nodes >= exact_r.Mcheck.Explore.nodes)
+  let line', code' = Mcheck.Explore.render_verdict saturated in
+  Alcotest.(check int) "still verified" 0 code';
+  Alcotest.(check string) "saturation suffix"
+    (line
+    ^ " (seen store saturated: 7 states never stored, re-explored on every \
+       visit — the --domains 1 table has no cap, or use --store bitstate)")
+    line'
 
 (* Bitstate under domains > 1: the same shared bit array serves all
    visitors; the search must still complete and confess. *)
@@ -466,11 +432,8 @@ let suite =
       test_exact_distinct_fps;
     Alcotest.test_case "concurrent: no cover bit lost across 4 domains"
       `Quick test_concurrent_no_lost_cover;
-    Alcotest.test_case "bounded: deterministic eviction accounting" `Quick
-      test_bounded_evict_sequential;
-    Alcotest.test_case
-      "concurrent: no cover bit lost under bounded eviction churn" `Quick
-      test_concurrent_bounded_no_lost_cover;
+    Alcotest.test_case "exact: saturation drops, never covers" `Quick
+      test_exact_saturation;
     Alcotest.test_case "deque: owner pops LIFO" `Quick test_deque_owner_lifo;
     Alcotest.test_case "deque: thief steals FIFO" `Quick
       test_deque_thief_fifo;
@@ -479,8 +442,8 @@ let suite =
       test_deque_concurrent;
     Alcotest.test_case "bitstate: verifies past the memory bound" `Quick
       test_bitstate_exceeds_bound;
-    Alcotest.test_case "bounded: evicts and agrees with exact" `Quick
-      test_bounded_evicts_and_agrees;
+    Alcotest.test_case "exact: saturation confessed on the verdict line"
+      `Quick test_saturation_verdict;
     Alcotest.test_case "bitstate: parallel domains share the bit array"
       `Quick test_bitstate_parallel;
     Alcotest.test_case "bitstate: violations survive aliasing" `Quick

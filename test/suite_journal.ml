@@ -17,8 +17,9 @@
      same state count and, via [~on_fingerprint], the same state set;
 
    - byte-level invisibility: replaying the corpus fixture with trace
-     recording on under either engine produces the byte-identical Chrome
-     export pinned by test/corpus/peterson_unfenced_tso.trace.json. *)
+     recording on, through the journaled replay and on a plain machine
+     with the journal off, produces the byte-identical Chrome export
+     pinned by test/corpus/peterson_unfenced_tso.trace.json. *)
 
 open Tsim
 open Tsim.Prog
@@ -30,8 +31,7 @@ let peterson_unfenced () =
   let layout = Layout.create () in
   let flag = Layout.array layout ~init:0 "flag" 2 in
   let turn = Layout.var layout ~init:0 "turn" in
-  Config.make ~model:Config.Cc_wb ~check_exclusion:true ~pure_programs:true
-    ~n:2 ~layout
+  Config.make ~model:Config.Cc_wb ~check_exclusion:true ~n:2 ~layout
     ~entry:(fun p ->
       let* () = write flag.(p) 1 in
       let* () = write turn p in
@@ -148,30 +148,19 @@ let walk_props =
 (* --- the journal engine against the reference ------------------------- *)
 
 (* Verdicts, state counts and state sets against the reference explorer
-   (Suite_reference.check) on the golden workloads, per engine — pinned,
-   because the config default bends to PA_ENGINE: the journal
-   interpreter on every workload, and compile-ahead execution on the
-   pure ones. *)
-let check_engine engine name ?max_crashes mk_cfg =
-  Suite_reference.check
-    (Printf.sprintf "%s (%s)" name (Config.engine_name engine))
-    ?max_crashes
-    (fun () -> { (mk_cfg ()) with Config.engine })
-
+   (Suite_reference.check) on the golden workloads; recoverable TAS
+   under both the drop-buffer and the atomic-prefix crash semantics. *)
 let test_engines_peterson () =
-  check_engine `Journal "peterson" peterson_unfenced
+  Suite_reference.check "peterson" peterson_unfenced
 
-let test_engines_mp_pso () = check_engine `Journal "mp_pso" mp_pso
+let test_engines_mp_pso () = Suite_reference.check "mp_pso" mp_pso
 
 let test_engines_rtas () =
-  check_engine `Journal "rtas" ~max_crashes:1
+  Suite_reference.check "rtas drop-buffer" ~max_crashes:1
     (rtas ~crash_semantics:Config.Drop_buffer)
 
-let test_fp_sets_peterson () =
-  check_engine `Compiled "peterson" peterson_unfenced
-
 let test_fp_sets_rtas () =
-  check_engine `Compiled "rtas" ~max_crashes:1
+  Suite_reference.check "rtas atomic-prefix" ~max_crashes:1
     (rtas ~crash_semantics:Config.Atomic_prefix)
 
 (* Paranoid mode recomputes the full fingerprint at every node and fails
@@ -192,8 +181,7 @@ let test_paranoid () =
 (* Journal gauges surface in stats, sequentially and in the parallel
    driver. *)
 let test_journal_stats () =
-  (* pin the engine: the config default bends to PA_ENGINE *)
-  let cfg = { (peterson_unfenced ()) with Config.engine = `Journal } in
+  let cfg = peterson_unfenced () in
   List.iter
     (fun domains ->
       let r = E.explore ~max_nodes:200_000 ~domains cfg in
@@ -214,10 +202,8 @@ let test_chrome_byte_identical () =
     | Ok s -> s
     | Error e -> Alcotest.failf "fixture schedule: %s" e
   in
-  let export engine =
-    let cfg =
-      { (peterson_unfenced ()) with Config.record_trace = true; engine }
-    in
+  let export () =
+    let cfg = { (peterson_unfenced ()) with Config.record_trace = true } in
     let m, outcome = E.replay cfg schedule in
     (match outcome with
     | E.R_exclusion _ -> ()
@@ -230,9 +216,17 @@ let test_chrome_byte_identical () =
       In_channel.input_all
   in
   Alcotest.(check string) "journal replay matches the golden bytes" golden
-    (export `Journal);
-  Alcotest.(check string) "compiled replay matches the golden bytes" golden
-    (export `Compiled)
+    (export ());
+  (* the same schedule stepped on a plain machine, journal off *)
+  let m =
+    Machine.create { (peterson_unfenced ()) with Config.record_trace = true }
+  in
+  (try
+     List.iter (E.apply m) schedule;
+     Alcotest.fail "plain run should end in the exclusion"
+   with Machine.Exclusion_violation _ -> ());
+  Alcotest.(check string) "plain run matches the golden bytes" golden
+    (Execution.Chrome.to_string (Execution.Trace.of_machine m))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest walk_props
@@ -242,8 +236,6 @@ let suite =
       Alcotest.test_case "engines agree: mp PSO" `Quick test_engines_mp_pso;
       Alcotest.test_case "engines agree: rtas crashes<=1" `Quick
         test_engines_rtas;
-      Alcotest.test_case "fingerprint sets agree: peterson" `Quick
-        test_fp_sets_peterson;
       Alcotest.test_case "fingerprint sets agree: rtas" `Quick
         test_fp_sets_rtas;
       Alcotest.test_case "paranoid fingerprint cross-check" `Quick

@@ -1,10 +1,10 @@
-(* Cross-engine equivalence: the throughput-tuned explorer configurations
+(* Explorer-configuration equivalence: the throughput-tuned configurations
    (trace recording off, packed FNV fingerprints, bitset awareness sets,
    and the domain-parallel driver) must report the same verdicts as the
    reference configuration (trace recording on, single domain — the seed
    engine's operating point).
 
-   Node counts are NOT compared across engines: the reduction exists to
+   Node counts are NOT compared across configurations: the reduction exists to
    change them, and under nontrivial sleep masks the shared-store claim
    races make parallel counts timing-dependent. What must agree is the
    semantics — [verified], [exhausted] (for verifying configurations) and
@@ -17,8 +17,7 @@ let peterson ~fenced =
   let layout = Layout.create () in
   let flag = Layout.array layout ~init:0 "flag" 2 in
   let turn = Layout.var layout ~init:0 "turn" in
-  Config.make ~model:Config.Cc_wb ~check_exclusion:true ~pure_programs:true
-    ~n:2 ~layout
+  Config.make ~model:Config.Cc_wb ~check_exclusion:true ~n:2 ~layout
     ~entry:(fun p ->
       let* () = write flag.(p) 1 in
       let* () = write turn p in
@@ -51,7 +50,7 @@ let mp_pso () =
   let flag = Layout.var layout "flag" in
   let blocked = Layout.var layout "blocked" in
   Config.make ~model:Config.Cc_wb ~ordering:Config.Pso ~check_exclusion:true
-    ~pure_programs:true ~n:2 ~layout
+    ~n:2 ~layout
     ~entry:(fun p ->
       if p = 0 then
         let* () = write data 1 in
@@ -91,11 +90,8 @@ let verdict = Alcotest.testable
 (* The explorer configurations under comparison: trace recording on with
    no reduction at a single domain (the seed engine's operating point),
    then the throughput features and the partial-order reduction in every
-   combination of domains, under both program-execution engines (journal
-   and compiled). POR must be verdict-invisible everywhere, and every
-   verdict must match the reference explorer's (reference.ml). *)
-let with_engine engine cfg = { cfg with Config.engine }
-
+   combination of domains. POR must be verdict-invisible everywhere, and
+   every verdict must match the reference explorer's (reference.ml). *)
 let engines =
   [
     ("reference (trace on, por off, d=1)",
@@ -113,22 +109,9 @@ let engines =
        Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:4 ~por:false cfg);
     ("parallel (por on, d=8)",
      fun cfg -> Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:8 cfg);
-    ("compiled (por on, d=1)",
+    ("parallel (por off, d=8)",
      fun cfg ->
-       Mcheck.Explore.explore ~max_nodes:2_000_000
-         (with_engine `Compiled cfg));
-    ("compiled (por off, d=1)",
-     fun cfg ->
-       Mcheck.Explore.explore ~max_nodes:2_000_000 ~por:false
-         (with_engine `Compiled cfg));
-    ("parallel compiled (por on, d=4)",
-     fun cfg ->
-       Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:4
-         (with_engine `Compiled cfg));
-    ("parallel compiled (por off, d=8)",
-     fun cfg ->
-       Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:8 ~por:false
-         (with_engine `Compiled cfg));
+       Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:8 ~por:false cfg);
   ]
 
 let check_equiv name mk_cfg expected =
@@ -183,7 +166,7 @@ let test_parallel_deterministic () =
   Alcotest.(check bool) "por on: same exhausted" a.Mcheck.Explore.exhausted
     b.Mcheck.Explore.exhausted
 
-(* Under a widened violation cap, every engine must surface the
+(* Under a widened violation cap, every configuration must surface the
    reference explorer's SET of violation kinds — the cap no longer
    truncates the interesting part of the space, so the kind set is part
    of the determinism contract. *)
@@ -192,20 +175,15 @@ let test_kind_set_equiv () =
     (fun (name, mk_cfg) ->
       let expected = (Reference.explore (mk_cfg ())).Reference.kinds in
       List.iter
-        (fun (engine, domains, por) ->
+        (fun (domains, por) ->
           let r =
             Mcheck.Explore.explore ~max_nodes:2_000_000 ~max_violations:8
-              ~domains ~por
-              (with_engine engine (mk_cfg ()))
+              ~domains ~por (mk_cfg ())
           in
           Alcotest.(check (list string))
-            (Printf.sprintf "%s kinds (%s d=%d por=%b)" name
-               (Tsim.Config.engine_name engine)
-               domains por)
+            (Printf.sprintf "%s kinds (d=%d por=%b)" name domains por)
             expected (Reference.kinds_of r))
-        [ (`Journal, 1, true); (`Journal, 4, true); (`Journal, 4, false);
-          (`Journal, 8, false); (`Compiled, 1, true); (`Compiled, 4, true);
-          (`Compiled, 8, false) ])
+        [ (1, true); (4, true); (4, false); (8, false) ])
     [ ("peterson unfenced", fun () -> peterson ~fenced:false);
       ("mp pso", mp_pso) ]
 
@@ -261,54 +239,6 @@ let test_por_reduces_nodes () =
        on.Mcheck.Explore.nodes off.Mcheck.Explore.nodes)
     true
     (2 * on.Mcheck.Explore.nodes <= off.Mcheck.Explore.nodes)
-
-(* Sequentially (d=1) the determinism contract is total: the compiled
-   engine is the journal engine on top of compile-ahead execution, so on
-   identical configurations it must visit the same states in the same
-   order — equal node counts, equal max depth, and equal fingerprint
-   MULTISETS (state identity plus revisit counts), por on and off. *)
-let fp_multiset ~engine ~por cfg =
-  let tbl = Hashtbl.create 256 in
-  let r =
-    Mcheck.Explore.explore ~max_nodes:2_000_000 ~por
-      ~on_fingerprint:(fun fp ->
-        Hashtbl.replace tbl fp
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl fp)))
-      (with_engine engine cfg)
-  in
-  (r, tbl)
-
-let check_fp_multisets name tj tc =
-  Alcotest.(check int)
-    (name ^ ": distinct fingerprints")
-    (Hashtbl.length tj) (Hashtbl.length tc);
-  Hashtbl.iter
-    (fun fp n ->
-      Alcotest.(check int)
-        (Printf.sprintf "%s: multiplicity of %x" name fp)
-        n
-        (Option.value ~default:0 (Hashtbl.find_opt tc fp)))
-    tj
-
-let test_compiled_sequential_deterministic () =
-  List.iter
-    (fun (name, mk_cfg) ->
-      List.iter
-        (fun por ->
-          let tag = Printf.sprintf "%s por=%b" name por in
-          let rj, tj = fp_multiset ~engine:`Journal ~por (mk_cfg ()) in
-          let rc, tc = fp_multiset ~engine:`Compiled ~por (mk_cfg ()) in
-          Alcotest.(check bool) (tag ^ ": verified") rj.Mcheck.Explore.verified
-            rc.Mcheck.Explore.verified;
-          Alcotest.(check int) (tag ^ ": nodes") rj.Mcheck.Explore.nodes
-            rc.Mcheck.Explore.nodes;
-          Alcotest.(check int) (tag ^ ": max depth")
-            rj.Mcheck.Explore.max_depth rc.Mcheck.Explore.max_depth;
-          check_fp_multisets tag tj tc)
-        [ true; false ])
-    [ ("peterson fenced", fun () -> peterson ~fenced:true);
-      ("peterson unfenced", fun () -> peterson ~fenced:false);
-      ("dekker", dekker); ("mp pso", mp_pso) ]
 
 (* --- differential property: POR is verdict-invisible ------------------- *)
 
@@ -395,7 +325,7 @@ let config_of_rops ?recovery ?crash_semantics (ops0, ops1, pso) =
   Config.make ~model:Config.Cc_wb
     ~ordering:(if pso then Config.Pso else Config.Tso)
     ?recovery:(Option.map (fun ops _p -> prog ops) recovery)
-    ?crash_semantics ~check_exclusion:true ~pure_programs:true ~n:2 ~layout
+    ?crash_semantics ~check_exclusion:true ~n:2 ~layout
     ~entry:(fun p -> prog (if p = 0 then ops0 else ops1))
     ~exit_section:(fun _ -> Prog.unit)
     ()
@@ -413,12 +343,11 @@ let prop_por_differential =
     arb_prog2 (fun progs ->
       agrees_with_reference (fun () -> config_of_rops progs))
 
-(* --- differential property: engines agree on random programs ----------- *)
+(* --- differential property: crash faults ------------------------------- *)
 
 (* Crash-capable extension of the generator: the same straight-line
    sections, plus an optional recovery section and a drawn crash
-   semantics, so the compiled engine's crash lowering (buffer fate,
-   recovery-section re-entry, interpreter fallback at the recovery root)
+   semantics, so crash handling (buffer fate, recovery-section re-entry)
    is differentially fuzzed rather than hand-tested. *)
 type crashy = {
   c_progs : rop list * rop list * bool;
@@ -465,84 +394,6 @@ let prop_por_differential_crashes =
     arb_crashy (fun c ->
       agrees_with_reference ~max_crashes:1 (fun () -> config_of_crashy c))
 
-(* Compiled vs journal on a random program: sequentially the contract is
-   total, so the two runs must agree on verdict, exhaustion, kind set,
-   node count, max depth and the fingerprint MULTISET, por on and off. *)
-let multisets_agree tj tc =
-  Hashtbl.length tj = Hashtbl.length tc
-  && Hashtbl.fold
-       (fun fp n ok ->
-         ok && Option.value ~default:0 (Hashtbl.find_opt tc fp) = n)
-       tj true
-
-let check_engine_pair ~max_crashes ~por cfg_of () =
-  let run engine sink =
-    Mcheck.Explore.explore ~max_nodes:500_000 ~max_violations:max_int
-      ~on_spin:`Violation ~por ~max_crashes ~on_fingerprint:sink
-      (with_engine engine (cfg_of ()))
-  in
-  let count tbl fp =
-    Hashtbl.replace tbl fp
-      (1 + Option.value ~default:0 (Hashtbl.find_opt tbl fp))
-  in
-  let tj = Hashtbl.create 256 and tc = Hashtbl.create 256 in
-  let rj = run `Journal (count tj) in
-  let rc = run `Compiled (count tc) in
-  if rj.Mcheck.Explore.verified <> rc.Mcheck.Explore.verified then
-    QCheck.Test.fail_report "verified disagrees";
-  if rj.Mcheck.Explore.exhausted <> rc.Mcheck.Explore.exhausted then
-    QCheck.Test.fail_report "exhausted disagrees";
-  if rj.Mcheck.Explore.nodes <> rc.Mcheck.Explore.nodes then
-    QCheck.Test.fail_report
-      (Printf.sprintf "node counts disagree: journal %d vs compiled %d"
-         rj.Mcheck.Explore.nodes rc.Mcheck.Explore.nodes);
-  if rj.Mcheck.Explore.max_depth <> rc.Mcheck.Explore.max_depth then
-    QCheck.Test.fail_report "max depth disagrees";
-  if Reference.kinds_of rj <> Reference.kinds_of rc then
-    QCheck.Test.fail_report
-      (Printf.sprintf "violation kinds disagree: journal {%s} vs compiled {%s}"
-         (String.concat "," (Reference.kinds_of rj))
-         (String.concat "," (Reference.kinds_of rc)));
-  if not (multisets_agree tj tc) then
-    QCheck.Test.fail_report "fingerprint multisets disagree";
-  (* at d=4 only the verdict contract survives (claim races move node
-     counts; the fingerprint hook is sequential-only) *)
-  let par engine =
-    Mcheck.Explore.explore ~max_nodes:500_000 ~max_violations:max_int
-      ~on_spin:`Violation ~por ~max_crashes ~domains:4
-      (with_engine engine (cfg_of ()))
-  in
-  let pj = par `Journal and pc = par `Compiled in
-  if pj.Mcheck.Explore.verified <> pc.Mcheck.Explore.verified then
-    QCheck.Test.fail_report "d=4 verified disagrees";
-  if Reference.kinds_of pj <> Reference.kinds_of pc then
-    QCheck.Test.fail_report "d=4 violation kinds disagree";
-  true
-
-let prop_engine_differential =
-  QCheck.Test.make ~count:120
-    ~name:"compiled vs journal: identical search on random programs"
-    arb_prog2 (fun progs ->
-      List.for_all
-        (fun por ->
-          check_engine_pair ~max_crashes:0 ~por
-            (fun () -> config_of_rops progs)
-            ())
-        [ true; false ])
-
-let prop_engine_differential_crashes =
-  QCheck.Test.make ~count:120
-    ~name:
-      "compiled vs journal: identical search on random crash/recovery \
-       programs"
-    arb_crashy (fun c ->
-      List.for_all
-        (fun por ->
-          check_engine_pair ~max_crashes:c.c_crashes ~por
-            (fun () -> config_of_crashy c)
-            ())
-        [ true; false ])
-
 let suite =
   [
     check_equiv "peterson fenced" (fun () -> peterson ~fenced:true) Verified;
@@ -561,10 +412,6 @@ let suite =
       test_trace_flag_invisible;
     Alcotest.test_case "por reduces fenced-peterson nodes >= 2x" `Quick
       test_por_reduces_nodes;
-    Alcotest.test_case "compiled engine: sequential determinism contract"
-      `Quick test_compiled_sequential_deterministic;
     QCheck_alcotest.to_alcotest prop_por_differential;
     QCheck_alcotest.to_alcotest prop_por_differential_crashes;
-    QCheck_alcotest.to_alcotest prop_engine_differential;
-    QCheck_alcotest.to_alcotest prop_engine_differential_crashes;
   ]

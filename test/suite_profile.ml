@@ -1,6 +1,6 @@
 (* The profiling layer (PR9): the Knuth online tree-size estimator
    (exactness on perfect trees, unbiasedness against exhaustively-counted
-   spaces under every engine and POR setting, progress mass accounting),
+   spaces under both POR settings, progress mass accounting),
    the per-depth/class/section/location profile accumulator (exactly-once
    node attribution, deterministic shard merge laws, folded-stack export,
    JSON round-trip) and the profile diff (pinned fixture verdict). The
@@ -83,12 +83,11 @@ let test_estimator_unbalanced_mean () =
 
 (* --- estimator woven into the explorer --------------------------------- *)
 
-let peterson ?engine () =
+let peterson () =
   let layout = Layout.create () in
   let flag = Layout.array layout ~init:0 "flag" 2 in
   let turn = Layout.var layout ~init:0 "turn" in
-  Config.make ~model:Config.Cc_wb ~check_exclusion:true ~pure_programs:true
-    ?engine ~n:2 ~layout
+  Config.make ~model:Config.Cc_wb ~check_exclusion:true ~n:2 ~layout
     ~entry:(fun p ->
       let* () = write flag.(p) 1 in
       let* () = write turn p in
@@ -109,12 +108,11 @@ let peterson ?engine () =
     ()
 
 (* Small DSM-model ticket lock: gives the profiler nonzero RMR cells. *)
-let ticket_dsm ?engine () =
+let ticket_dsm () =
   let layout = Layout.create () in
   let next = Layout.var layout "next" in
   let serving = Layout.var layout "serving" in
-  Config.make ~model:Config.Dsm ~check_exclusion:true ~pure_programs:true
-    ?engine ~n:2 ~layout
+  Config.make ~model:Config.Dsm ~check_exclusion:true ~n:2 ~layout
     ~entry:(fun _ ->
       let* t = faa next 1 in
       let* _ = spin_until ~fuel:4 serving (fun s -> s = t) in
@@ -126,8 +124,8 @@ let ticket_dsm ?engine () =
     ()
 
 (* The estimator's mean over >= 100 fixed seeds must land within
-   tolerance of the exhaustively-counted node total, under every engine
-   and both POR settings; every run must report progress exactly 1.0
+   tolerance of the exhaustively-counted node total, under both POR
+   settings; every run must report progress exactly 1.0
    (the mass accounting retires the whole space) and an unchanged node
    count (the probes never perturb the search).
 
@@ -139,8 +137,8 @@ let ticket_dsm ?engine () =
    mean comfortable margin against its measured sampling noise. *)
 let test_estimator_unbiased_in_search () =
   List.iter
-    (fun (engine, por) ->
-      let cfg = peterson ~engine () in
+    (fun por ->
+      let cfg = peterson () in
       let truth =
         (Mcheck.Explore.explore ~max_nodes:2_000_000 ~por cfg)
           .Mcheck.Explore.nodes
@@ -156,8 +154,7 @@ let test_estimator_unbiased_in_search () =
             cfg
         in
         Alcotest.(check int)
-          (Printf.sprintf "%s por=%b seed=%d nodes unperturbed"
-             (Config.engine_name engine) por seed)
+          (Printf.sprintf "por=%b seed=%d nodes unperturbed" por seed)
           truth r.Mcheck.Explore.nodes;
         Alcotest.(check bool) "exhausted" true r.Mcheck.Explore.exhausted;
         Alcotest.(check (float 1e-9)) "progress 1.0" 1.0
@@ -167,57 +164,42 @@ let test_estimator_unbiased_in_search () =
       let mean = !sum /. float_of_int nseeds in
       let rel = Float.abs (mean -. float_of_int truth) /. float_of_int truth in
       if rel > tol then
-        Alcotest.failf "%s por=%b: mean estimate %.1f vs true %d (%.1f%% off)"
-          (Config.engine_name engine) por mean truth (100. *. rel))
-    [
-      (`Journal, true); (`Journal, false);
-      (`Compiled, true); (`Compiled, false);
-    ]
+        Alcotest.failf "por=%b: mean estimate %.1f vs true %d (%.1f%% off)"
+          por mean truth (100. *. rel))
+    [ true; false ]
 
 (* --- profiling does not perturb the search ------------------------------ *)
 
 let test_profile_no_perturbation () =
-  List.iter
-    (fun engine ->
-      let cfg = ticket_dsm ~engine () in
-      let fps_of ?estimator ?profile () =
-        let acc = ref [] in
-        let r =
-          Mcheck.Explore.explore ~max_nodes:2_000_000 ?estimator ?profile
-            ~on_fingerprint:(fun fp -> acc := fp :: !acc)
-            cfg
-        in
-        (r, List.sort compare !acc)
-      in
-      let r0, fp0 = fps_of () in
-      let p = Mcheck.Explore.new_profile () in
-      let r1, fp1 =
-        fps_of ~estimator:{ Obs.Estimator.probes = 32; seed = 3 } ~profile:p ()
-      in
-      Alcotest.(check bool) "verdict" r0.Mcheck.Explore.verified
-        r1.Mcheck.Explore.verified;
-      Alcotest.(check int) "nodes" r0.Mcheck.Explore.nodes
-        r1.Mcheck.Explore.nodes;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s fingerprint multiset identical"
-           (Config.engine_name engine))
-        true (fp0 = fp1))
-    [ `Journal; `Compiled ]
+  let cfg = ticket_dsm () in
+  let fps_of ?estimator ?profile () =
+    let acc = ref [] in
+    let r =
+      Mcheck.Explore.explore ~max_nodes:2_000_000 ?estimator ?profile
+        ~on_fingerprint:(fun fp -> acc := fp :: !acc)
+        cfg
+    in
+    (r, List.sort compare !acc)
+  in
+  let r0, fp0 = fps_of () in
+  let p = Mcheck.Explore.new_profile () in
+  let r1, fp1 =
+    fps_of ~estimator:{ Obs.Estimator.probes = 32; seed = 3 } ~profile:p ()
+  in
+  Alcotest.(check bool) "verdict" r0.Mcheck.Explore.verified
+    r1.Mcheck.Explore.verified;
+  Alcotest.(check int) "nodes" r0.Mcheck.Explore.nodes
+    r1.Mcheck.Explore.nodes;
+  Alcotest.(check bool) "fingerprint multiset identical" true (fp0 = fp1)
 
 (* --- exactly-once attribution ------------------------------------------- *)
 
 let test_profile_totals_match_nodes () =
-  List.iter
-    (fun engine ->
-      let cfg = peterson ~engine () in
-      let p = Mcheck.Explore.new_profile () in
-      let r = Mcheck.Explore.explore ~max_nodes:2_000_000 ~profile:p cfg in
-      Alcotest.(check bool) "exhausted" true r.Mcheck.Explore.exhausted;
-      Alcotest.(check int)
-        (Printf.sprintf "%s profile nodes = search nodes"
-           (Config.engine_name engine))
-        r.Mcheck.Explore.nodes (Obs.Profile.total_nodes p))
-    [ `Journal; `Compiled ]
+  let p = Mcheck.Explore.new_profile () in
+  let r = Mcheck.Explore.explore ~max_nodes:2_000_000 ~profile:p (peterson ()) in
+  Alcotest.(check bool) "exhausted" true r.Mcheck.Explore.exhausted;
+  Alcotest.(check int) "profile nodes = search nodes" r.Mcheck.Explore.nodes
+    (Obs.Profile.total_nodes p)
 
 (* Strided sampling: with [~every:k] the gate fires on the first record
    and every k-th after, and each armed record books k nodes — so the
@@ -228,7 +210,7 @@ let test_profile_totals_match_nodes () =
 let test_profile_strided_totals () =
   List.iter
     (fun every ->
-      let cfg = peterson ~engine:`Journal () in
+      let cfg = peterson () in
       let p = Mcheck.Explore.new_profile ~every () in
       let r = Mcheck.Explore.explore ~max_nodes:2_000_000 ~profile:p cfg in
       Alcotest.(check bool) "exhausted" true r.Mcheck.Explore.exhausted;
@@ -296,12 +278,12 @@ let gen_records =
   QCheck.Gen.(
     list_size (int_bound 30)
       (map
-         (fun (((depth, cls), (section, loc)), (is_pc, (rmr, undo))) ->
-           (depth, cls, section, loc, is_pc, rmr, undo))
+         (fun (((depth, cls), (section, loc)), (rmr, undo)) ->
+           (depth, cls, section, loc, rmr, undo))
          (pair
             (pair (pair (int_bound 40) (int_bound 5))
                (pair (int_bound 5) (int_bound 1000)))
-            (pair bool (pair (int_bound 3) (int_bound 12))))))
+            (pair (int_bound 3) (int_bound 12)))))
 
 let profile_of_records rs =
   let t =
@@ -311,8 +293,8 @@ let profile_of_records rs =
       ()
   in
   List.iter
-    (fun (depth, cls, section, loc, is_pc, rmr, undo) ->
-      Obs.Profile.record t ~depth ~cls ~section ~loc ~is_pc ~rmr ~undo)
+    (fun (depth, cls, section, loc, rmr, undo) ->
+      Obs.Profile.record t ~depth ~cls ~section ~loc ~rmr ~undo)
     rs;
   t
 
@@ -444,6 +426,10 @@ let load_fixture name =
 let test_diff_fixtures () =
   let a = load_fixture "profile_a.json" in
   let b = load_fixture "profile_b.json" in
+  (* the fixtures still carry the boolean "pc" cell member of earlier
+     profile versions; the loader ignores it and keeps every cell *)
+  Alcotest.(check int) "fixture a: every cell loaded" 1500
+    (Obs.Profile.total_nodes a);
   let report, verdict = Obs.Profile.diff a b in
   Alcotest.(check string) "pinned fixture verdict"
     "regressed +20.0% (333.3 -> 400.0 ns/node); top: entry/step +66.7 \
@@ -499,7 +485,7 @@ let suite =
     Alcotest.test_case "estimator mean on an unbalanced tree" `Quick
       test_estimator_unbalanced_mean;
     Alcotest.test_case
-      "estimator unbiased in-search (2 engines x por on/off)" `Slow
+      "estimator unbiased in-search (por on/off)" `Slow
       test_estimator_unbiased_in_search;
     Alcotest.test_case "profiling does not perturb the search" `Quick
       test_profile_no_perturbation;

@@ -1,6 +1,7 @@
 (* The explorer against the reference oracle (reference.ml).
 
-   For programs declared pure the contract is exact. With the reduction
+   For locks whose whole state lives in the machine the contract is
+   exact. With the reduction
    off, the explorer expands every reachable state once, so its node
    count equals the reference's state count at one domain and in the
    parallel driver, and at one domain the fingerprints its hook reports
@@ -9,7 +10,7 @@
    of that set. Every run — reduction on and off, sequential and
    parallel — finds the same violation kinds.
 
-   Locks that declare [pure = false] pass per-passage scratch through
+   The locks in [scratch_families] pass per-passage scratch through
    OCaml arrays that live outside the machine state, so in-place
    exploration and the clone-per-child reference reach different state
    sets (EXPERIMENTS.md E22); for them only the violation kinds are
@@ -79,6 +80,13 @@ let check name ?max_crashes ?max_aborts ?states mk_cfg =
 
 (* --- the zoo at n=2 ---------------------------------------------------- *)
 
+(* The six families that keep per-passage scratch outside the machine
+   state, where the explorer and the reference disagree on state counts
+   (EXPERIMENTS.md E22). ROADMAP item 3 makes them pure; each one that is
+   fixed leaves this list and gets the full state-set comparison. *)
+let scratch_families =
+  [ "ticket"; "clh"; "anderson"; "adaptive-tree"; "cascade"; "abortable-queue" ]
+
 (* Every family, fault-free; plus a crash budget of 1 where the lock has a
    recovery section and an abort budget of 1 where it has an abort
    section: 24 configurations. *)
@@ -97,7 +105,8 @@ let zoo_cases =
           (Printf.sprintf "zoo %s agrees with the reference" label)
           `Quick (fun () ->
             check label ?max_crashes ?max_aborts
-              ~states:lock.Locks.Lock_intf.pure mk_cfg)
+              ~states:(not (List.mem name scratch_families))
+              mk_cfg)
       in
       [ case name () ]
       @ (if Option.is_some lock.Locks.Lock_intf.recovery then
