@@ -274,6 +274,10 @@ let e8_lemma9_reduction () =
 
 let e9_lemma_invariant_audit () =
   hr "E9: IN-set invariant audit across construction runs";
+  Printf.printf
+    "At every step boundary: IN0-IN2, IN4, IN5 of Act(H_i) and uniform\n\
+     fence/critical counts (IN3 is not checked per step); every erasure is\n\
+     replayed.\n\n";
   let targets =
     [
       (Locks.Adaptive_list.family, 12);
@@ -281,20 +285,24 @@ let e9_lemma_invariant_audit () =
       (Locks.Tournament.family, 10);
       (Locks.Fastpath.family, 10);
       (Locks.Ticket.family, 10);
+      (Locks.Adaptive_list.family, 48);
+      (Locks.Cascade.family, 128);
     ]
   in
-  Printf.printf "%-15s %6s %8s %10s %12s\n" "target" "n" "steps"
-    "violations" "outcome";
+  Printf.printf "%-15s %6s %8s %10s %9s %12s\n" "target" "n" "steps"
+    "violations" "run (s)" "outcome";
   List.iter
     (fun ((fam : Locks.Lock_intf.family), n) ->
       let lock = fam.Locks.Lock_intf.instantiate ~n in
       let c = Adversary.Construction.create ~audit:true lock ~n in
+      let t0 = Unix.gettimeofday () in
       let report = Adversary.Construction.run ~min_act:1 c in
+      let secs = Unix.gettimeofday () -. t0 in
       let fails = Adversary.Construction.audit_failures c in
-      Printf.printf "%-15s %6d %8d %10d %12s\n"
+      Printf.printf "%-15s %6d %8d %10d %9.3f %12s\n"
         fam.Locks.Lock_intf.family_name n
         (List.length report.Adversary.Report.steps)
-        (List.length fails)
+        (List.length fails) secs
         (Adversary.Report.outcome_name report.Adversary.Report.outcome);
       List.iter (fun f -> Printf.printf "    !! %s\n" f) fails)
     targets;

@@ -70,6 +70,9 @@ type t = {
          because the other survivors are aware of p_max; leaving it active
          breaks IN1 and makes subsequent erasures diverge (experiment E10) *)
   mutable audit_failures : string list;
+  mutable flow : Analysis.Flow.summary;
+      (* the audit's fold over [m]'s trace, fed up to the last audited step
+         boundary; a fresh one whenever [erase] replaces [m] *)
   obs : Obs.Telemetry.t;
 }
 
@@ -102,6 +105,7 @@ let create ?(model = Config.Cc_wb) ?(advance_fuel = 200_000) ?(audit = false)
     no_independent_sets;
     no_regularization;
     audit_failures = [];
+    flow = Analysis.Flow.create cfg.Config.layout;
     obs;
   }
 
@@ -125,6 +129,7 @@ let erase t (y : Pidset.t) =
       stuckf "erasure caused %d value divergences: erased set was visible"
         r.Erasure.value_divergences;
     t.m <- r.Erasure.machine;
+    if t.audit then t.flow <- Analysis.Flow.create t.cfg.Config.layout;
     t.act <- Pidset.diff t.act y
   end
 
@@ -273,8 +278,13 @@ let close_step t ~finished_process ~regularization_erased =
     else stats_over_act t
   in
   (if t.audit then begin
-     let tr = Trace.of_machine t.m in
-     let v = Analysis.Inset.check ~in3:false tr t.act in
+     (* resume the fold: feed only the events appended since the last
+        boundary (or since the erasure that started [t.flow]) *)
+     let trace = Machine.trace t.m in
+     for i = Analysis.Flow.fed t.flow to Vec.length trace - 1 do
+       Analysis.Flow.feed t.flow (Vec.get trace i)
+     done;
+     let v = Analysis.Inset.check_flow t.flow t.act in
      if not v.Analysis.Inset.ok then
        t.audit_failures <-
          List.map

@@ -26,10 +26,22 @@ val create :
   Locks.Lock_intf.t ->
   n:int ->
   t
-(** Build H_0 (every process executes Enter only). [audit] runs IN-set
-    checks at every step boundary. The two [no_*] flags are the E10
-    ablations: they disable the Turán selection and the regularization
-    phase respectively, and make the run detectably unsound.
+(** Build H_0 (every process executes Enter only). The two [no_*] flags
+    are the E10 ablations: they disable the Turán selection and the
+    regularization phase respectively, and make the run detectably
+    unsound.
+
+    [audit] checks, at every step boundary, that Act(H_i) satisfies IN0,
+    IN1, IN2, IN4 and IN5 ({!Analysis.Inset.check_flow}; IN3 is not
+    checked per step) and that every surviving process has completed the
+    same number of fences and critical events. The facts are recomputed
+    from the trace by {!Analysis.Flow}, never read from the machine's
+    online bookkeeping. The fold is resumed: each boundary feeds it only
+    the events appended since the previous one, so between erasures the
+    audit costs O(|trace| + steps × (n + accessed variables)). An erasure
+    replaces the machine with a replay of the erased trace, and the fold
+    starts afresh on it: one more read of a trace the replay has just
+    rebuilt.
 
     [obs] attaches a telemetry hub: the construction emits nested spans
     ([adversary.run] > [adversary.round] / [adversary.regularize]), one

@@ -62,13 +62,14 @@ let check_in3_subset (t : Trace.t) (s : Flow.summary) y =
       match Hashtbl.find_opt idx_of_seq e.Event.seq with
       | None -> ()
       | Some i ->
-          if s.Flow.critical.(i) <> s'.Flow.critical.(j) then
+          let before = Vec.get s.Flow.critical i
+          and after = Vec.get s'.Flow.critical j in
+          if before <> after then
             bad :=
               violation "IN3"
                 (Printf.sprintf
                    "event #%d by p%d changes criticality (%b -> %b) when erasing {%s}"
-                   e.Event.seq e.Event.pid s.Flow.critical.(i)
-                   s'.Flow.critical.(j)
+                   e.Event.seq e.Event.pid before after
                    (String.concat ","
                       (List.map Pid.to_string (Pidset.elements y))))
               :: !bad)
@@ -86,28 +87,24 @@ let check_in3 (t : Trace.t) (s : Flow.summary) inv =
   in
   singletons @ full
 
-(* IN4: any remotely-accessed variable is owned by no active process. *)
-let check_in4 (t : Trace.t) act =
-  let layout = Trace.layout t in
-  let bad = ref [] in
-  Array.iter
-    (fun (e : Event.t) ->
-      match Event.accessed_var e with
-      | None -> ()
-      | Some v ->
-          if Layout.is_remote layout e.Event.pid v then (
-            match Layout.owner layout v with
-            | Some q when Pidset.mem q act ->
-                bad :=
-                  violation "IN4"
-                    (Printf.sprintf
-                       "event #%d by p%d remotely accesses %s owned by active p%d"
-                       e.Event.seq e.Event.pid
-                       (Layout.name layout v) q)
-                  :: !bad
-            | _ -> ()))
-    (Trace.events t);
-  List.rev !bad
+(* IN4: any remotely-accessed variable is owned by no active process.
+   Reported in trace order, from the fold's remote accesses of each active
+   owner. *)
+let check_in4 (s : Flow.summary) act =
+  Pidset.fold
+    (fun q acc ->
+      List.fold_left
+        (fun acc (i, seq, p, v) ->
+          ( i,
+            violation "IN4"
+              (Printf.sprintf
+                 "event #%d by p%d remotely accesses %s owned by active p%d"
+                 seq p (Layout.name s.Flow.layout v) q) )
+          :: acc)
+        acc (Flow.get_remote_owned s q))
+    act []
+  |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
+  |> List.map snd
 
 (* IN5: a variable accessed by more than one active process is not last
    written by an invisible process. *)
@@ -128,12 +125,14 @@ let check_in5 (s : Flow.summary) act inv =
 
 type verdict = { ok : bool; violations : violation list }
 
-(* Check IN1..IN5 (IN3 approximated as described above). *)
-let check ?(in3 = true) (t : Trace.t) (inv : Pidset.t) : verdict =
-  let s = Flow.analyze t in
-  let act = Trace.active t in
+let verdict vs = { ok = vs = []; violations = vs }
+
+(* IN0 ([inv] ⊆ Act) and IN1..IN5 in report order, with the IN3 violations
+   [in3] spliced in after IN2. *)
+let check_with ~in3 (s : Flow.summary) inv =
+  let act = Flow.active s in
   let not_active = Pidset.diff inv act in
-  let pre =
+  let in0 =
     if Pidset.is_empty not_active then []
     else
       [ violation "IN0"
@@ -141,23 +140,25 @@ let check ?(in3 = true) (t : Trace.t) (inv : Pidset.t) : verdict =
              (String.concat ","
                 (List.map Pid.to_string (Pidset.elements not_active)))) ]
   in
-  let vs =
-    pre @ check_in1 s inv @ check_in2 s inv
-    @ (if in3 then check_in3 t s inv else [])
-    @ check_in4 t act @ check_in5 s act inv
-  in
-  { ok = vs = []; violations = vs }
+  verdict
+    (in0 @ check_in1 s inv @ check_in2 s inv @ in3 @ check_in4 s act
+    @ check_in5 s act inv)
+
+let check_flow s inv = check_with ~in3:[] s inv
+
+(* Check IN1..IN5 (IN3 approximated as described above). *)
+let check ?(in3 = true) (t : Trace.t) (inv : Pidset.t) : verdict =
+  let s = Flow.analyze t in
+  check_with ~in3:(if in3 then check_in3 t s inv else []) s inv
 
 (* Semi-regular: Act(E) satisfies IN1-IN4 (Definition 5, relaxed). *)
 let check_semi_regular ?(in3 = true) (t : Trace.t) : verdict =
   let s = Flow.analyze t in
-  let act = Trace.active t in
-  let vs =
-    check_in1 s act @ check_in2 s act
+  let act = Flow.active s in
+  verdict
+    (check_in1 s act @ check_in2 s act
     @ (if in3 then check_in3 t s act else [])
-    @ check_in4 t act
-  in
-  { ok = vs = []; violations = vs }
+    @ check_in4 s act)
 
 (* Regular: Act(E) is an IN-set of E (Definition 5). *)
 let check_regular ?(in3 = true) (t : Trace.t) : verdict =

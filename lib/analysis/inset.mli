@@ -23,7 +23,7 @@ val check_in3_subset : Trace.t -> Flow.summary -> Pidset.t -> violation list
     criticality of any remaining event. *)
 
 val check_in3 : Trace.t -> Flow.summary -> Pidset.t -> violation list
-val check_in4 : Trace.t -> Pidset.t -> violation list
+val check_in4 : Flow.summary -> Pidset.t -> violation list
 val check_in5 : Flow.summary -> Pidset.t -> Pidset.t -> violation list
 
 type verdict = { ok : bool; violations : violation list }
@@ -31,6 +31,13 @@ type verdict = { ok : bool; violations : violation list }
 val check : ?in3:bool -> Trace.t -> Pidset.t -> verdict
 (** Full IN-set check of a candidate set (IN3 as described above; pass
     [~in3:false] to skip the quadratic part). *)
+
+val check_flow : Flow.summary -> Pidset.t -> verdict
+(** IN0 ([inv] ⊆ Act), IN1, IN2, IN4 and IN5 from the fold alone, without
+    the trace: on a summary fed the events of [t], the same violations in
+    the same order as [check ~in3:false t inv]. Its cost is
+    O(n + accessed variables + violations), whatever the length of the
+    execution. *)
 
 val check_semi_regular : ?in3:bool -> Trace.t -> verdict
 (** Act(E) satisfies IN1-IN4 (the write phase's relaxation). *)

@@ -99,7 +99,6 @@ let replay_events (cfg : Config.t) (events : Event.t array) : result =
 
 (* [erase cfg trace erased] = replay of [trace^{-erased}]. *)
 let erase (cfg : Config.t) (t : Trace.t) (erased : Pidset.t) : result =
-  let keep (e : Event.t) = not (Pidset.mem e.Event.pid erased) in
-  replay_events cfg (Array.of_list (List.filter keep (Array.to_list (Trace.events t))))
+  replay_events cfg (Trace.events (Trace.erase_pids t erased))
 
 let erase_ok r = r.mismatches = [] && r.value_divergences = 0

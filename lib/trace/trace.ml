@@ -30,23 +30,24 @@ let iter f t = Array.iter f t.events
 let iteri f t = Array.iteri f t.events
 let fold f acc t = Array.fold_left f acc t.events
 
+(* The events satisfying [keep], in one pass over the array. *)
+let filter keep t =
+  let kept = Array.make (Array.length t.events) Event.dummy and k = ref 0 in
+  Array.iter
+    (fun e ->
+      if keep e then begin
+        kept.(!k) <- e;
+        incr k
+      end)
+    t.events;
+  { t with events = Array.sub kept 0 !k }
+
 (* [E^{-Y}]: remove every event by a process in [erased]. *)
 let erase_pids t erased =
-  { t with
-    events =
-      Array.of_list
-        (List.filter
-           (fun (e : Event.t) -> not (Pidset.mem e.Event.pid erased))
-           (Array.to_list t.events)) }
+  filter (fun (e : Event.t) -> not (Pidset.mem e.Event.pid erased)) t
 
 (* [E | Y]: keep only events by processes in [kept]. *)
-let project t kept =
-  { t with
-    events =
-      Array.of_list
-        (List.filter
-           (fun (e : Event.t) -> Pidset.mem e.Event.pid kept)
-           (Array.to_list t.events)) }
+let project t kept = filter (fun (e : Event.t) -> Pidset.mem e.Event.pid kept) t
 
 let project_pid t p = project t (Pidset.singleton p)
 

@@ -132,6 +132,35 @@ let audit_case fam n =
         "no audit failures" []
         (Adversary.Construction.audit_failures c))
 
+(* The per-step audit's output, pinned: for the no-regularization ablation
+   (E10) the number of entries, the MD5 of the entries joined with "\n" and
+   the first entry; for the full run, the empty list. The values are those
+   of a from-scratch [Inset.check ~in3:false] on each boundary's trace. The
+   ablated adaptive-tree, fastpath and tournament runs erase processes
+   between step boundaries, so they also cover the audit restarting its
+   fold on the replayed machine. *)
+let pinned_audit_case fam n ~entries ~md5 ~first =
+  Alcotest.test_case
+    (Printf.sprintf "%s: pinned audit output (n=%d)" fam.Lock_intf.family_name
+       n)
+    `Quick
+    (fun () ->
+      let audit ~no_regularization =
+        let lock = fam.Lock_intf.instantiate ~n in
+        let c =
+          Adversary.Construction.create ~audit:true ~no_regularization lock ~n
+        in
+        ignore (Adversary.Construction.run ~min_act:1 c);
+        Adversary.Construction.audit_failures c
+      in
+      let ablated = audit ~no_regularization:true in
+      Alcotest.(check int) "ablated: entries" entries (List.length ablated);
+      Alcotest.(check string) "ablated: md5" md5
+        (Digest.to_hex (Digest.string (String.concat "\n" ablated)));
+      Alcotest.(check string) "ablated: first entry" first (List.hd ablated);
+      Alcotest.(check (list string)) "full run" []
+        (audit ~no_regularization:false))
+
 (* Per-step structure: fences of the active survivors grow by one per
    induction step against the adaptive target. *)
 let test_fence_growth_per_step () =
@@ -264,6 +293,31 @@ let suite =
     audit_case Tournament.family 8;
     audit_case Fastpath.family 8;
     audit_case Ticket.family 8;
+    pinned_audit_case Adaptive_list.family 48 ~entries:49
+      ~md5:"894d269f1f0bc8edd86251010584198c"
+      ~first:
+        "H_1: IN5: v96 accessed by >1 active processes but last written by \
+         invisible p47";
+    pinned_audit_case Cascade.family 64 ~entries:70
+      ~md5:"9e31d4e626a1087dca384f30f510fa7a"
+      ~first:
+        "H_1: IN5: v0 accessed by >1 active processes but last written by \
+         invisible p63";
+    pinned_audit_case Adaptive_tree.family 32 ~entries:38
+      ~md5:"9ce1ec90a8d440011d4a2e8402d1d78d"
+      ~first:
+        "H_1: IN5: v0 accessed by >1 active processes but last written by \
+         invisible p31";
+    pinned_audit_case Fastpath.family 32 ~entries:35
+      ~md5:"ded7f8d77e2028f1dc5ef94c47146bcd"
+      ~first:
+        "H_1: IN5: v33 accessed by >1 active processes but last written by \
+         invisible p31";
+    pinned_audit_case Tournament.family 32 ~entries:1
+      ~md5:"0103501b0ddcd5329203aab2da90c847"
+      ~first:
+        "H_5: IN5: v65 accessed by >1 active processes but last written by \
+         invisible p16";
     Alcotest.test_case "fence growth per step" `Quick
       test_fence_growth_per_step;
     Alcotest.test_case "witness trace sound (incl. IN3)" `Quick

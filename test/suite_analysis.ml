@@ -243,6 +243,107 @@ let prop_private_vars_inset =
       let t = Trace.of_machine m in
       (Analysis.Inset.check_regular t).Analysis.Inset.ok)
 
+(* IN4 read off the trace directly: every remote access to a variable owned
+   by a process in Act(E), in trace order. *)
+let in4_by_scan t =
+  let act = Trace.active t and layout = Trace.layout t in
+  List.filter_map
+    (fun (e : Event.t) ->
+      match Event.accessed_var e with
+      | Some v when Layout.is_remote layout e.Event.pid v -> (
+          match Layout.owner layout v with
+          | Some q when Pidset.mem q act ->
+              Some
+                (Printf.sprintf
+                   "event #%d by p%d remotely accesses %s owned by active p%d"
+                   e.Event.seq e.Event.pid (Layout.name layout v) q)
+          | _ -> None)
+      | _ -> None)
+    (Array.to_list (Trace.events t))
+
+(* Property: the fold fed a partial execution in random chunks gives, after
+   every chunk, what a from-scratch fold of that prefix gives: the same
+   IN0/IN1/IN2/IN4/IN5 violations in the same order for a random candidate
+   set, and the same criticality flags. Its Act(E) and IN4 also match the
+   trace read directly. Processes stop mid-passage (step cap) and may start
+   a second passage. Each property must fire somewhere in the run, or the
+   comparison could hold vacuously. *)
+let test_resumed_fold_is_batch_fold () =
+  let fams =
+    Locks.[ Mcs.family; Clh.family; Bakery.family; Adaptive_list.family;
+            Tournament.family ]
+  in
+  let fired = Hashtbl.create 8 in
+  let gen =
+    QCheck.(
+      make
+        ~print:(fun (f, n, dsm, seed) ->
+          Printf.sprintf "%s n=%d %s seed=%d"
+            (List.nth fams f).Locks.Lock_intf.family_name n
+            (if dsm then "dsm" else "cc-wb") seed)
+        Gen.(
+          quad (int_bound (List.length fams - 1)) (int_range 3 5) bool
+            (int_bound 1_000_000)))
+  in
+  let prop (f, n, dsm, seed) =
+    let model = if dsm then Config.Dsm else Config.Cc_wb in
+    let lock = (List.nth fams f).Locks.Lock_intf.instantiate ~n in
+    let max_passages = if lock.Locks.Lock_intf.one_time then 1 else 2 in
+    let m =
+      Machine.create
+        (Locks.Harness.config_of_lock ~model ~max_passages lock ~n)
+    in
+    let rng = Random.State.make [| seed |] in
+    ignore
+      (Sched.random ~seed ~max_steps:(20 + Random.State.int rng 300) m);
+    let t = Trace.of_machine m in
+    let events = Trace.events t in
+    let s = Analysis.Flow.create (Trace.layout t) in
+    let rec chunks from =
+      from >= Array.length events
+      ||
+      let upto =
+        min (Array.length events) (from + 1 + Random.State.int rng 25)
+      in
+      Array.iter (Analysis.Flow.feed s) (Array.sub events from (upto - from));
+      let prefix = Trace.of_events (Trace.layout t) (Array.sub events 0 upto) in
+      let inv =
+        Pidset.of_list
+          (List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id))
+      in
+      let want = Analysis.Inset.check ~in3:false prefix inv in
+      List.iter
+        (fun v ->
+          let p = v.Analysis.Inset.property in
+          Hashtbl.replace fired p
+            (1 + Option.value ~default:0 (Hashtbl.find_opt fired p)))
+        want.Analysis.Inset.violations;
+      let got = (Analysis.Inset.check_flow s inv).Analysis.Inset.violations in
+      got = want.Analysis.Inset.violations
+      && Pidset.equal (Analysis.Flow.active s) (Trace.active prefix)
+      && List.filter_map
+           (fun v ->
+             if v.Analysis.Inset.property = "IN4" then
+               Some v.Analysis.Inset.detail
+             else None)
+           got
+         = in4_by_scan prefix
+      && Vec.to_list s.Analysis.Flow.critical
+         = Vec.to_list (Analysis.Flow.analyze prefix).Analysis.Flow.critical
+      && chunks upto
+    in
+    chunks 0
+  in
+  (* a fixed seed keeps the firing counts below reproducible *)
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 2015 |])
+    (QCheck.Test.make ~name:"resumed fold = batch fold" ~count:150 gen prop);
+  List.iter
+    (fun p ->
+      let k = Option.value ~default:0 (Hashtbl.find_opt fired p) in
+      Alcotest.(check bool) (Printf.sprintf "%s fired (%d times)" p k) true
+        (k > 0))
+    [ "IN0"; "IN1"; "IN2"; "IN4"; "IN5" ]
+
 let suite =
   [
     Alcotest.test_case "flow matches machine" `Quick test_flow_matches_machine;
@@ -259,4 +360,6 @@ let suite =
     Alcotest.test_case "ordered clauses a/b" `Quick test_ordered_clauses;
     Alcotest.test_case "ordered clause c" `Quick test_ordered_clause_c;
     QCheck_alcotest.to_alcotest prop_private_vars_inset;
+    Alcotest.test_case "resumed fold = batch fold on every prefix" `Quick
+      test_resumed_fold_is_batch_fold;
   ]

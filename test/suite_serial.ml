@@ -56,9 +56,8 @@ let test_loaded_trace_analyzable () =
   let s = Analysis.Flow.analyze tr and s' = Analysis.Flow.analyze tr' in
   let disagreements =
     List.filteri
-      (fun i _ ->
-        s.Analysis.Flow.critical.(i) <> s'.Analysis.Flow.critical.(i))
-      (Array.to_list s.Analysis.Flow.critical)
+      (fun i c -> c <> Vec.get s'.Analysis.Flow.critical i)
+      (Vec.to_list s.Analysis.Flow.critical)
   in
   Alcotest.(check int) "criticality identical" 0 (List.length disagreements)
 
