@@ -38,7 +38,6 @@ end
 
 module Obs = struct
   module Json = Obs.Json
-  module Histogram = Obs.Histogram
   module Event = Obs.Event
   module Sink = Obs.Sink
   module Telemetry = Obs.Telemetry

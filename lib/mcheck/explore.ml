@@ -492,7 +492,6 @@ type seen_store =
    steal — instead of recursing. *)
 type ctx = {
   seen : seen_store;
-  dedup : bool;
   por : bool;
   codec : Footprint.codec;
   sleepable : bool;  (* por && codec.encodable *)
@@ -551,7 +550,7 @@ type ctx = {
 
 let make_ctx ?seen ?pool ?on_fingerprint ?(max_crashes = 0) ?(max_aborts = 0)
     ?stop ?deadline ?(obs = Obs.Telemetry.null) ?(paranoid = false) ?est
-    ?profile ~dedup ~por ~codec ~on_spin ~max_nodes ~max_violations () =
+    ?profile ~por ~codec ~on_spin ~max_nodes ~max_violations () =
   let seen =
     match seen with Some s -> s | None -> Seen_tbl (Seenmap.create ())
   in
@@ -561,7 +560,7 @@ let make_ctx ?seen ?pool ?on_fingerprint ?(max_crashes = 0) ?(max_aborts = 0)
       Array.init codec.Footprint.total_bits (Footprint.decode codec)
     else [||]
   in
-  { seen; dedup; por; codec;
+  { seen; por; codec;
     sleepable; decoded; fp_a = Footprint.make_scratch ();
     fp_b = Footprint.make_scratch (); paranoid; on_fingerprint;
     on_spin; pool; max_violations; max_crashes; max_aborts; stop; deadline;
@@ -865,60 +864,58 @@ let admit_pruned = min_int
    per-edge admission allocates nothing (masks are always >= 0). *)
 
 let seen_admit ctx fp z =
-  if not ctx.dedup then z
-  else
-    match ctx.seen with
-    | Seen_tbl tbl ->
-        let i = Seenmap.lookup tbl fp in
-        if Seenmap.key tbl i < 0 then begin
-          Seenmap.insert tbl i fp z;
-          z
+  match ctx.seen with
+  | Seen_tbl tbl ->
+      let i = Seenmap.lookup tbl fp in
+      if Seenmap.key tbl i < 0 then begin
+        Seenmap.insert tbl i fp z;
+        z
+      end
+      else begin
+        let z' = Seenmap.value tbl i in
+        if z' land lnot z = 0 then begin
+          ctx.c_dedup <- ctx.c_dedup + 1;
+          admit_pruned
         end
         else begin
-          let z' = Seenmap.value tbl i in
-          if z' land lnot z = 0 then begin
+          ctx.c_resleeps <- ctx.c_resleeps + 1;
+          Seenmap.set_value tbl i (z' land z);
+          let full = Footprint.full_mask ctx.codec in
+          (z lor lnot z') land full
+        end
+      end
+  | Seen_shared st ->
+      if not (Fpstore.masks st) then (
+        (* Bitstate keeps one seen-bit per state, no mask: the FIRST
+           visit decides coverage forever, so it must cover the full
+           move set — admit with an empty sleep mask, sacrificing the
+           sleep-set reduction at this subtree root. A revisit then
+           prunes soundly up to hash aliasing, which is exactly what
+           omission_prob accounts for; admitting under a nonempty
+           sleep would instead lose slept interleavings with no
+           accounting at all. *)
+        match Fpstore.visit st ~fp ~cover:(-1) with
+        | Fpstore.New -> 0
+        | Fpstore.Covered | Fpstore.Partial _ ->
+            ctx.c_dedup <- ctx.c_dedup + 1;
+            admit_pruned)
+      else (
+        (* max_int, not -1: the store masks covers to their 63-bit
+           magnitude, so an already-positive all-moves cover keeps the
+           [fresh = cover] comparisons below exact *)
+        let cover =
+          if ctx.sleepable then lnot z land Footprint.full_mask ctx.codec
+          else max_int
+        in
+        match Fpstore.visit st ~fp ~cover with
+        | Fpstore.New -> z
+        | Fpstore.Covered ->
             ctx.c_dedup <- ctx.c_dedup + 1;
             admit_pruned
-          end
-          else begin
-            ctx.c_resleeps <- ctx.c_resleeps + 1;
-            Seenmap.set_value tbl i (z' land z);
-            let full = Footprint.full_mask ctx.codec in
-            (z lor lnot z') land full
-          end
-        end
-    | Seen_shared st ->
-        if not (Fpstore.masks st) then (
-          (* Bitstate keeps one seen-bit per state, no mask: the FIRST
-             visit decides coverage forever, so it must cover the full
-             move set — admit with an empty sleep mask, sacrificing the
-             sleep-set reduction at this subtree root. A revisit then
-             prunes soundly up to hash aliasing, which is exactly what
-             omission_prob accounts for; admitting under a nonempty
-             sleep would instead lose slept interleavings with no
-             accounting at all. *)
-          match Fpstore.visit st ~fp ~cover:(-1) with
-          | Fpstore.New -> 0
-          | Fpstore.Covered | Fpstore.Partial _ ->
-              ctx.c_dedup <- ctx.c_dedup + 1;
-              admit_pruned)
-        else (
-          (* max_int, not -1: the store masks covers to their 63-bit
-             magnitude, so an already-positive all-moves cover keeps the
-             [fresh = cover] comparisons below exact *)
-          let cover =
-            if ctx.sleepable then lnot z land Footprint.full_mask ctx.codec
-            else max_int
-          in
-          match Fpstore.visit st ~fp ~cover with
-          | Fpstore.New -> z
-          | Fpstore.Covered ->
-              ctx.c_dedup <- ctx.c_dedup + 1;
-              admit_pruned
-          | Fpstore.Partial fresh ->
-              if fresh <> cover then ctx.c_resleeps <- ctx.c_resleeps + 1;
-              if ctx.sleepable then lnot fresh land Footprint.full_mask ctx.codec
-              else 0)
+        | Fpstore.Partial fresh ->
+            if fresh <> cover then ctx.c_resleeps <- ctx.c_resleeps + 1;
+            if ctx.sleepable then lnot fresh land Footprint.full_mask ctx.codec
+            else 0)
 
 (* --- the DFS engine ---------------------------------------------------- *)
 
@@ -1164,14 +1161,14 @@ and visit_child_journal ctx m schedule depth z =
   else est_leaf ctx
 
 (* Root machine for a search. Search machines run lean
-   ({!Machine.set_lean}): no search consumer reads the RMR / awareness /
-   cache / contention accounting (violations are re-executed by [replay]
-   on a fresh, fully-accounting machine), and freezing it roughly halves
-   the per-step journal volume. Verdicts, node counts and fingerprints
-   are unchanged — see the soundness note on [Machine.set_lean]. *)
+   ({!Machine.set_lean}), which the journal requires: no search consumer
+   reads the RMR / awareness / cache / contention accounting (violations
+   are re-executed by [replay] on a fresh, fully-accounting machine).
+   Verdicts, node counts and fingerprints are unchanged — see the
+   soundness note on [Machine.set_lean]. *)
 let search_machine cfg =
   let m = Machine.create cfg in
-  if not cfg.Config.record_trace then Machine.set_lean m true;
+  Machine.set_lean m true;
   m
 
 (* Run one start state to completion, folding the machine's journal
@@ -1263,7 +1260,7 @@ let delegate_period_mask = 63
    exiting guarantees every parked item is processed by someone; the
    [busy] count (workers currently holding work) lets idle thieves
    distinguish "momentarily empty" from "globally done". *)
-let shared_worker ~paranoid ~store ~pool ~deques ~busy ~d ~dedup ~por
+let shared_worker ~paranoid ~store ~pool ~deques ~busy ~d ~por
     ~codec ~on_spin ~max_violations ~max_crashes ~max_aborts ~stop ~deadline
     ~est_cfg ~profile_shard () =
   (* each domain owns an independent estimator (distinct seed — the
@@ -1277,7 +1274,7 @@ let shared_worker ~paranoid ~store ~pool ~deques ~busy ~d ~dedup ~por
   in
   let ctx =
     make_ctx ~seen:(Seen_shared store) ~pool ~max_crashes ~max_aborts ?stop
-      ?deadline ~paranoid ~dedup ~por ~codec ~on_spin ~max_nodes:0
+      ?deadline ~paranoid ~por ~codec ~on_spin ~max_nodes:0
       ~max_violations ?est ?profile:profile_shard ()
   in
   let own = deques.(d) in
@@ -1375,7 +1372,7 @@ let shared_worker ~paranoid ~store ~pool ~deques ~busy ~d ~dedup ~por
     o_stopped = ctx.stopped; o_tagged = List.rev !tagged;
     o_stats = stats_of_ctx ctx; o_t0 = t0; o_t1 = t1 }
 
-let explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
+let explore_parallel ~domains ~max_nodes ~max_violations ~por ~codec
     ~on_spin ~max_crashes ~max_aborts ~stop ~deadline ~obs ~paranoid
     ~estimator ~profile cfg =
   (* the BFS seed expands on the coordinator with the same DFS loop as
@@ -1393,7 +1390,7 @@ let explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
   in
   let ctx =
     make_ctx ~seen:(Seen_shared store) ~max_crashes ~max_aborts ?stop
-      ?deadline ~obs ~paranoid ~dedup ~por ~codec ~on_spin ~max_nodes
+      ?deadline ~obs ~paranoid ~por ~codec ~on_spin ~max_nodes
       ~max_violations ?profile ()
   in
   let bfs_t0 = Obs.Telemetry.now_us obs in
@@ -1444,7 +1441,7 @@ let explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
         Array.init k (fun d ->
             Domain.spawn
               (shared_worker ~paranoid ~store ~pool ~deques ~busy ~d
-                 ~dedup ~por ~codec ~on_spin ~max_violations ~max_crashes
+                 ~por ~codec ~on_spin ~max_violations ~max_crashes
                  ~max_aborts ~stop ~deadline ~est_cfg:estimator
                  ~profile_shard:shards.(d)))
       in
@@ -1565,7 +1562,7 @@ let explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
 
 (* --- public entry points ---------------------------------------------- *)
 
-(* [dedup] prunes states with identical fingerprints. The fingerprint
+(* The search prunes states with identical fingerprints. The fingerprint
    covers shared memory, every buffer, section / passage counts,
    cache-relevant pending state and a structural hash of each continuation
    (which includes spin fuel counters), all folded into one 63-bit FNV-1a
@@ -1579,11 +1576,11 @@ let explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
    choice points — while [`Violation] reports it (livelock hunting). *)
 (* [spin_fuel] temporarily lowers [Prog.default_spin_fuel] so algorithm
    busy-waits stay shallow during exploration. *)
-let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(dedup = true)
-    ?(on_spin = `Prune) ?(spin_fuel = 6) ?(record_trace = false)
-    ?(domains = 1) ?(por = true) ?(max_crashes = 0) ?(max_aborts = 0) ?stop
-    ?max_millis ?on_fingerprint ?(obs = Obs.Telemetry.null)
-    ?(paranoid_fp = false) ?estimator ?profile (cfg : Config.t) : result =
+let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(on_spin = `Prune)
+    ?(spin_fuel = 6) ?(domains = 1) ?(por = true) ?(max_crashes = 0)
+    ?(max_aborts = 0) ?stop ?max_millis ?on_fingerprint
+    ?(obs = Obs.Telemetry.null) ?(paranoid_fp = false) ?estimator ?profile
+    (cfg : Config.t) : result =
   if domains < 1 then invalid_arg "Explore.explore: domains must be >= 1";
   if domains > 1 && Option.is_some on_fingerprint then
     invalid_arg "Explore.explore: on_fingerprint requires domains = 1";
@@ -1614,7 +1611,8 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(dedup = true)
       (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.))
       max_millis
   in
-  let cfg = { cfg with Config.record_trace } in
+  (* search machines are lean, and lean machines record no trace *)
+  let cfg = { cfg with Config.record_trace = false } in
   let saved_fuel = !Prog.default_spin_fuel in
   Prog.default_spin_fuel := spin_fuel;
   Fun.protect ~finally:(fun () -> Prog.default_spin_fuel := saved_fuel)
@@ -1663,7 +1661,7 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(dedup = true)
   in
   if domains > 1 then
     finish
-      (explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por
+      (explore_parallel ~domains ~max_nodes ~max_violations ~por
          ~codec ~on_spin ~max_crashes ~max_aborts ~stop ~deadline ~obs
          ~paranoid:paranoid_fp ~estimator ~profile cfg)
   else begin
@@ -1681,7 +1679,7 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(dedup = true)
     in
     let ctx =
       make_ctx ~seen ?on_fingerprint ~max_crashes ~max_aborts ?stop ?deadline
-        ~obs ~paranoid:paranoid_fp ~dedup ~por ~codec ~on_spin ~max_nodes
+        ~obs ~paranoid:paranoid_fp ~por ~codec ~on_spin ~max_nodes
         ~max_violations ?est ?profile ()
     in
     let t0 = Obs.Telemetry.now_us obs in
@@ -1712,11 +1710,6 @@ type replay_outcome =
 
 let replay (cfg : Config.t) (schedule : move list) =
   let m = Machine.create cfg in
-  (* Replays run with the journal on: the same apply path (with
-     journaling and incremental fingerprints live) drives trace-producing
-     replays, so the Chrome-trace fixtures double as a byte-level check
-     that journaling is invisible to execution. *)
-  Machine.Journal.enable m;
   (* Validate pids up front: a schedule referencing a process the machine
      does not have is a malformed input (wrong lock, wrong -n, truncated
      file), not a property of this configuration — report it as such
@@ -1751,9 +1744,3 @@ let replay (cfg : Config.t) (schedule : move list) =
       in
       let outcome = go 0 schedule in
       (m, outcome)
-
-(* Replay a violating schedule on a fresh machine, for display. Uses the
-   caller's configuration unchanged (trace recording on by default), so
-   the replayed machine's trace is renderable. *)
-let replay_schedule (cfg : Config.t) (schedule : move list) =
-  fst (replay cfg schedule)

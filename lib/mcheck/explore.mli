@@ -20,9 +20,11 @@
     Reported violations are always sound: their schedules replay on a
     fresh machine.
 
-    Machines are explored with {!Config.t.record_trace} off by default,
-    making {!Machine.clone} O(state) instead of O(depth + state); pass
-    [~record_trace:true] to cross-check against trace-recording runs.
+    Search machines are lean ({!Machine.set_lean}) and journaled
+    ({!Machine.Journal}), with {!Config.t.record_trace} forced off, which
+    also makes {!Machine.clone} O(state) instead of O(depth + state).
+    {!replay} re-executes a schedule on a fresh machine with the
+    caller's configuration and full accounting.
 
     {2 Partial-order reduction}
 
@@ -252,10 +254,8 @@ val default_profile_every : int
 val explore :
   ?max_nodes:int ->
   ?max_violations:int ->
-  ?dedup:bool ->
   ?on_spin:[ `Prune | `Violation ] ->
   ?spin_fuel:int ->
-  ?record_trace:bool ->
   ?domains:int ->
   ?por:bool ->
   ?max_crashes:int ->
@@ -269,11 +269,12 @@ val explore :
   ?profile:Obs.Profile.t ->
   Config.t ->
   result
-(** Defaults: 500k nodes, stop at the first violation, dedup on, spin
-    exhaustion prunes the branch (sound for exclusion checking: spin
-    re-reads do not change shared state), busy-wait fuel 6, trace
-    recording off, one domain, partial-order reduction on, no crash
-    faults, no wall-clock bound.
+(** Defaults: 500k nodes, stop at the first violation, spin exhaustion
+    prunes the branch (sound for exclusion checking: spin re-reads do
+    not change shared state), busy-wait fuel 6, one domain,
+    partial-order reduction on, no crash faults, no wall-clock bound.
+    The configuration's [record_trace] is ignored: the search runs with
+    it off.
 
     [~max_crashes:k] lets the adversary inject up to [k] crash faults
     across the whole run ({!Machine.crash}, per the configuration's
@@ -309,9 +310,8 @@ val explore :
     [~on_fingerprint] is called with the fingerprint of every successor
     state visited (duplicates included) — a test hook for checking that
     the reduced exploration's state set is contained in the full one.
-    Only meaningful with [~dedup:true]. {b Restriction:} the hook is a
-    single closure that cannot be invoked from concurrent domains, so it
-    requires [domains = 1].
+    {b Restriction:} the hook is a single closure that cannot be invoked
+    from concurrent domains, so it requires [domains = 1].
     @raise Invalid_argument if [~on_fingerprint] is combined with
     [domains > 1] (and for [domains < 1] or [max_crashes < 0]).
 
@@ -413,11 +413,8 @@ type replay_outcome =
       (** 0-based index of the first inapplicable move, and why *)
 
 val replay : Config.t -> move list -> Machine.t * replay_outcome
-(** Re-execute a schedule on a fresh machine (configuration unchanged, so
-    with [record_trace] on the trace is renderable), reporting how far it
-    got. The machine reflects the state reached when the outcome was
-    decided ([R_bad_pid] is decided before any move runs, so the machine
-    is still initial). *)
-
-val replay_schedule : Config.t -> move list -> Machine.t
-(** [fst (replay cfg schedule)] — kept for callers that only display. *)
+(** Re-execute a schedule on a fresh, unjournaled machine with full
+    accounting (configuration unchanged, so with [record_trace] on the
+    trace is renderable), reporting how far it got. The machine reflects
+    the state reached when the outcome was decided ([R_bad_pid] is
+    decided before any move runs, so the machine is still initial). *)

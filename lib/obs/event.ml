@@ -10,7 +10,6 @@ type payload =
   | Span_begin of string * (string * Json.t) list
   | Span_end of string
   | Instant of string * (string * Json.t) list
-  | Hist of string * Histogram.t
 
 type t = { ts_us : int; pid : int; tid : int; payload : payload }
 
@@ -20,8 +19,7 @@ let name t =
   | Gauge (n, _)
   | Span_begin (n, _)
   | Span_end n
-  | Instant (n, _)
-  | Hist (n, _) ->
+  | Instant (n, _) ->
       n
 
 let to_json (e : t) : Json.t =
@@ -42,7 +40,6 @@ let to_json (e : t) : Json.t =
   | Span_begin (n, args) -> base "span_begin" n [ ("args", Json.Obj args) ]
   | Span_end n -> base "span_end" n []
   | Instant (n, args) -> base "instant" n [ ("args", Json.Obj args) ]
-  | Hist (n, h) -> base "hist" n [ ("hist", Histogram.to_json h) ]
 
 let of_json (j : Json.t) : (t, string) result =
   let ( let* ) = Result.bind in
@@ -83,12 +80,6 @@ let of_json (j : Json.t) : (t, string) result =
     | "instant" ->
         let* args = args_field () in
         Ok (Instant (nm, args))
-    | "hist" -> (
-        match Json.member "hist" j with
-        | Some h ->
-            let* h = Histogram.of_json h in
-            Ok (Hist (nm, h))
-        | None -> Error "event: hist without histogram")
     | other -> Error (Printf.sprintf "event: unknown type %S" other)
   in
   Ok { ts_us; pid; tid; payload }

@@ -13,7 +13,6 @@ type payload =
   | Span_begin of string * (string * Json.t) list
   | Span_end of string
   | Instant of string * (string * Json.t) list
-  | Hist of string * Histogram.t  (** histogram snapshot *)
 
 type t = { ts_us : int; pid : int; tid : int; payload : payload }
 

@@ -40,8 +40,6 @@ let console ?(oc = stderr) () =
   let open_spans : (int * int, (string * int) list) Hashtbl.t =
     Hashtbl.create 8
   in
-  let hists : (string, Histogram.t) Hashtbl.t = Hashtbl.create 8 in
-  let hist_order = ref [] in
   let remember order name tbl =
     if not (Hashtbl.mem tbl name) then order := name :: !order
   in
@@ -72,9 +70,6 @@ let console ?(oc = stderr) () =
             Hashtbl.replace spans n (c + 1, tot + dur, max mx dur)
         | _ -> () (* unmatched end: drop *))
     | Event.Instant _ -> ()
-    | Event.Hist (n, h) ->
-        remember hist_order n hists;
-        Hashtbl.replace hists n h
   in
   let close () =
     let pr fmt = Printf.fprintf oc fmt in
@@ -93,14 +88,6 @@ let console ?(oc = stderr) () =
             (float_of_int tot /. 1000.)
             (float_of_int mx /. 1000.))
         (List.rev !span_order)
-    end;
-    if Hashtbl.length hists > 0 then begin
-      pr "-- telemetry: histograms --\n";
-      List.iter
-        (fun n ->
-          let h = Hashtbl.find hists n in
-          pr "  %-40s %s\n" n (Format.asprintf "%a" Histogram.pp h))
-        (List.rev !hist_order)
     end;
     Stdlib.flush oc
   in
@@ -229,19 +216,6 @@ let chrome_trace oc =
         put
           (chrome_event ~name:n ~cat:"instant" ~ph:"i" ~ts ~pid ~tid
              [ ("s", Json.String "t"); ("args", Json.Obj args) ])
-    | Event.Hist (n, h) ->
-        put
-          (chrome_event ~name:n ~cat:"hist" ~ph:"C" ~ts ~pid ~tid
-             [
-               ( "args",
-                 Json.Obj
-                   [
-                     ("p50", Json.Int (Histogram.quantile h 0.5));
-                     ("p90", Json.Int (Histogram.quantile h 0.9));
-                     ("p99", Json.Int (Histogram.quantile h 0.99));
-                     ("max", Json.Int (Histogram.max_value h));
-                   ] );
-             ])
   in
   let close () =
     (* balance any spans left open so the file loads cleanly *)

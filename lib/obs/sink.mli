@@ -24,9 +24,9 @@ val ndjson : out_channel -> t
     {!Event.to_ndjson_line}. *)
 
 val console : ?oc:out_channel -> unit -> t
-(** Pretty reporter: accumulates final counter values, span durations
-    (by name: count / total / max) and histogram snapshots, and prints a
-    table on [close]. Default channel: [stderr], so it composes with
+(** Pretty reporter: accumulates final counter values and span
+    durations (by name: count / total / max), and prints a table on
+    [close]. Default channel: [stderr], so it composes with
     commands that print results on stdout. *)
 
 val progress : ?oc:out_channel -> ?tty:bool -> unit -> t
@@ -55,7 +55,7 @@ val chrome_event :
 val chrome_trace : out_channel -> t
 (** Chrome trace-event exporter ([chrome://tracing] / Perfetto "JSON
     array" format). Spans become ["B"]/["E"] duration events, counters
-    and gauges ["C"] counter tracks, instants ["i"], histograms a ["C"]
-    track of quantile series. The file is written incrementally — one
-    trace event per line inside the array — and terminated on [close]
-    (unbalanced span begins are closed at the last seen timestamp). *)
+    and gauges ["C"] counter tracks, instants ["i"]. The file is
+    written incrementally — one trace event per line inside the array —
+    and terminated on [close] (unbalanced span begins are closed at the
+    last seen timestamp). *)

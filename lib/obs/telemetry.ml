@@ -67,9 +67,6 @@ let gauge ?(tid = 0) t name v = emit t ~tid (Event.Gauge (name, v))
 let instant ?(tid = 0) ?(args = []) t name =
   emit t ~tid (Event.Instant (name, args))
 
-let hist ?(tid = 0) t name h =
-  if t.sinks <> [] then emit t ~tid (Event.Hist (name, Histogram.copy h))
-
 let span ?(tid = 0) ?(args = []) t name f =
   if t.sinks = [] then f ()
   else begin

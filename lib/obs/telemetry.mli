@@ -1,5 +1,5 @@
-(** The telemetry hub: named monotonic counters, histograms and spans,
-    fanned out to attached {!Sink}s.
+(** The telemetry hub: named monotonic counters, gauges, instants and
+    spans, fanned out to attached {!Sink}s.
 
     Overhead contract (DESIGN.md §5d): instrumented hot paths keep their
     raw tallies in plain mutable ints/records and only talk to a hub at
@@ -54,7 +54,6 @@ val flush_counters : ?tid:int -> t -> unit
 
 val gauge : ?tid:int -> t -> string -> float -> unit
 val instant : ?tid:int -> ?args:(string * Json.t) list -> t -> string -> unit
-val hist : ?tid:int -> t -> string -> Histogram.t -> unit
 
 val span : ?tid:int -> ?args:(string * Json.t) list -> t -> string
   -> (unit -> 'a) -> 'a

@@ -49,30 +49,6 @@ let equal a b =
   && Array.length a.lines = Array.length b.lines
   && Array.for_all2 Bytes.equal a.lines b.lines
 
-(* Column snapshots for the mutation journal: the CC protocols mutate the
-   line states of a single variable across every process (invalidate /
-   downgrade), so undo records capture that one column. With at most 31
-   processes the column packs into one immediate int (2 bits per line);
-   beyond that a string snapshot is used. *)
-let pack_max_procs = 31
-
-let col_packed t v =
-  let w = ref 0 in
-  Array.iteri
-    (fun p line -> w := !w lor (Char.code (Bytes.get line v) lsl (2 * p)))
-    t.lines;
-  !w
-
-let restore_col_packed t v w =
-  Array.iteri
-    (fun p line -> Bytes.set line v (Char.chr ((w lsr (2 * p)) land 3)))
-    t.lines
-
-let col t v = String.init (Array.length t.lines) (fun p -> Bytes.get t.lines.(p) v)
-
-let restore_col t v s =
-  Array.iteri (fun p line -> Bytes.set line v s.[p]) t.lines
-
 let holders t v =
   let out = ref [] in
   Array.iteri

@@ -24,24 +24,6 @@ val downgrade_exclusive : t -> Var.t -> unit
 val copy : t -> t
 val equal : t -> t -> bool
 
-(** Column snapshots for the mutation journal: the CC protocols mutate the
-    line states of one variable across every process, so undo records
-    capture that column. *)
-
-val pack_max_procs : int
-(** Largest process count for which a column fits one immediate int. *)
-
-val col_packed : t -> Var.t -> int
-(** Pack variable [v]'s column (2 bits per process); requires
-    [n <= pack_max_procs]. *)
-
-val restore_col_packed : t -> Var.t -> int -> unit
-
-val col : t -> Var.t -> string
-(** String snapshot of [v]'s column (any process count). *)
-
-val restore_col : t -> Var.t -> string -> unit
-
 val holders : t -> Var.t -> (Pid.t * state) list
 (** Non-invalid holders of the line, with their states. *)
 

@@ -10,11 +10,11 @@
      first, then one header word [tag lor (aux lsl 4)] per record, so
      rollback pops the header and then the operands in reverse push
      order without any decoding state;
-   - pointer-sized operands that cannot live in an int (pid sets,
-     program continuations, buffer entries, cache columns) go to small
-     typed side stacks. Pushing an existing pointer allocates nothing,
-     and each record pops exactly what it pushed, so side-stack lengths
-     never need journaling themselves.
+   - pointer-sized operands that cannot live in an int (program
+     continuations and buffer entries) go to small typed side stacks.
+     Pushing an existing pointer allocates nothing, and each record pops
+     exactly what it pushed, so side-stack lengths never need journaling
+     themselves.
 
    The container is generic bookkeeping: record tags and their
    encode/decode live with the machine (machine.ml), which is the only
@@ -23,11 +23,9 @@
 type t = {
   mutable ints : int array;
   mutable len : int;
-  psets : Ids.Pidset.t Vec.t;
   conts : unit Prog.t Vec.t;
   entries : Wbuf.entry Vec.t;
   entry_arrays : Wbuf.entry array Vec.t;
-  cols : string Vec.t;
 }
 
 let dummy_entry =
@@ -39,11 +37,9 @@ let create () =
        replay machines) never journal *)
     ints = Array.make 8 0;
     len = 0;
-    psets = Vec.create Ids.Pidset.empty;
     conts = Vec.create Prog.unit;
     entries = Vec.create dummy_entry;
     entry_arrays = Vec.create [||];
-    cols = Vec.create "";
   }
 
 let length t = t.len
@@ -53,11 +49,9 @@ let clear t =
   (* long searches can leave a big backing array behind; release it the
      same way Vec's shrink policy does *)
   if Array.length t.ints > 65536 then t.ints <- Array.make 8 0;
-  Vec.clear t.psets;
   Vec.clear t.conts;
   Vec.clear t.entries;
-  Vec.clear t.entry_arrays;
-  Vec.clear t.cols
+  Vec.clear t.entry_arrays
 
 let[@inline never] grow t need =
   let cap = Array.length t.ints in
@@ -67,7 +61,7 @@ let[@inline never] grow t need =
   t.ints <- a
 
 (* [reserve t n] then [n] [push_unsafe]s lets a multi-word record pay the
-   capacity check once (the per-step head record is 18 words). *)
+   capacity check once (the per-step head record is 11 words). *)
 let[@inline] reserve t n = if t.len + n > Array.length t.ints then grow t (t.len + n)
 
 let[@inline] push_unsafe t x =
@@ -83,13 +77,9 @@ let[@inline] pop t =
   t.len <- i;
   t.ints.(i)
 
-let push_set t s = Vec.push t.psets s
-let pop_set t = Vec.pop t.psets
 let push_cont t c = Vec.push t.conts c
 let pop_cont t = Vec.pop t.conts
 let push_entry t e = Vec.push t.entries e
 let pop_entry t = Vec.pop t.entries
 let push_entries t es = Vec.push t.entry_arrays es
 let pop_entries t = Vec.pop t.entry_arrays
-let push_col t s = Vec.push t.cols s
-let pop_col t = Vec.pop t.cols

@@ -1,6 +1,6 @@
 (** Flat mutation journal: an unboxed [int array] log plus typed side
-    stacks for pointer-sized operands (pid sets, continuations, buffer
-    entries, cache columns).
+    stacks for pointer-sized operands (continuations and buffer
+    entries).
 
     The machine (machine.ml) is the only writer; record tags and their
     encode/decode live there. The push discipline is: operands first,
@@ -27,13 +27,9 @@ val push_unsafe : t -> int -> unit
 val push : t -> int -> unit
 val pop : t -> int
 
-val push_set : t -> Ids.Pidset.t -> unit
-val pop_set : t -> Ids.Pidset.t
 val push_cont : t -> unit Prog.t -> unit
 val pop_cont : t -> unit Prog.t
 val push_entry : t -> Wbuf.entry -> unit
 val pop_entry : t -> Wbuf.entry
 val push_entries : t -> Wbuf.entry array -> unit
 val pop_entries : t -> Wbuf.entry array
-val push_col : t -> string -> unit
-val pop_col : t -> string

@@ -82,37 +82,24 @@ type proc = {
    partial mutations before an exception). The header word packs
    [tag lor (aux lsl 4)] where [aux] is the record's pid or variable.
 
-   [t_head] is the per-mutator head snapshot: every public mutator
-   ([step] / [commit] / [commit_var] / [crash]) opens with a full
-   snapshot of the stepping process's scalar fields plus the machine
-   scalars — a single event only touches a handful, but one 18-word
-   flat record is cheaper than tagged records per field and keeps the
-   undo path trivially exact. Aggregate state (write buffer, remote-read
-   table, passage log) is journaled per-operation instead. *)
+   Only lean machines journal ([Journal.enable]): their accounting state
+   is frozen, so no record covers it. Every public mutator opens with a
+   head snapshot of the stepping process's scalars plus the machine
+   scalars — one flat record is cheaper than tagged records per field;
+   memory cells and write buffers are journaled per operation. *)
 let t_head = 0
-let t_mem = 1  (* aux=v; int: old value *)
-let t_writer = 2  (* aux=v; int: old writer (-1 none); set: old writer_aw *)
-let t_accessed = 3  (* aux=v; set: old accessed *)
-let t_cache_packed = 4  (* aux=v; int: old cache column word *)
-let t_cache_col = 5  (* aux=v; col: old cache column (wide machines) *)
-let t_remote_read = 6  (* aux=p; int: v — first remote read, undo removes *)
-let t_buf_set = 7  (* aux=p; int: i; entry: old — issue replaced a write *)
-let t_buf_drop_last = 8  (* aux=p — issue appended a write *)
-let t_buf_insert = 9  (* aux=p; int: i; entry — commit popped this entry *)
-let t_buf_restore = 10  (* aux=p; entries — crash cleared the buffer *)
-let t_contention = 11  (* aux=p; int: old point_max; set: old interval_set *)
-let t_trace_pop = 12  (* emit pushed a trace event (record_trace only) *)
-let t_passage_pop = 13  (* aux=p — do_exit pushed a passage-log entry *)
+(* passage / crash / abort counts, fp, fp_proc, the four machine
+   counters and the flag word: 11 words *)
 
-let t_head_lean = 14
-(* lean-mode head: the accounting state (awareness, interval/point
-   contention, RMR / fence / critical counters) is frozen while [lean]
-   is set, so the snapshot omits it — about half the words of [t_head] *)
+let t_head_mini = 1
+(* head for events that cannot touch those counters (reads, issues,
+   commits, fences, RMWs): fp, fp_proc and the flag word only *)
 
-let t_head_mini = 15
-(* lean-mode head for events that cannot touch the passage / crash /
-   CS-entry / activity counters (reads, issues, commits, fences, RMWs):
-   fp, fp_proc and the flag word only *)
+let t_mem = 2  (* aux=v; int: old value *)
+let t_buf_set = 3  (* aux=p; int: i; entry: old — issue replaced a write *)
+let t_buf_drop_last = 4  (* aux=p — issue appended a write *)
+let t_buf_insert = 5  (* aux=p; int: i; entry — commit popped this entry *)
+let t_buf_restore = 6  (* aux=p; entries — crash cleared the buffer *)
 
 type t = {
   cfg : Config.t;
@@ -139,7 +126,7 @@ type t = {
          [Event.dummy] *)
   (* journal / incremental-fingerprint state (see module Journal) *)
   flog : Flatstate.t;
-  mutable journaling : bool;
+  mutable journaling : bool;  (* implies [lean] *)
   fp_proc : int array;  (* per-process fingerprint terms (XOR fold) *)
   mutable fp : int;  (* incrementally-maintained state fingerprint *)
   mutable j_peak : int;  (* high-water journal depth *)
@@ -287,16 +274,17 @@ let clone m =
    criticality, the RMR / fence / critical counters, contention tracking
    and the passage log. None of that state enters the fingerprint, the
    footprints or the verdict checks, so verdicts, node counts and
-   fingerprints are bit-identical with the flag on or off — but a step
-   sheds roughly half its journal volume and all of its per-event side
-   structure maintenance. Lean machines also emit quietly ([Event.dummy]);
+   fingerprints are bit-identical with the flag on or off — and no
+   undo record ever has to cover that state, which is why journaling
+   requires the flag. Lean machines also emit quietly ([Event.dummy]);
    they cannot record traces. *)
 let set_lean m b =
   if b && m.cfg.Config.record_trace then
     invalid_arg "Machine.set_lean: incompatible with record_trace";
+  if (not b) && m.journaling then
+    invalid_arg "Machine.set_lean: a journaling machine must stay lean";
   m.lean <- b
 
-let lean m = m.lean
 let config m = m.cfg
 let trace m = m.trace
 let cache m = m.cache
@@ -622,68 +610,34 @@ let[@inline] flags_of (pr : proc) =
    machine-global scalars, including the fingerprint state, so undo can
    restore them wholesale. Operands first, header last; the decoder in
    [undo_to] mirrors this order exactly. The continuation goes to the
-   cont side-log. *)
+   cont side-log. Steps that cannot touch the passage / crash / CS-entry
+   / activity counters — a process in Entry/Exiting with an uncompleted
+   program, or inside a fence — get the 4-word mini head. *)
 let j_head ?(force_full = false) m (pr : proc) =
-  if m.journaling then
-    if m.lean then begin
-      (* aw / interval_set / point_max / RMR / fence / critical counters
-         are frozen in lean mode — the snapshot omits them. Steps that
-         cannot touch the passage / crash / CS-entry / activity counters
-         — reads, issues, commits, fence begin/end, RMWs: everything
-         except enter, CS, exit, crash and recovery, i.e. a process in
-         Entry/Exiting with an uncompleted program, or inside a fence —
-         get the 4-word mini head ([t_head_mini]); the rest snapshot the
-         counters too ([t_head_lean]). *)
-      let f = m.flog in
-      Flatstate.push_cont f pr.cont;
-      let mini =
-        (not force_full)
-        && (pr.in_fence
-           ||
-           match pr.sec with
-           | Entry | Exiting | Aborting -> (
-               match pr.cont with
-               | Prog.Return () -> false
-               | Prog.Bind _ -> true)
-           | Ncs | Crashed | Finished -> false)
-      in
-      if mini then begin
-        Flatstate.reserve f 4;
-        Flatstate.push_unsafe f m.fp;
-        Flatstate.push_unsafe f m.fp_proc.(pr.pid);
-        Flatstate.push_unsafe f (flags_of pr);
-        Flatstate.push_unsafe f (t_head_mini lor (pr.pid lsl 4))
-      end
-      else begin
-        Flatstate.reserve f 11;
-        Flatstate.push_unsafe f pr.passages;
-        Flatstate.push_unsafe f pr.crashes;
-        Flatstate.push_unsafe f pr.aborts;
-        Flatstate.push_unsafe f m.fp;
-        Flatstate.push_unsafe f m.fp_proc.(pr.pid);
-        Flatstate.push_unsafe f m.cs_entries;
-        Flatstate.push_unsafe f m.active_count;
-        Flatstate.push_unsafe f m.crash_count;
-        Flatstate.push_unsafe f m.abort_count;
-        Flatstate.push_unsafe f (flags_of pr);
-        Flatstate.push_unsafe f (t_head_lean lor (pr.pid lsl 4))
-      end;
-      jdone m
+  if m.journaling then begin
+    let f = m.flog in
+    Flatstate.push_cont f pr.cont;
+    let mini =
+      (not force_full)
+      && (pr.in_fence
+         ||
+         match pr.sec with
+         | Entry | Exiting | Aborting -> (
+             match pr.cont with
+             | Prog.Return () -> false
+             | Prog.Bind _ -> true)
+         | Ncs | Crashed | Finished -> false)
+    in
+    if mini then begin
+      Flatstate.reserve f 4;
+      Flatstate.push_unsafe f m.fp;
+      Flatstate.push_unsafe f m.fp_proc.(pr.pid);
+      Flatstate.push_unsafe f (flags_of pr);
+      Flatstate.push_unsafe f (t_head_mini lor (pr.pid lsl 4))
     end
     else begin
-      let f = m.flog in
-      Flatstate.push_cont f pr.cont;
-      Flatstate.push_set f pr.aw;
-      Flatstate.push_set f pr.interval_set;
-      Flatstate.reserve f 18;
+      Flatstate.reserve f 11;
       Flatstate.push_unsafe f pr.passages;
-      Flatstate.push_unsafe f pr.rmrs;
-      Flatstate.push_unsafe f pr.fences;
-      Flatstate.push_unsafe f pr.criticals;
-      Flatstate.push_unsafe f pr.cur_rmrs;
-      Flatstate.push_unsafe f pr.cur_fences;
-      Flatstate.push_unsafe f pr.cur_criticals;
-      Flatstate.push_unsafe f pr.point_max;
       Flatstate.push_unsafe f pr.crashes;
       Flatstate.push_unsafe f pr.aborts;
       Flatstate.push_unsafe f m.fp;
@@ -693,9 +647,10 @@ let j_head ?(force_full = false) m (pr : proc) =
       Flatstate.push_unsafe f m.crash_count;
       Flatstate.push_unsafe f m.abort_count;
       Flatstate.push_unsafe f (flags_of pr);
-      Flatstate.push_unsafe f (t_head lor (pr.pid lsl 4));
-      jdone m
-    end
+      Flatstate.push_unsafe f (t_head lor (pr.pid lsl 4))
+    end;
+    jdone m
+  end
 
 (* Tail of every public mutator: fold the stepping process's refreshed
    fingerprint term into fp (memory deltas were applied inline). *)
@@ -718,33 +673,13 @@ let[@inline] set_mem m v x =
   end;
   m.mem.(v) <- x
 
-let[@inline] j_writer m v =
-  if m.journaling then begin
-    let f = m.flog in
-    Flatstate.push_set f m.writer_aw.(v);
-    Flatstate.reserve f 2;
-    Flatstate.push_unsafe f
-      (match m.writer.(v) with None -> -1 | Some p -> p);
-    Flatstate.push_unsafe f (t_writer lor (v lsl 4));
-    jdone m
-  end
-
-(* The CC protocols mutate one variable's cache column (invalidate /
-   downgrade across every process); DSM never touches the cache. *)
-let j_cache m v =
-  if m.journaling && m.cfg.Config.model <> Config.Dsm then begin
-    let f = m.flog in
-    if m.cfg.Config.n <= Cache.pack_max_procs then begin
-      Flatstate.reserve f 2;
-      Flatstate.push_unsafe f (Cache.col_packed m.cache v);
-      Flatstate.push_unsafe f (t_cache_packed lor (v lsl 4))
-    end
-    else begin
-      Flatstate.push_col f (Cache.col m.cache v);
-      Flatstate.push f (t_cache_col lor (v lsl 4))
-    end;
-    jdone m
-  end
+let[@inline] restore_flags (pr : proc) flags =
+  pr.sec <- sec_of_code (flags land 7);
+  pr.in_fence <- flags land 8 <> 0;
+  pr.fence_implicit <- flags land 16 <> 0;
+  pr.rmw_fenced <- flags land 32 <> 0;
+  pr.needs_recovery <- flags land 64 <> 0;
+  pr.abortable <- flags land 128 <> 0
 
 (* Pop one record (header word, then operands in reverse push order) and
    restore the exact old values. *)
@@ -763,43 +698,9 @@ let undo_record m =
     m.fp <- Flatstate.pop f;
     pr.aborts <- Flatstate.pop f;
     pr.crashes <- Flatstate.pop f;
-    pr.point_max <- Flatstate.pop f;
-    pr.cur_criticals <- Flatstate.pop f;
-    pr.cur_fences <- Flatstate.pop f;
-    pr.cur_rmrs <- Flatstate.pop f;
-    pr.criticals <- Flatstate.pop f;
-    pr.fences <- Flatstate.pop f;
-    pr.rmrs <- Flatstate.pop f;
-    pr.passages <- Flatstate.pop f;
-    pr.interval_set <- Flatstate.pop_set f;
-    pr.aw <- Flatstate.pop_set f;
-    pr.cont <- Flatstate.pop_cont f;
-    pr.sec <- sec_of_code (flags land 7);
-    pr.in_fence <- flags land 8 <> 0;
-    pr.fence_implicit <- flags land 16 <> 0;
-    pr.rmw_fenced <- flags land 32 <> 0;
-    pr.needs_recovery <- flags land 64 <> 0;
-    pr.abortable <- flags land 128 <> 0
-  end
-  else if tag = t_head_lean then begin
-    let pr = m.procs.(aux) in
-    let flags = Flatstate.pop f in
-    m.abort_count <- Flatstate.pop f;
-    m.crash_count <- Flatstate.pop f;
-    m.active_count <- Flatstate.pop f;
-    m.cs_entries <- Flatstate.pop f;
-    m.fp_proc.(aux) <- Flatstate.pop f;
-    m.fp <- Flatstate.pop f;
-    pr.aborts <- Flatstate.pop f;
-    pr.crashes <- Flatstate.pop f;
     pr.passages <- Flatstate.pop f;
     pr.cont <- Flatstate.pop_cont f;
-    pr.sec <- sec_of_code (flags land 7);
-    pr.in_fence <- flags land 8 <> 0;
-    pr.fence_implicit <- flags land 16 <> 0;
-    pr.rmw_fenced <- flags land 32 <> 0;
-    pr.needs_recovery <- flags land 64 <> 0;
-    pr.abortable <- flags land 128 <> 0
+    restore_flags pr flags
   end
   else if tag = t_head_mini then begin
     let pr = m.procs.(aux) in
@@ -807,26 +708,9 @@ let undo_record m =
     m.fp_proc.(aux) <- Flatstate.pop f;
     m.fp <- Flatstate.pop f;
     pr.cont <- Flatstate.pop_cont f;
-    pr.sec <- sec_of_code (flags land 7);
-    pr.in_fence <- flags land 8 <> 0;
-    pr.fence_implicit <- flags land 16 <> 0;
-    pr.rmw_fenced <- flags land 32 <> 0;
-    pr.needs_recovery <- flags land 64 <> 0;
-    pr.abortable <- flags land 128 <> 0
+    restore_flags pr flags
   end
   else if tag = t_mem then m.mem.(aux) <- Flatstate.pop f
-  else if tag = t_writer then begin
-    let w = Flatstate.pop f in
-    m.writer.(aux) <- (if w < 0 then None else Some w);
-    m.writer_aw.(aux) <- Flatstate.pop_set f
-  end
-  else if tag = t_accessed then m.accessed.(aux) <- Flatstate.pop_set f
-  else if tag = t_cache_packed then
-    Cache.restore_col_packed m.cache aux (Flatstate.pop f)
-  else if tag = t_cache_col then
-    Cache.restore_col m.cache aux (Flatstate.pop_col f)
-  else if tag = t_remote_read then
-    Hashtbl.remove m.procs.(aux).remote_reads (Flatstate.pop f)
   else if tag = t_buf_set then begin
     let i = Flatstate.pop f in
     Wbuf.set m.procs.(aux).buf i (Flatstate.pop_entry f)
@@ -840,13 +724,6 @@ let undo_record m =
     let buf = m.procs.(aux).buf in
     Array.iteri (fun i e -> Wbuf.insert buf i e) (Flatstate.pop_entries f)
   end
-  else if tag = t_contention then begin
-    let pr = m.procs.(aux) in
-    pr.point_max <- Flatstate.pop f;
-    pr.interval_set <- Flatstate.pop_set f
-  end
-  else if tag = t_trace_pop then ignore (Vec.pop m.trace)
-  else if tag = t_passage_pop then ignore (Vec.pop m.procs.(aux).passage_log)
   else invalid_arg "Machine.undo: corrupt journal record"
 
 let undo_to m mark =
@@ -869,13 +746,7 @@ let emit m pr kind ~remote ~rmr ~critical =
     { Event.seq = Vec.length m.trace; pid = pr.pid; kind; remote; rmr;
       critical }
   in
-  if m.cfg.Config.record_trace then begin
-    Vec.push m.trace e;
-    if m.journaling then begin
-      Flatstate.push m.flog t_trace_pop;
-      jdone m
-    end
-  end;
+  if m.cfg.Config.record_trace then Vec.push m.trace e;
   if rmr then begin
     pr.rmrs <- pr.rmrs + 1;
     pr.cur_rmrs <- pr.cur_rmrs + 1
@@ -903,28 +774,13 @@ let absorb_awareness m pr v =
       pr.aw <- Pidset.add q (Pidset.union pr.aw m.writer_aw.(v))
 
 let note_access m pr v =
-  if m.journaling then begin
-    Flatstate.push_set m.flog m.accessed.(v);
-    Flatstate.push m.flog (t_accessed lor (v lsl 4));
-    jdone m
-  end;
   m.accessed.(v) <- Pidset.add pr.pid m.accessed.(v)
 
 (* A remote read is critical iff it is the process's first remote read of
-   that variable (Definition 2). Only first insertions are journaled:
-   replacing an existing binding is a no-op. *)
-let read_criticality m pr v ~remote =
+   that variable (Definition 2). *)
+let read_criticality pr v ~remote =
   let critical = remote && not (Hashtbl.mem pr.remote_reads v) in
-  if remote then begin
-    if critical && m.journaling then begin
-      let f = m.flog in
-      Flatstate.reserve f 2;
-      Flatstate.push_unsafe f v;
-      Flatstate.push_unsafe f (t_remote_read lor (pr.pid lsl 4));
-      jdone m
-    end;
-    Hashtbl.replace pr.remote_reads v ()
-  end;
+  if remote then Hashtbl.replace pr.remote_reads v ();
   critical
 
 (* --- executing events ------------------------------------------------ *)
@@ -933,10 +789,8 @@ let commit_entry_full m pr (entry : Wbuf.entry) =
   let v = entry.Wbuf.var in
   let remote = is_remote m pr.pid v in
   let critical = remote && m.writer.(v) <> Some pr.pid in
-  j_cache m v;
   let rmr = Memmodel.write_rmr m.cfg.model m.cache pr.pid v ~remote in
   set_mem m v entry.Wbuf.value;
-  j_writer m v;
   m.writer.(v) <- Some pr.pid;
   m.writer_aw.(v) <- entry.Wbuf.aw;
   note_access m pr v;
@@ -1021,9 +875,8 @@ let do_read m pr v k =
       Event.dummy
   | None ->
       let remote = is_remote m pr.pid v in
-      j_cache m v;
       let rmr, src = Memmodel.read_rmr m.cfg.model m.cache pr.pid v ~remote in
-      let critical = read_criticality m pr v ~remote in
+      let critical = read_criticality pr v ~remote in
       absorb_awareness m pr v;
       note_access m pr v;
       let x = m.mem.(v) in
@@ -1074,13 +927,12 @@ let do_begin_fence m pr ~implicit =
    [do_rmw] of the interpreter-only machine allocated three closures per
    RMW step. *)
 let rmw_criticality m pr v ~remote ~writes =
-  let read_crit = read_criticality m pr v ~remote in
+  let read_crit = read_criticality pr v ~remote in
   let write_crit = writes && remote && m.writer.(v) <> Some pr.pid in
   read_crit || write_crit
 
 let[@inline] rmw_install m (pr : proc) v x =
   set_mem m v x;
-  j_writer m v;
   m.writer.(v) <- Some pr.pid;
   m.writer_aw.(v) <- pr.aw
 
@@ -1089,7 +941,6 @@ let do_cas_full m pr v expected desired (k : bool -> unit Prog.t) =
   let observed = m.mem.(v) in
   let success = Value.equal observed expected in
   let critical = rmw_criticality m pr v ~remote ~writes:success in
-  j_cache m v;
   let rmr = Memmodel.rmw_rmr m.cfg.model m.cache pr.pid v ~remote in
   absorb_awareness m pr v;
   note_access m pr v;
@@ -1118,7 +969,6 @@ let do_faa_full m pr v delta (k : Value.t -> unit Prog.t) =
   let remote = is_remote m pr.pid v in
   let observed = m.mem.(v) in
   let critical = rmw_criticality m pr v ~remote ~writes:true in
-  j_cache m v;
   let rmr = Memmodel.rmw_rmr m.cfg.model m.cache pr.pid v ~remote in
   absorb_awareness m pr v;
   note_access m pr v;
@@ -1146,7 +996,6 @@ let do_swap_full m pr v x (k : Value.t -> unit Prog.t) =
   let remote = is_remote m pr.pid v in
   let observed = m.mem.(v) in
   let critical = rmw_criticality m pr v ~remote ~writes:true in
-  j_cache m v;
   let rmr = Memmodel.rmw_rmr m.cfg.model m.cache pr.pid v ~remote in
   absorb_awareness m pr v;
   note_access m pr v;
@@ -1334,14 +1183,6 @@ let do_enter m pr =
     Array.iter
       (fun (q : proc) ->
         if is_active q && not (Pid.equal q.pid pr.pid) then begin
-          if m.journaling then begin
-            let f = m.flog in
-            Flatstate.push_set f q.interval_set;
-            Flatstate.reserve f 2;
-            Flatstate.push_unsafe f q.point_max;
-            Flatstate.push_unsafe f (t_contention lor (q.pid lsl 4));
-            jdone m
-          end;
           q.interval_set <- Pidset.add pr.pid q.interval_set;
           q.point_max <- max q.point_max m.active_count;
           pr.interval_set <- Pidset.add q.pid pr.interval_set
@@ -1367,17 +1208,12 @@ let do_cs m pr =
 
 let do_exit m pr =
   pr.passages <- pr.passages + 1;
-  if m.cfg.Config.record_trace then begin
+  if m.cfg.Config.record_trace then
     Vec.push pr.passage_log
       { p_rmrs = pr.cur_rmrs; p_fences = pr.cur_fences;
         p_criticals = pr.cur_criticals;
         p_interval = Pidset.cardinal pr.interval_set;
         p_point = pr.point_max };
-    if m.journaling then begin
-      Flatstate.push m.flog (t_passage_pop lor (pr.pid lsl 4));
-      jdone m
-    end
-  end;
   pr.sec <- (if pr.passages >= m.cfg.max_passages then Finished else Ncs);
   m.active_count <- m.active_count - 1;
   emit_k m pr Event.Exit
@@ -1565,6 +1401,8 @@ module Journal = struct
   type mark = int
 
   let enable m =
+    if not m.lean then
+      invalid_arg "Machine.Journal.enable: the machine is not lean";
     if not m.journaling then begin
       Flatstate.clear m.flog;
       m.journaling <- true;
@@ -1576,14 +1414,8 @@ module Journal = struct
       m.fp <- fingerprint m
     end
 
-  let disable m =
-    m.journaling <- false;
-    Flatstate.clear m.flog
-
-  let enabled m = m.journaling
   let mark m = Flatstate.length m.flog
   let undo_to m (mk : mark) = undo_to m mk
-  let depth m = Flatstate.length m.flog
   let peak m = m.j_peak
   let records m = m.j_records
 end

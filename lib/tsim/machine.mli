@@ -138,8 +138,9 @@ val clone : t -> t
     and shared). When the configuration has [record_trace = false], the
     trace and passage logs are empty and never written, so they are
     shared rather than copied: the clone costs O(state) instead of
-    O(depth + state). A clone never inherits an active journal
-    ({!Journal.enabled} is false on the copy). *)
+    O(depth + state). The clone keeps the {!set_lean} flag but never
+    inherits an active journal: call {!Journal.enable} on it to journal
+    it. *)
 
 val set_lean : t -> bool -> unit
 (** Lean exploration mode. While set, {!step} / {!commit} / {!crash}
@@ -149,14 +150,13 @@ val set_lean : t -> bool -> unit
     contention tracking and the passage log — none of which enters the
     fingerprint, the footprints or the verdict checks. Verdicts, node
     counts and fingerprints are identical with the flag on or off, but a
-    step sheds roughly half its journal volume and all of its side
-    structure maintenance. Lean machines emit {!Event.dummy} (quiet);
-    the accounting accessors ({!rmrs}, {!awareness}, contention, the
-    passage log) read as of the moment the flag was set. Clones inherit
-    the flag. @raise Invalid_argument if the configuration records
-    traces. *)
-
-val lean : t -> bool
+    step sheds all of its side structure maintenance, and no undo
+    record ever has to cover the frozen state: {!Journal.enable}
+    requires the flag. Lean machines emit {!Event.dummy} (quiet); the
+    accounting accessors ({!rmrs}, {!awareness}, contention, the passage
+    log) read as of the moment the flag was set. Clones inherit the
+    flag. @raise Invalid_argument if the flag is set on a configuration
+    that records traces, or cleared on a journaling machine. *)
 
 val equal : t -> t -> bool
 (** Structural equality of machine state: memory, writers, awareness,
@@ -342,37 +342,33 @@ val fingerprint_fast : t -> int
     {!fingerprint} — the [~paranoid_fp] explorer mode asserts this per
     node. *)
 
-(** Speculative execution support: with journaling enabled, every state
-    write performed by {!step} / {!commit} / {!commit_var} / {!crash}
-    pushes an undo record onto a reusable log, and {!Journal.undo_to}
-    rolls the machine back to a previously-taken mark exactly — including
-    after an exception escaped mid-event (e.g. {!Exclusion_violation}).
-    The in-place DFS engine expands children as step → recurse → undo on
-    a single machine instead of cloning per node. *)
+(** Speculative execution support for lean machines ({!set_lean}): with
+    journaling enabled, every state write performed by {!step} /
+    {!commit} / {!commit_var} / {!crash} / {!abort} pushes an undo
+    record onto a reusable log, and {!Journal.undo_to} rolls the machine
+    back to a previously-taken mark exactly — including after an
+    exception escaped mid-event (e.g. {!Exclusion_violation}). The
+    explorer expands children as step → recurse → undo on a single
+    machine instead of cloning per node. The records cover only what a
+    lean step writes — one head snapshot of the stepping process and
+    the machine counters, memory cells, and write-buffer edits — because
+    lean mode freezes all accounting state. *)
 module Journal : sig
   type mark
 
   val enable : t -> unit
   (** Start journaling on this machine (clears any stale log, initializes
-      the incremental fingerprint). Idempotent. *)
-
-  val disable : t -> unit
-  (** Stop journaling and drop the log. *)
-
-  val enabled : t -> bool
+      the incremental fingerprint). Idempotent.
+      @raise Invalid_argument unless the machine is lean ({!set_lean}). *)
 
   val mark : t -> mark
   (** The current log position; pass to {!undo_to} to roll back. O(1). *)
 
   val undo_to : t -> mark -> unit
   (** Pop and apply undo records down to [mark], restoring the machine —
-      state, trace, and fingerprint — to what it was when the mark was
+      state and fingerprint — to what it was when the mark was
       taken. @raise Invalid_argument if journaling is disabled or the
       mark is beyond the current log. *)
-
-  val depth : t -> int
-  (** Current log length (in log words since PR7's flat journal, not
-      records; still monotone within a step and exact for {!mark}). *)
 
   val peak : t -> int
   (** High-water log depth since {!enable}. *)

@@ -308,13 +308,13 @@ let prop_abort_reference =
 (* --- qcheck: step;undo over abort transitions ---------------------------- *)
 
 (* suite_journal's walk/undo law with Abort in the move alphabet: from
-   any reachable state, applying an enabled move (including Abort and
-   Crash) and rolling it back through the journal must restore the state
-   exactly, with both fingerprints agreeing. *)
+   any reachable state of a lean journaled machine, applying an enabled
+   move (including Abort and Crash) and rolling it back through the
+   journal must restore the state exactly, with both fingerprints
+   agreeing. *)
 let walk_restores cfg seed =
   let rng = Random.State.make [| seed |] in
-  let m = Machine.create cfg in
-  Machine.Journal.enable m;
+  let m = Suite_journal.journaled_machine cfg in
   let steps = ref 0 and continue = ref true in
   while !continue && !steps < 60 do
     incr steps;

@@ -1,25 +1,22 @@
 (* The mutation journal (Machine.Journal) and the in-place DFS engine.
 
-   Three layers of evidence that stepping-in-place is equivalent to
+   Two layers of evidence that stepping-in-place is equivalent to
    cloning:
 
-   - a random-walk property: from any reachable state, apply one enabled
-     move (including crash/recover and PSO out-of-order commits) and roll
-     it back through the journal — the machine must be structurally
+   - a random-walk property on lean machines, the only machines that
+     journal: from any reachable state, apply one enabled move
+     (including crash/recover and PSO out-of-order commits) and roll it
+     back through the journal — the machine must be structurally
      [Machine.equal] to a clone taken before the move, with the same
      fingerprint, and the incrementally-maintained fingerprint must agree
      with the full recompute at every visited state;
 
    - a differential check over the golden workloads against the
      clone-per-child reference explorer (reference.ml,
-     suite_reference.ml): with and without the reduction, sequential and
-     parallel, the same violation kinds, and without the reduction the
-     same state count and, via [~on_fingerprint], the same state set;
-
-   - byte-level invisibility: replaying the corpus fixture with trace
-     recording on, through the journaled replay and on a plain machine
-     with the journal off, produces the byte-identical Chrome export
-     pinned by test/corpus/peterson_unfenced_tso.trace.json. *)
+     suite_reference.ml), whose machines keep full accounting: with and
+     without the reduction, sequential and parallel, the same violation
+     kinds, and without the reduction the same state count and, via
+     [~on_fingerprint], the same state set. *)
 
 open Tsim
 open Tsim.Prog
@@ -78,6 +75,15 @@ let rtas ~crash_semantics () =
 
 (* --- random walk: step; undo_to restores the state exactly ------------- *)
 
+(* A machine as the explorer journals one: no trace, lean, journaled.
+   [Machine.equal] still compares the frozen accounting, so a lean step
+   that wrote it without an undo record fails the walk. *)
+let journaled_machine cfg =
+  let m = Machine.create { cfg with Config.record_trace = false } in
+  Machine.set_lean m true;
+  Machine.Journal.enable m;
+  m
+
 (* One walk: journal on, repeatedly pick a random enabled move; before
    applying it, snapshot (clone + full fingerprint + mark); apply (the
    move may raise Exclusion_violation / Spin_exhausted mid-mutation —
@@ -86,8 +92,7 @@ let rtas ~crash_semantics () =
    fingerprints agreeing; then re-apply the move to advance. *)
 let walk_restores cfg seed =
   let rng = Random.State.make [| seed |] in
-  let m = Machine.create cfg in
-  Machine.Journal.enable m;
+  let m = journaled_machine cfg in
   let steps = ref 0 in
   let continue = ref true in
   while !continue && !steps < 60 do
@@ -136,14 +141,28 @@ let walk_props =
       (rtas ~crash_semantics:Config.Flush_buffer ());
     prop_walk "walk/undo: rtas atomic-prefix"
       (rtas ~crash_semantics:Config.Atomic_prefix ());
-    prop_walk "walk/undo: peterson with trace recording"
-      { (peterson_unfenced ()) with Config.record_trace = true };
-    prop_walk "walk/undo: rtas atomic-prefix with trace recording"
-      {
-        (rtas ~crash_semantics:Config.Atomic_prefix ()) with
-        Config.record_trace = true;
-      };
   ]
+
+(* Journaling requires lean mode, and lean mode excludes trace
+   recording: the journal has no records for the accounting a full
+   machine writes. *)
+let test_preconditions () =
+  let full =
+    Machine.create { (peterson_unfenced ()) with Config.record_trace = false }
+  in
+  Alcotest.check_raises "journal on a non-lean machine"
+    (Invalid_argument "Machine.Journal.enable: the machine is not lean")
+    (fun () -> Machine.Journal.enable full);
+  let tracing =
+    Machine.create { (peterson_unfenced ()) with Config.record_trace = true }
+  in
+  Alcotest.check_raises "lean on a trace-recording machine"
+    (Invalid_argument "Machine.set_lean: incompatible with record_trace")
+    (fun () -> Machine.set_lean tracing true);
+  let m = journaled_machine (peterson_unfenced ()) in
+  Alcotest.check_raises "leaving lean mode while journaling"
+    (Invalid_argument "Machine.set_lean: a journaling machine must stay lean")
+    (fun () -> Machine.set_lean m false)
 
 (* --- the journal engine against the reference ------------------------- *)
 
@@ -192,42 +211,6 @@ let test_journal_stats () =
         (r.E.stats.E.journal_peak > 0))
     [ 1; 2 ]
 
-(* --- byte-identical Chrome export under the journal engine ------------- *)
-
-let test_chrome_byte_identical () =
-  let schedule =
-    match
-      E.load_schedule (Filename.concat "corpus" "peterson_unfenced_tso.sched")
-    with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "fixture schedule: %s" e
-  in
-  let export () =
-    let cfg = { (peterson_unfenced ()) with Config.record_trace = true } in
-    let m, outcome = E.replay cfg schedule in
-    (match outcome with
-    | E.R_exclusion _ -> ()
-    | _ -> Alcotest.fail "fixture replay should end in the exclusion");
-    Execution.Chrome.to_string (Execution.Trace.of_machine m)
-  in
-  let golden =
-    In_channel.with_open_bin
-      (Filename.concat "corpus" "peterson_unfenced_tso.trace.json")
-      In_channel.input_all
-  in
-  Alcotest.(check string) "journal replay matches the golden bytes" golden
-    (export ());
-  (* the same schedule stepped on a plain machine, journal off *)
-  let m =
-    Machine.create { (peterson_unfenced ()) with Config.record_trace = true }
-  in
-  (try
-     List.iter (E.apply m) schedule;
-     Alcotest.fail "plain run should end in the exclusion"
-   with Machine.Exclusion_violation _ -> ());
-  Alcotest.(check string) "plain run matches the golden bytes" golden
-    (Execution.Chrome.to_string (Execution.Trace.of_machine m))
-
 let suite =
   List.map QCheck_alcotest.to_alcotest walk_props
   @ [
@@ -241,6 +224,6 @@ let suite =
       Alcotest.test_case "paranoid fingerprint cross-check" `Quick
         test_paranoid;
       Alcotest.test_case "journal gauges in stats" `Quick test_journal_stats;
-      Alcotest.test_case "chrome export byte-identical across engines"
-        `Quick test_chrome_byte_identical;
+      Alcotest.test_case "journal requires lean, lean excludes traces"
+        `Quick test_preconditions;
     ]

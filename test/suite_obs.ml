@@ -1,5 +1,5 @@
-(* The telemetry layer (lib/obs) and its consumers: histogram laws,
-   NDJSON round-trips, the JSON codec, hub/sink plumbing, the Chrome
+(* The telemetry layer (lib/obs) and its consumers: NDJSON
+   round-trips, the JSON codec, hub/sink plumbing, the Chrome
    trace exporter (pinned by a golden file), the explorer's search
    stats + verdict contract, and the online/offline metrics
    cross-check (Machine counters vs Trace.Metrics.compute). *)
@@ -72,73 +72,6 @@ let test_json_parse_strict () =
        Obs.Json.(Obj [ ("k", String "v"); ("n", Obj []) ]));
     ]
 
-(* --- histogram laws ----------------------------------------------------- *)
-
-let hist_of_list vs =
-  let h = Obs.Histogram.create () in
-  List.iter (Obs.Histogram.add h) vs;
-  h
-
-let arb_values =
-  QCheck.make
-    ~print:(fun l -> String.concat "," (List.map string_of_int l))
-    QCheck.Gen.(list_size (int_bound 60) (int_bound 100_000))
-
-let prop_merge_commutes =
-  QCheck.Test.make ~count:300 ~name:"Histogram.merge commutes"
-    (QCheck.pair arb_values arb_values) (fun (a, b) ->
-      let ha = hist_of_list a and hb = hist_of_list b in
-      Obs.Histogram.equal
-        (Obs.Histogram.merge ha hb)
-        (Obs.Histogram.merge hb ha))
-
-let prop_merge_assoc =
-  QCheck.Test.make ~count:300 ~name:"Histogram.merge associates"
-    (QCheck.triple arb_values arb_values arb_values) (fun (a, b, c) ->
-      let ha = hist_of_list a
-      and hb = hist_of_list b
-      and hc = hist_of_list c in
-      Obs.Histogram.equal
-        (Obs.Histogram.merge (Obs.Histogram.merge ha hb) hc)
-        (Obs.Histogram.merge ha (Obs.Histogram.merge hb hc)))
-
-let prop_merge_identity =
-  QCheck.Test.make ~count:200 ~name:"empty histogram is a merge identity"
-    arb_values (fun a ->
-      let ha = hist_of_list a in
-      Obs.Histogram.equal ha
-        (Obs.Histogram.merge ha (Obs.Histogram.create ())))
-
-let prop_add_monotone =
-  QCheck.Test.make ~count:300 ~name:"add bumps count and sum"
-    (QCheck.pair arb_values (QCheck.int_range (-5) 100_000))
-    (fun (a, v) ->
-      let h = hist_of_list a in
-      let n0 = Obs.Histogram.count h and s0 = Obs.Histogram.sum h in
-      Obs.Histogram.add h v;
-      Obs.Histogram.count h = n0 + 1
-      && Obs.Histogram.sum h = s0 + max 0 v)
-
-let prop_quantile_monotone =
-  QCheck.Test.make ~count:300
-    ~name:"quantile is monotone and bounded by max"
-    (QCheck.triple arb_values (QCheck.float_bound_inclusive 1.)
-       (QCheck.float_bound_inclusive 1.))
-    (fun (a, q1, q2) ->
-      let h = hist_of_list a in
-      let lo = min q1 q2 and hi = max q1 q2 in
-      Obs.Histogram.quantile h lo <= Obs.Histogram.quantile h hi
-      && Obs.Histogram.quantile h hi <= Obs.Histogram.max_value h
-         + (if Obs.Histogram.count h = 0 then 0 else 0))
-
-let prop_hist_json_roundtrip =
-  QCheck.Test.make ~count:300 ~name:"Histogram json codec round-trips"
-    arb_values (fun a ->
-      let h = hist_of_list a in
-      match Obs.Histogram.of_json (Obs.Histogram.to_json h) with
-      | Ok h' -> Obs.Histogram.equal h h'
-      | Error e -> QCheck.Test.fail_reportf "of_json: %s" e)
-
 (* --- event NDJSON round-trip -------------------------------------------- *)
 
 let gen_args =
@@ -157,10 +90,6 @@ let gen_payload =
         gen_args;
       map (fun n -> Obs.Event.Span_end n) string_printable;
       map2 (fun n a -> Obs.Event.Instant (n, a)) string_printable gen_args;
-      map2
-        (fun n vs -> Obs.Event.Hist (n, hist_of_list vs))
-        string_printable
-        (list_size (int_bound 20) (int_bound 10_000));
     ]
 
 let gen_event =
@@ -178,8 +107,6 @@ let payload_equal a b =
   | Obs.Event.Instant (n, a), Obs.Event.Instant (n', a') ->
       n = n' && Obs.Json.equal (Obs.Json.Obj a) (Obs.Json.Obj a')
   | Obs.Event.Span_end n, Obs.Event.Span_end n' -> n = n'
-  | Obs.Event.Hist (n, h), Obs.Event.Hist (n', h') ->
-      n = n' && Obs.Histogram.equal h h'
   | _ -> false
 
 let event_equal (a : Obs.Event.t) (b : Obs.Event.t) =
@@ -249,8 +176,6 @@ let test_console_sink_smoke () =
   let c = Obs.Telemetry.counter t "n" in
   Obs.Telemetry.add c 3;
   Obs.Telemetry.span t "s" (fun () -> ());
-  let h = hist_of_list [ 1; 2; 3 ] in
-  Obs.Telemetry.hist t "h" h;
   Obs.Telemetry.close t;
   close_out oc
 
@@ -600,12 +525,6 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     Alcotest.test_case "JSON parser is strict" `Quick test_json_parse_strict;
-    QCheck_alcotest.to_alcotest prop_merge_commutes;
-    QCheck_alcotest.to_alcotest prop_merge_assoc;
-    QCheck_alcotest.to_alcotest prop_merge_identity;
-    QCheck_alcotest.to_alcotest prop_add_monotone;
-    QCheck_alcotest.to_alcotest prop_quantile_monotone;
-    QCheck_alcotest.to_alcotest prop_hist_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_event_roundtrip;
     Alcotest.test_case "hub plumbing / manual clock" `Quick
       test_hub_plumbing;
