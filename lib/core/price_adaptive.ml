@@ -18,7 +18,6 @@ module Tsim = struct
   module Layout = Tsim.Layout
   module Event = Tsim.Event
   module Wbuf = Tsim.Wbuf
-  module Cache = Tsim.Cache
   module Memmodel = Tsim.Memmodel
   module Config = Tsim.Config
   module Machine = Tsim.Machine

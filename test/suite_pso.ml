@@ -203,21 +203,6 @@ let test_pso_fence_tax () =
     true
     (safe >= plain + 3)
 
-(* Cache coherence invariant: after arbitrary random runs, no variable has
-   an Exclusive holder alongside any other copy. *)
-let prop_cache_coherence =
-  QCheck.Test.make ~name:"cache coherence invariant" ~count:60
-    QCheck.(triple (int_bound 100_000) (int_bound 9) bool)
-    (fun (seed, which, wb) ->
-      let fam =
-        List.nth Locks.Zoo.all (which mod List.length Locks.Zoo.all)
-      in
-      let model = if wb then Config.Cc_wb else Config.Cc_wt in
-      let lock = fam.Locks.Lock_intf.instantiate ~n:4 in
-      let m = Locks.Harness.machine_of_lock ~model lock ~n:4 in
-      ignore (Sched.random ~seed ~max_steps:5_000 m);
-      Cache.coherence_ok (Machine.cache m))
-
 (* Store atomicity (IRIW): commits publish to a single shared memory, so
    two readers can never observe two independent writes in opposite
    orders — under either TSO or PSO in this model (multi-copy
@@ -281,7 +266,6 @@ let suite =
       test_zoo_correct_under_pso;
     QCheck_alcotest.to_alcotest prop_pso_commit_order_irrelevant_distinct_vars;
     QCheck_alcotest.to_alcotest prop_pso_safe_zoo;
-    QCheck_alcotest.to_alcotest prop_cache_coherence;
     Alcotest.test_case "TSO/PSO separation: tournament" `Quick
       test_pso_separation_tournament;
     Alcotest.test_case "TSO/PSO separation: bakery variants" `Quick
