@@ -107,22 +107,24 @@ let abortable_spin_until ?fuel v cond = abortably (spin_until ?fuel v cond)
    on failure, wait politely by re-reading [v] — the backoff knob, an
    exponentially growing number of local cache re-reads — and retry.
    The wait is the abortable window: acquiring code that loses the race
-   can be aborted while backing off, never mid-attempt. Fuel bounds the
-   number of attempts exactly like [spin_until] bounds reads. *)
+   can be aborted while backing off, never mid-attempt — the window closes
+   before the next attempt starts. Fuel bounds the number of attempts
+   exactly like [spin_until] bounds reads. *)
 let retry_backoff ?fuel ?(delay = 1) v attempt =
   let fuel = match fuel with Some f -> f | None -> !default_spin_fuel in
+  let rec wait k =
+    if k <= 0 then unit
+    else
+      let* _ = read v in
+      wait (k - 1)
+  in
   let rec go n delay =
     let* ok = attempt in
     if ok then unit
     else if n <= 1 then raise (Spin_exhausted v)
     else
-      let rec wait k =
-        if k <= 0 then go (n - 1) (2 * delay)
-        else
-          let* _ = read v in
-          wait (k - 1)
-      in
-      abortably (wait delay)
+      let* () = abortably (wait delay) in
+      go (n - 1) (2 * delay)
   in
   go fuel delay
 

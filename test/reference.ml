@@ -23,9 +23,10 @@ type result = {
 
 (* Same defaults as [Explore.explore]: the spin fuel bounds every
    busy-wait, and spin exhaustion prunes the branch unless [on_spin] is
-   [`Violation]. *)
+   [`Violation]. [on_state] sees every reached state once, root
+   included, before it is expanded. *)
 let explore ?(max_crashes = 0) ?(max_aborts = 0) ?(on_spin = `Prune)
-    ?(spin_fuel = 6) (cfg : Config.t) =
+    ?(spin_fuel = 6) ?(on_state = ignore) (cfg : Config.t) =
   let states = Hashtbl.create 4096 in
   let kinds = ref [] in
   let found k = if not (List.mem k !kinds) then kinds := k :: !kinds in
@@ -33,6 +34,7 @@ let explore ?(max_crashes = 0) ?(max_aborts = 0) ?(on_spin = `Prune)
     let fp = Machine.fingerprint m in
     if not (Hashtbl.mem states fp) then begin
       Hashtbl.add states fp ();
+      on_state m;
       match Mcheck.Explore.enabled_moves ~max_crashes ~max_aborts m with
       | [] ->
           let unfinished = ref false in

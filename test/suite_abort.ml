@@ -183,6 +183,36 @@ let test_buggy_cleanup_refuted () =
       | E.R_exclusion _ -> ()
       | _ -> Alcotest.fail "replay did not reproduce the exclusion")
 
+(* Aborts land in waits, never on an atomic step: in no reachable state
+   of the abortable locks (n=2, one abort) does a process have an abort
+   deliverable while its pending event is a CAS, FAA or swap, or the
+   drain fence of one. The reference explorer walks every state. *)
+let test_no_abort_mid_rmw () =
+  List.iter
+    (fun (name, cfg) ->
+      let exposed = ref 0 in
+      let on_state m =
+        for p = 0 to Machine.n_procs m - 1 do
+          if Machine.abort_deliverable m p then
+            match Machine.pending m p with
+            | Machine.P_cas _ | Machine.P_faa _ | Machine.P_swap _
+            | Machine.P_rmw_fence ->
+                incr exposed
+            | (Machine.P_commit _ | Machine.P_end_fence)
+              when (Machine.proc m p).Machine.fence_implicit ->
+                incr exposed
+            | _ -> ()
+        done
+      in
+      ignore (Reference.explore ~max_aborts:1 ~on_state (cfg ~n:2));
+      Alcotest.(check int) (name ^ ": abortable (state, pid) pairs mid-RMW")
+        0 !exposed)
+    [
+      ("abortable-tas", atas_cfg);
+      ("abortable-tas-buggy", buggy_cfg);
+      ("abortable-queue", aqueue_cfg);
+    ]
+
 (* --- abort × crash composition against the reference ---------------------- *)
 
 let atas_crashy_cfg () =
@@ -193,9 +223,9 @@ let atas_crashy_cfg () =
 (* Both fault budgets at once: exclusion still holds (crashes may land
    inside abort cleanup sections), both fault kinds are exercised, and
    the explorer agrees with the reference explorer: without the
-   reduction it reaches exactly the reference's 29,442 states at 1, 2
+   reduction it reaches exactly the reference's 26,720 states at 1, 2
    and 4 domains. *)
-let composition_states = 29_442
+let composition_states = 26_720
 
 let test_abort_crash_composition () =
   Suite_reference.check "vs reference" ~max_crashes:1 ~max_aborts:1
@@ -437,6 +467,8 @@ let suite =
       test_abortable_locks_safe;
     Alcotest.test_case "buggy cleanup refuted under one abort" `Quick
       test_buggy_cleanup_refuted;
+    Alcotest.test_case "no abort deliverable while an RMW is pending" `Quick
+      test_no_abort_mid_rmw;
     Alcotest.test_case "abort x crash composition agrees across engines"
       `Quick test_abort_crash_composition;
     Alcotest.test_case "stop flag yields the typed partial verdict" `Quick
