@@ -75,21 +75,7 @@ let mentioned_var e =
   | Abort | Abort_done ->
       None
 
-let is_transition e =
-  match e.kind with
-  | Enter | Cs | Exit | Crash _ | Recover | Abort | Abort_done -> true
-  | _ -> false
-
-let is_fence_event e =
-  match e.kind with Begin_fence _ | End_fence _ -> true | _ -> false
-
 let is_commit e = match e.kind with Commit_write _ -> true | _ -> false
-
-let is_rmw e =
-  match e.kind with Cas_ev _ | Faa_ev _ | Swap_ev _ -> true | _ -> false
-
-(* Special events (Definition 3): critical, transition or fence events. *)
-let is_special e = e.critical || is_transition e || is_fence_event e
 
 (* Writes-to-shared-memory view: which (var, value, writer) does the event
    publish? RMWs publish directly (they bypass the buffer). *)
@@ -102,17 +88,6 @@ let published e =
   | Swap_ev { var; stored; _ } -> Some (var, stored)
   | Read _ | Issue_write _ | Enter | Cs | Exit | Begin_fence _ | End_fence _
   | Crash _ | Recover | Abort | Abort_done ->
-      None
-
-(* Does the event read the shared (non-buffer) copy of a variable, and if so
-   which one? Used by awareness-set reconstruction. *)
-let shared_read e =
-  match e.kind with
-  | Read { var; src = From_cache | From_memory; _ } -> Some var
-  | Cas_ev { var; _ } | Faa_ev { var; _ } | Swap_ev { var; _ } -> Some var
-  | Read { src = From_buffer; _ } | Issue_write _ | Commit_write _ | Enter
-  | Cs | Exit | Begin_fence _ | End_fence _ | Crash _ | Recover | Abort
-  | Abort_done ->
       None
 
 let kind_tag = function

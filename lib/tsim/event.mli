@@ -61,24 +61,11 @@ val accessed_var : t -> Var.t option
     non-forwarded reads; issued writes and forwarded reads access
     nothing). *)
 
-val mentioned_var : t -> Var.t option
-(** Like {!accessed_var} but including issued writes — used by replay
-    congruence. *)
-
-val is_transition : t -> bool
-val is_fence_event : t -> bool
 val is_commit : t -> bool
-val is_rmw : t -> bool
-
-val is_special : t -> bool
-(** Definition 3: critical, transition or fence events. *)
 
 val published : t -> (Var.t * Value.t) option
 (** The (variable, value) the event makes visible in shared memory, if
     any. *)
-
-val shared_read : t -> Var.t option
-(** The variable whose shared (non-buffer) copy the event reads, if any. *)
 
 val kind_tag : kind -> string
 
@@ -86,5 +73,4 @@ val congruent : t -> t -> bool
 (** Congruence (paper, Section 2): same process, same operation on the
     same variable (values may differ), or the same transition/fence. *)
 
-val pp_kind : Format.formatter -> kind -> unit
 val pp : Format.formatter -> t -> unit
