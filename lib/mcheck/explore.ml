@@ -375,8 +375,8 @@ let new_profile ?every () =
 let default_profile_every = 16
 
 (* RMR classification of a move, read in the PRE-state (the footprint of
-   what the move is about to touch). Search machines run lean, which
-   freezes the cache-state RMR accounting — but [Machine.is_remote] is
+   what the move is about to touch). Search machines run lean, without
+   the cache-state RMR accounting — but [Machine.is_remote] is
    purely layout-based (DSM-style home cells), so remoteness stays
    computable: this is DSM-model RMR attribution, one event when the
    touched variable's home is not the mover's segment. Commits charge
@@ -1162,7 +1162,7 @@ and visit_child_journal ctx m schedule depth z =
 
 (* Root machine for a search. Search machines run lean
    ({!Machine.set_lean}), which the journal requires: no search consumer
-   reads the RMR / awareness / cache / contention accounting (violations
+   reads the RMR / awareness / CC line / contention accounting (violations
    are re-executed by [replay] on a fresh, fully-accounting machine).
    Verdicts, node counts and fingerprints are unchanged — see the
    soundness note on [Machine.set_lean]. *)
