@@ -4,23 +4,23 @@
 open Tsim
 
 let config_of_lock ?(model = Config.Cc_wb) ?(ordering = Config.Tso)
-    ?(max_passages = 1) ?(rmw_drains = true) ?(check_exclusion = true)
+    ?(max_passages = 1) ?(check_exclusion = true)
     ?(crash_semantics = Config.Drop_buffer) (lock : Lock_intf.t) ~n =
   if lock.Lock_intf.one_time && max_passages > 1 then
     invalid_arg
       (Printf.sprintf "%s is a one-time lock; max_passages must be 1"
          lock.Lock_intf.name);
-  Config.make ~model ~ordering ~max_passages ~rmw_drains ~check_exclusion
+  Config.make ~model ~ordering ~max_passages ~check_exclusion
     ~crash_semantics ?recovery:lock.Lock_intf.recovery
     ?abort_section:lock.Lock_intf.abort ~n
     ~layout:lock.Lock_intf.layout ~entry:lock.Lock_intf.entry
     ~exit_section:lock.Lock_intf.exit_section ()
 
-let machine_of_lock ?model ?ordering ?max_passages ?rmw_drains
-    ?check_exclusion ?crash_semantics (lock : Lock_intf.t) ~n =
+let machine_of_lock ?model ?ordering ?max_passages ?check_exclusion
+    ?crash_semantics (lock : Lock_intf.t) ~n =
   Machine.create
-    (config_of_lock ?model ?ordering ?max_passages ?rmw_drains
-       ?check_exclusion ?crash_semantics lock ~n)
+    (config_of_lock ?model ?ordering ?max_passages ?check_exclusion
+       ?crash_semantics lock ~n)
 
 (* Aggregate per-passage statistics after a run. *)
 type run_stats = {

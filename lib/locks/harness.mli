@@ -8,7 +8,6 @@ val config_of_lock :
   ?model:Config.mem_model ->
   ?ordering:Config.ordering ->
   ?max_passages:int ->
-  ?rmw_drains:bool ->
   ?check_exclusion:bool ->
   ?crash_semantics:Config.crash_semantics ->
   Lock_intf.t ->
@@ -23,7 +22,6 @@ val machine_of_lock :
   ?model:Config.mem_model ->
   ?ordering:Config.ordering ->
   ?max_passages:int ->
-  ?rmw_drains:bool ->
   ?check_exclusion:bool ->
   ?crash_semantics:Config.crash_semantics ->
   Lock_intf.t ->

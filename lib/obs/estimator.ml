@@ -182,5 +182,4 @@ let progress t =
     let p = t.done_mass /. float_of_int t.nroots in
     if p < 0. then 0. else if p > 1. then 1. else p
 
-let roots t = t.nroots
 let probes t = t.probes

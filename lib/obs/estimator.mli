@@ -62,12 +62,10 @@ type cfg = { probes : int; seed : int }
     the cost is O(1) per node while any probe is alive and zero after
     all die, so 32–256 is cheap); [seed] for the deterministic PRNG. *)
 
-val default_cfg : cfg
-(** [{ probes = 64; seed = 0 }] *)
-
 type t
 
 val create : ?cfg:cfg -> unit -> t
+(** [cfg] defaults to 64 probes, seed 0. *)
 
 val enter : t -> children:int -> unit
 (** Enter a node that declares [children] child slots. At depth 0 this
@@ -93,9 +91,6 @@ val progress : t -> float
 (** Exact probability mass of fully-explored leaves, averaged over the
     roots started so far; reaches 1.0 (up to float rounding) when every
     root's tree has been exhausted. In [0, 1]. *)
-
-val roots : t -> int
-(** Number of probe roots started (sequential search: 1). *)
 
 val probes : t -> int
 (** The per-root probe count this estimator was created with. *)

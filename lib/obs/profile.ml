@@ -203,12 +203,6 @@ let fold_cells t f acc =
 
 let total_nodes t = fold_cells t (fun a _ ~nodes ~tk:_ ~undo:_ ~rmr:_ -> a + nodes) 0
 
-let total_ns t =
-  let r = ns_per_tick t in
-  fold_cells t
-    (fun a _ ~nodes:_ ~tk ~undo:_ ~rmr:_ -> a +. (float_of_int tk *. r))
-    0.
-
 let same_schema a b = a.classes = b.classes && a.sections = b.sections
 
 let absorb ~into src =

@@ -95,9 +95,6 @@ val stop : t -> unit
 
 val total_nodes : t -> int
 
-val total_ns : t -> float
-(** Calibrated total attributed time. *)
-
 val merge : t -> t -> t
 (** Pointwise sum of cells and calibrations; pure. Associative and
     commutative, with the empty profile as identity (see the qcheck
@@ -108,10 +105,6 @@ val absorb : into:t -> t -> unit
 (** In-place [merge]: add every cell and calibration of the second
     profile into [into]. What the parallel explorer uses to fold its
     per-domain shards in a fixed order after join. *)
-
-val band_label : int -> string
-(** Human label of a depth band index: ["0"], ["1"], ["2-3"],
-    ["4-7"], ... *)
 
 val to_json : ?meta:(string * Json.t) list -> t -> Json.t
 (** Canonical JSON: schema arrays, caller metadata, totals, and the

@@ -1,11 +1,10 @@
 (* Machine configuration.
 
    A configuration fixes everything a deterministic replay needs: the number
-   of processes, the memory/cost model, the shared-variable layout, the
-   per-process entry and exit section programs, and the RMW-fencing
-   convention. Erasure (lib/trace) re-creates machines from the same
-   configuration, which is why programs live here rather than being fed to
-   the machine imperatively. *)
+   of processes, the memory/cost model, the shared-variable layout and the
+   per-process entry and exit section programs. Erasure (lib/trace)
+   re-creates machines from the same configuration, which is why programs
+   live here rather than being fed to the machine imperatively. *)
 
 open Ids
 
@@ -84,9 +83,6 @@ type t = {
   entry : Pid.t -> unit Prog.t;  (* entry-section program for one passage *)
   exit_section : Pid.t -> unit Prog.t;
   max_passages : int;  (* passages per process before it finishes *)
-  rmw_drains : bool;
-      (* atomic RMWs drain the store buffer and count one fence, as on x86;
-         the paper's tradeoff covers comparison primitives either way *)
   check_exclusion : bool;  (* detect two simultaneously-enabled CS events *)
   record_trace : bool;
       (* emit events into the machine trace and passage log; exploration
@@ -109,7 +105,7 @@ type t = {
 }
 
 let make ?(model = Cc_wb) ?(ordering = Tso) ?(max_passages = 1)
-    ?(rmw_drains = true) ?(check_exclusion = true) ?(record_trace = true)
+    ?(check_exclusion = true) ?(record_trace = true)
     ?(crash_semantics = Drop_buffer) ?recovery ?abort_section
     ?(store = Store_exact) ~n ~layout ~entry ~exit_section () =
   if n <= 0 then invalid_arg "Config.make: n must be positive";
@@ -121,7 +117,7 @@ let make ?(model = Cc_wb) ?(ordering = Tso) ?(max_passages = 1)
       if hashes < 1 || hashes > 8 then
         invalid_arg "Config.make: bitstate hashes must be in [1, 8]");
   { n; model; ordering; layout; entry; exit_section; max_passages;
-    rmw_drains; check_exclusion; record_trace; crash_semantics; recovery;
+    check_exclusion; record_trace; crash_semantics; recovery;
     abort_section; engine = `Journal; store }
 
 let summary c =

@@ -70,9 +70,6 @@ type t = {
   entry : Pid.t -> unit Prog.t;  (** entry-section program, per passage *)
   exit_section : Pid.t -> unit Prog.t;
   max_passages : int;
-  rmw_drains : bool;
-      (** atomic RMWs drain the store buffer and count one fence, as on
-          x86 (LOCK prefix) *)
   check_exclusion : bool;
       (** raise when two CS events are simultaneously enabled *)
   record_trace : bool;
@@ -100,7 +97,6 @@ val make :
   ?model:mem_model ->
   ?ordering:ordering ->
   ?max_passages:int ->
-  ?rmw_drains:bool ->
   ?check_exclusion:bool ->
   ?record_trace:bool ->
   ?crash_semantics:crash_semantics ->

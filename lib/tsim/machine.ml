@@ -361,7 +361,7 @@ let pending m p : pending =
           else if pr.sec = Exiting then P_exit
           else P_abort_done
       | Prog.Bind (op, _) -> (
-          let rmw_needs_fence = m.cfg.rmw_drains && not pr.rmw_fenced in
+          let rmw_needs_fence = not pr.rmw_fenced in
           match op with
           | Prog.Read v -> P_read v
           | Prog.Write (v, x) -> P_issue_write (v, x)
@@ -411,7 +411,7 @@ let pending_class m p : pending_class =
           else if pr.sec = Exiting then K_exit
           else K_abort_done
       | Prog.Bind (op, _) -> (
-          let rmw_needs_fence = m.cfg.rmw_drains && not pr.rmw_fenced in
+          let rmw_needs_fence = not pr.rmw_fenced in
           match op with
           | Prog.Read _ -> K_read
           | Prog.Write _ -> K_issue_write
@@ -526,7 +526,7 @@ let pending_hash m p h =
           else if pr.sec = Exiting then mix h 3
           else mix h 15
       | Prog.Bind (op, _) -> (
-          let rmw_needs_fence = m.cfg.Config.rmw_drains && not pr.rmw_fenced in
+          let rmw_needs_fence = not pr.rmw_fenced in
           match op with
           | Prog.Read v -> mix (mix h 5) v
           | Prog.Write (v, x) -> mix (mix (mix h 6) v) x
@@ -943,12 +943,12 @@ let do_begin_fence m pr ~implicit =
   | Some a -> emit_local m a pr (Event.Begin_fence { implicit })
 
 (* Atomic RMWs access the variable directly in shared memory (their store
-   buffer was drained first when [rmw_drains] is set). Their accounting,
-   run before the memory effect: criticality is that of a read followed,
-   when the RMW [writes], by a write commit; the RMR decision is a write's
-   (the line must be Exclusive under CC write-back); the process absorbs
-   the awareness of what it read, and a writing RMW publishes it as the
-   new writer's. *)
+   buffer was drained first, as on x86). Their accounting, run before the
+   memory effect: criticality is that of a read followed, when the RMW
+   [writes], by a write commit; the RMR decision is a write's (the line
+   must be Exclusive under CC write-back); the process absorbs the
+   awareness of what it read, and a writing RMW publishes it as the new
+   writer's. *)
 let account_rmw m a (pr : proc) v ~writes kind =
   let pa = a.per_proc.(pr.pid) in
   let remote = is_remote m pr.pid v in
@@ -1228,7 +1228,7 @@ let exec_cur m (pr : proc) : Event.t =
           else if pr.sec = Exiting then do_exit m pr
           else do_abort_done m pr
       | Prog.Bind (op, k) -> (
-          let rmw_needs_fence = m.cfg.rmw_drains && not pr.rmw_fenced in
+          let rmw_needs_fence = not pr.rmw_fenced in
           match op with
           | Prog.Read v -> do_read m pr v k
           | Prog.Write (v, x) -> do_issue_write m pr v x k
@@ -1306,7 +1306,7 @@ let step_footprint_packed m p =
       match pr.cont with
       | Prog.Return () -> if pr.sec = Entry then 5 else 1
       | Prog.Bind (op, _) -> (
-          let rmw_needs_fence = m.cfg.rmw_drains && not pr.rmw_fenced in
+          let rmw_needs_fence = not pr.rmw_fenced in
           match op with
           | Prog.Read v -> if Wbuf.mem pr.buf v then 1 else 2 lor (v lsl 3)
           | Prog.Write _ | Prog.Fence | Prog.Abortable _ -> 1

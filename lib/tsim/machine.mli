@@ -234,8 +234,7 @@ val mode : t -> Pid.t -> [ `Read | `Write ]
 val pending : t -> Pid.t -> pending
 
 (** Shared-memory footprint of the event {!step} would execute, decided
-    from machine state without executing it (cf. {!Prog.head_footprint}
-    for the raw program-level classification). Drives the model checker's
+    from machine state without executing it. Drives the model checker's
     partial-order reduction. *)
 type footprint =
   | F_none  (** finished process: {!step} would raise *)

@@ -104,13 +104,13 @@ let abortably body =
 let abortable_spin_until ?fuel v cond = abortably (spin_until ?fuel v cond)
 
 (* Retry/backoff idiom: run an optimistic [attempt] (true = success);
-   on failure, wait politely by re-reading [v] — the backoff knob, an
-   exponentially growing number of local cache re-reads — and retry.
+   on failure, wait politely by re-reading [v] — one re-read after the
+   first failure, doubling after each one — and retry.
    The wait is the abortable window: acquiring code that loses the race
    can be aborted while backing off, never mid-attempt — the window closes
    before the next attempt starts. Fuel bounds the number of attempts
    exactly like [spin_until] bounds reads. *)
-let retry_backoff ?fuel ?(delay = 1) v attempt =
+let retry_backoff ?fuel v attempt =
   let fuel = match fuel with Some f -> f | None -> !default_spin_fuel in
   let rec wait k =
     if k <= 0 then unit
@@ -126,23 +126,7 @@ let retry_backoff ?fuel ?(delay = 1) v attempt =
       let* () = abortably (wait delay) in
       go (n - 1) (2 * delay)
   in
-  go fuel delay
-
-(* Shared-memory footprint of the head operation, decided without running
-   it. [`Write] covers the *issue* of a write (buffer insertion); whether
-   the issue or the eventual commit touches shared memory is the
-   machine's business ([Machine.step_footprint] refines this with buffer
-   and fence state). *)
-let head_footprint : type a. a t -> [ `Return | `Read of Var.t | `Write of Var.t | `Fence | `Rmw of Var.t | `Marker ]
-    = function
-  | Return _ -> `Return
-  | Bind (Read v, _) -> `Read v
-  | Bind (Write (v, _), _) -> `Write v
-  | Bind (Fence, _) -> `Fence
-  | Bind (Cas (v, _, _), _) -> `Rmw v
-  | Bind (Faa (v, _), _) -> `Rmw v
-  | Bind (Swap (v, _), _) -> `Rmw v
-  | Bind (Abortable _, _) -> `Marker
+  go fuel 1
 
 (* Describe the head operation of a program, for debugging output. *)
 let head_to_string : type a. a t -> string = function

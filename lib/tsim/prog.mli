@@ -86,22 +86,12 @@ val abortably : 'a t -> 'a t
 val abortable_spin_until : ?fuel:int -> Var.t -> (Value.t -> bool) -> Value.t t
 (** {!spin_until} declared as an abortable wait point. *)
 
-val retry_backoff : ?fuel:int -> ?delay:int -> Var.t -> bool t -> unit t
+val retry_backoff : ?fuel:int -> Var.t -> bool t -> unit t
 (** [retry_backoff v attempt] runs the optimistic [attempt] until it
     returns true; between failures it backs off by re-reading [v] an
-    exponentially growing number of times ([delay] initial re-reads,
-    doubling), and that polite wait is an abortable window. Exhausting
+    exponentially growing number of times (once, then doubling), and
+    that polite wait is an abortable window. Exhausting
     [fuel] attempts raises {!Spin_exhausted}[ v] at simulation time. *)
 
 val head_to_string : 'a t -> string
 (** Describe the next operation of a program, for diagnostics. *)
-
-val head_footprint :
-  'a t ->
-  [ `Return | `Read of Var.t | `Write of Var.t | `Fence | `Rmw of Var.t
-  | `Marker ]
-(** Shared-memory footprint of the next operation, decided without
-    executing it. [`Write] is the footprint of the {e issue} (a buffer
-    insertion); see {!Machine.step_footprint} for the machine-level
-    refinement that accounts for store-to-load forwarding, fences and
-    buffered commits. *)

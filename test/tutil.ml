@@ -6,8 +6,7 @@ open Tsim.Ids
 (* A machine whose processes run arbitrary entry programs (trivial exit
    sections, one passage, no exclusion checking) over [nvars] fresh
    variables. [owner i] optionally assigns DSM ownership to variable i. *)
-let machine ?(model = Config.Dsm) ?owner ?(rmw_drains = true) ~n ~nvars entry
-    =
+let machine ?(model = Config.Dsm) ?owner ~n ~nvars entry =
   let layout = Layout.create () in
   let vars =
     Array.init nvars (fun i ->
@@ -15,8 +14,7 @@ let machine ?(model = Config.Dsm) ?owner ?(rmw_drains = true) ~n ~nvars entry
         Layout.var layout ?owner:o (Printf.sprintf "x%d" i))
   in
   let cfg =
-    Config.make ~model ~max_passages:1 ~rmw_drains ~check_exclusion:false ~n
-      ~layout
+    Config.make ~model ~max_passages:1 ~check_exclusion:false ~n ~layout
       ~entry:(fun p -> entry vars p)
       ~exit_section:(fun _ -> Prog.unit)
       ()
