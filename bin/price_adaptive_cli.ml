@@ -1044,9 +1044,9 @@ let campaign_cmd =
       value & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "worker domains; cells are dealt onto per-worker \
-             work-stealing deques and each cell runs as one sequential \
-             search, so reports are identical at any job count")
+            "worker domains; workers take cells cheapest-first from one \
+             shared queue and each cell runs as one sequential search, so \
+             reports are identical at any job count")
   in
   let max_nodes =
     Arg.(
@@ -1070,7 +1070,8 @@ let campaign_cmd =
       & info [ "spin-fuel" ]
           ~doc:
             "busy-wait bound, one value for the whole campaign (cells \
-             share the simulator's spin-fuel setting)")
+             share the simulator's spin-fuel setting); cached outcomes \
+             are only reused at the fuel they were found at")
   in
   let report =
     Arg.(

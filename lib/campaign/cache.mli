@@ -2,7 +2,9 @@
 
     One append-only NDJSON file: a header line carrying the format
     version and the {!Cell.code_salt}, then one line per completed cell
-    [{"key": <canonical cell key>, "outcome": {...}}]. Append-only is
+    [{"key": <key>, "outcome": {...}}], where the key is whatever the
+    caller looks cells up by ({!Driver.run} uses the canonical cell key
+    plus the spin fuel). Append-only is
     what makes a killed campaign resumable — every completed cell was
     flushed when it finished, so the next run picks up exactly where
     the previous one died.

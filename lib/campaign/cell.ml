@@ -37,7 +37,7 @@ let make ?(kind = Verify) ?(model = Config.Cc_wb) ?(ordering = Config.Tso)
 (* Bump on any change that can alter a cell's verdict, node count or
    fence count (explorer semantics, POR, adversary construction, cache
    line format). Old caches are then recomputed wholesale. *)
-let code_salt = "pa-campaign-1"
+let code_salt = "pa-campaign-2"
 
 (* --- canonical renderings (stable by construction) --------------------- *)
 

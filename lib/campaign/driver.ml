@@ -353,22 +353,23 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
       Runner.resolve (cell_at spec spec.hi))
     plan.brackets;
   let grid = planned plan.grid in
+  (* Outcomes depend on the spin fuel, which is not a cell axis, so the
+     cache holds them under the cell key plus the fuel they were found
+     at: a resume at another fuel recomputes rather than trusting them. *)
+  let cache_key cell = Printf.sprintf "%s fuel=%d" (Cell.key cell) spin_fuel in
   let executed = ref 0 and hits = ref 0 in
-  let est = Obs.Estimator.create () in
   let t_start = Unix.gettimeofday () in
   let last_beat = ref t_start in
   let done_cells = ref 0 in
   let total_cells = List.length grid in
-  let cell_done () =
-    incr done_cells;
-    Obs.Estimator.enter est ~children:0;
-    Obs.Estimator.leave est
-  in
   let heartbeat () =
     let now = Unix.gettimeofday () in
     if Obs.Telemetry.enabled obs && now -. !last_beat >= 1.0 then begin
       last_beat := now;
-      let p = Obs.Estimator.progress est in
+      let p =
+        if total_cells = 0 then 1.0
+        else float_of_int !done_cells /. float_of_int total_cells
+      in
       Obs.Telemetry.gauge obs "campaign.progress" p;
       if p > 0.0 then
         Obs.Telemetry.gauge obs "campaign.eta_s"
@@ -403,7 +404,7 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
   (* cache-aware execution used by probes and the sequential path; the
      parallel path reproduces its pieces around the worker pool *)
   let exec_cached cell =
-    let k = Cell.key cell in
+    let k = cache_key cell in
     match Cache.find cache k with
     | Some o when Cell.usable o ~budget_nodes:cap ->
         incr hits;
@@ -420,7 +421,6 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
         emit_cell cell o ~cached:false ~dur_us;
         { cell; outcome = o; from_cache = false }
   in
-  Obs.Estimator.enter est ~children:total_cells;
   if Obs.Telemetry.enabled obs then
     Obs.Telemetry.instant obs "campaign.plan"
       ~args:
@@ -437,23 +437,22 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
   let misses =
     List.filter
       (fun cell ->
-        let k = Cell.key cell in
-        match Cache.find cache k with
+        match Cache.find cache (cache_key cell) with
         | Some o when Cell.usable o ~budget_nodes:cap ->
             incr hits;
             emit_cell cell o ~cached:true ~dur_us:0;
             results := { cell; outcome = o; from_cache = true } :: !results;
-            cell_done ();
+            incr done_cells;
             false
         | _ -> true)
       grid
   in
   let record_executed cell o dur_us =
     incr executed;
-    if cacheable o then Cache.add cache Cell.(key cell) o;
+    if cacheable o then Cache.add cache (cache_key cell) o;
     emit_cell cell o ~cached:false ~dur_us;
     results := { cell; outcome = o; from_cache = false } :: !results;
-    cell_done ()
+    incr done_cells
   in
   (if misses <> [] then
      let todo = Array.of_list misses in
@@ -474,53 +473,33 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
            end)
          todo
      else begin
-       (* deal cells round-robin onto per-worker deques; idle workers
-          steal. Workers never touch the cache, the telemetry hub or
-          the results list — they push raw outcomes through a mutexed
-          queue the coordinator drains. *)
-       let deques = Array.init nw (fun _ -> Mcheck.Deque.create ()) in
-       Array.iteri
-         (fun i _ -> Mcheck.Deque.push deques.(i mod nw) i)
-         todo;
+       (* workers take cells in plan order from one shared index. They
+          never touch the cache, the telemetry hub or the results list —
+          they push raw outcomes through a mutexed queue the coordinator
+          drains. *)
+       let next = Atomic.make 0 in
        let q = Queue.create () in
        let qm = Mutex.create () in
        let exited = Atomic.make 0 in
-       let worker w () =
-         let next () =
-           match Mcheck.Deque.pop deques.(w) with
-           | Some i -> Some i
-           | None ->
-               (* no worker produces new work, so one failed sweep over
-                  every deque means the pool is drained *)
-               let rec sweep k =
-                 if k = nw then None
-                 else
-                   match Mcheck.Deque.steal deques.((w + k) mod nw) with
-                   | Some i -> Some i
-                   | None -> sweep (k + 1)
-               in
-               sweep 1
-         in
+       let worker () =
          let rec loop () =
            if not (Atomic.get stop) then
-             match next () with
-             | None -> ()
-             | Some i ->
-                 let cell = todo.(i) in
-                 let t0 = Unix.gettimeofday () in
-                 let o = execute ~stop ?max_millis ~spin_fuel ~cap cell in
-                 let dur_us =
-                   int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)
-                 in
-                 Mutex.protect qm (fun () -> Queue.add (i, o, dur_us) q);
-                 loop ()
+             let i = Atomic.fetch_and_add next 1 in
+             if i < n_todo then begin
+               let cell = todo.(i) in
+               let t0 = Unix.gettimeofday () in
+               let o = execute ~stop ?max_millis ~spin_fuel ~cap cell in
+               let dur_us =
+                 int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)
+               in
+               Mutex.protect qm (fun () -> Queue.add (i, o, dur_us) q);
+               loop ()
+             end
          in
          loop ();
          Atomic.incr exited
        in
-       let domains =
-         Array.init nw (fun w -> Domain.spawn (worker w))
-       in
+       let domains = Array.init nw (fun _ -> Domain.spawn worker) in
        let received = ref 0 in
        let drain () =
          let batch =
@@ -544,10 +523,7 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
        drain ()
      end);
   if Atomic.get stop then interrupted := true;
-  if not !interrupted then begin
-    Obs.Estimator.leave est;
-    heartbeat ()
-  end;
+  if not !interrupted then heartbeat ();
   (* frontier brackets: sequential, every probe lands in the cache *)
   let brackets =
     List.map

@@ -108,16 +108,18 @@ val run :
     campaign parameter, not a cell axis.
     Outcomes are recorded in [cache] as they complete — definitive ones
     and full-cap node-budget partials only; time-limited or interrupted
-    partials are never cached. With [jobs > 1], pending cells are dealt
-    round-robin onto per-worker Chase-Lev deques and idle workers steal
-    (coordinator-only cache and telemetry access; workers only record).
+    partials are never cached. Cache entries are keyed by {!Cell.key}
+    plus [" fuel=<spin_fuel>"], so a run only reuses outcomes found at
+    its own fuel. With [jobs > 1], workers take pending cells in
+    schedule order from one shared index (coordinator-only cache and
+    telemetry access; workers only record).
     Setting [stop] finishes the cells in flight, flushes the cache, and
     returns with [interrupted = true].
 
     [obs] receives per-cell spans ([campaign.cell]), ~1 Hz
-    [campaign.heartbeat] instants with progress and ETA from a
-    campaign-level {!Obs.Estimator}, and one [campaign.bracket] instant
-    per frontier answered. *)
+    [campaign.heartbeat] instants with progress (grid cells done ÷
+    total) and ETA, and one [campaign.bracket] instant per frontier
+    answered. *)
 
 val report_version : int
 

@@ -371,6 +371,35 @@ let test_partial_at_cap_cached_and_reused () =
   let r3 = Driver.run ~max_nodes:40_000 ~cache plan in
   Alcotest.(check int) "bigger cap: partial not reused" 1 r3.Driver.executed
 
+(* Verdicts depend on the spin fuel, which is not a cell axis: at fuel 1
+   abortable-tas-buggy's retry loop never reaches its abort window, so
+   the violation fuel 6 finds goes unseen. A cache filled at one fuel
+   must not answer for another. *)
+let test_cache_keyed_by_fuel () =
+  let cache = Cache.in_memory () in
+  let plan =
+    {
+      Driver.grid = parse_grid_exn "lock=abortable-tas-buggy n=2 aborts=1";
+      brackets = [];
+    }
+  in
+  let verdict r =
+    match r.Driver.cells with
+    | [ c ] -> Cell.verdict_to_string c.Driver.outcome.Cell.verdict
+    | _ -> Alcotest.fail "expected one cell"
+  in
+  let r6 = Driver.run ~spin_fuel:6 ~cache plan in
+  Alcotest.(check string) "fuel 6 finds the violation" "violation:exclusion"
+    (verdict r6);
+  let r1 = Driver.run ~spin_fuel:1 ~cache plan in
+  Alcotest.(check int) "fuel 1 executes the cell" 1 r1.Driver.executed;
+  Alcotest.(check string) "fuel 1 verifies" "verified" (verdict r1);
+  let r6' = Driver.run ~spin_fuel:6 ~cache plan in
+  Alcotest.(check int) "fuel 6 again: answered from the cache" 1
+    r6'.Driver.hits;
+  Alcotest.(check string) "fuel 6 again: the violation" "violation:exclusion"
+    (verdict r6')
+
 let test_millis_partial_never_cached () =
   let cache = Cache.in_memory () in
   let plan = { Driver.grid = parse_grid_exn "lock=ticket n=4"; brackets = [] } in
@@ -595,6 +624,8 @@ let suite =
     Alcotest.test_case "budget escalation" `Quick test_budget_escalation;
     Alcotest.test_case "cap-partial cached and reused by budget" `Quick
       test_partial_at_cap_cached_and_reused;
+    Alcotest.test_case "cache entries keyed by spin fuel" `Quick
+      test_cache_keyed_by_fuel;
     Alcotest.test_case "time-limited partials never cached" `Quick
       test_millis_partial_never_cached;
     Alcotest.test_case "stop flag: partial report, nothing poisoned" `Quick
