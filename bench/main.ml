@@ -1,314 +1,33 @@
-(* Benchmark & experiment harness.
+(* The paper's artefacts and the search profiler's overhead contract.
 
-     dune exec bench/main.exe                 run every experiment + timings
-     dune exec bench/main.exe -- e3 e6        run selected experiments
-     dune exec bench/main.exe -- time         run only the Bechamel timings
-     dune exec bench/main.exe -- --json F     timings only, also write the
-                                              rows to F as JSON
-                                              [{"name":.., "value":.., "unit":..,
-                                                "domains"?:.., "nodes_per_sec"?:..}]
-     dune exec bench/main.exe -- --obs F      timings only, also stream the
-                                              rows as NDJSON telemetry
-                                              (one bench.row instant each)
-     dune exec bench/main.exe -- --compare B  timings only, compare the
-                                              per-node rows against baseline
-                                              JSON B; exit 1 on regression
-     dune exec bench/main.exe -- --budget P   with --compare: allowed
-                                              per-node regression in percent
-                                              (default 5)
-     dune exec bench/main.exe -- --profile F  timings only, also run the
-                                              reference workload under the
-                                              search profiler and write the
-                                              profile to F as JSON (diffable
-                                              with `price_adaptive profile
-                                              diff`)
+     dune exec bench/main.exe                 every experiment, then overhead
+     dune exec bench/main.exe -- e3 e6        selected experiments
+     dune exec bench/main.exe -- overhead     sampled-profiling overhead
+                                              (asserted <= 5%) and the
+                                              progress estimator's cost and
+                                              accuracy
 
    Experiment ids map to the paper's artefacts (DESIGN.md §3):
      e1 Figure 1 · e2 Theorems 1/3 · e3 Corollary 1 · e4 Corollary 2 ·
      e5 Corollary 3 · e6 lock zoo table · e7 PSO frontier (Ineq. 3) ·
-     e8 Lemma 9 · e9 invariant audit *)
+     e8 Lemma 9 · e9 invariant audit · e10-e13 ablation, object
+     linearizability, fences unavoidable, TSO/PSO separation.
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let write_json file rows =
-  let oc = open_out file in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (r : Timings.row) ->
-      Printf.fprintf oc "  {\"name\": \"%s\", \"value\": %.1f, \"unit\": \"%s\"%s%s}%s\n"
-        (json_escape r.Timings.r_name) r.Timings.r_value
-        (json_escape r.Timings.r_unit)
-        (match r.Timings.r_domains with
-        | Some d -> Printf.sprintf ", \"domains\": %d" d
-        | None -> "")
-        (match r.Timings.r_nps with
-        | Some nps -> Printf.sprintf ", \"nodes_per_sec\": %.1f" nps
-        | None -> "")
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote %d benchmark rows to %s\n" (List.length rows) file
-
-(* Regression gate: compare this run's per-node rows against a committed
-   baseline JSON file (the [{"name":..,"value":..,"unit":..}] shape
-   --json writes). Only [ns_per_node] rows at domains <= 1 are gated —
-   wall-clock ns_per_run rows are too noisy on shared CI runners,
-   node-count / gauge rows are covered exactly by the differential
-   tests, and parallel-scaling rows depend on how many cores the runner
-   happens to have. A row is a regression when it is more than [budget]
-   percent slower than the baseline; rows missing on either side are
-   reported but never fail. Returns [true] when every matched row fits
-   the budget. *)
-let read_file file =
-  let ic = open_in_bin file in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let baseline_rows file =
-  let num = function
-    | Obs.Json.Int i -> Some (float_of_int i)
-    | Obs.Json.Float f -> Some f
-    | _ -> None
-  in
-  match Obs.Json.parse (read_file file) with
-  | Error e -> Error (Printf.sprintf "%s: JSON parse error: %s" file e)
-  | Ok (Obs.Json.List rows) ->
-      Ok
-        (List.filter_map
-           (fun row ->
-             match
-               ( Obs.Json.member "name" row,
-                 Obs.Json.member "value" row,
-                 Obs.Json.member "unit" row )
-             with
-             | Some (Obs.Json.String name), Some v, Some (Obs.Json.String u)
-               -> (
-                 match num v with Some v -> Some (name, v, u) | None -> None)
-             | _ -> None)
-           rows)
-  | Ok _ -> Error (Printf.sprintf "%s: expected a JSON array of rows" file)
-
-let compare_rows ~base_file ~budget rows =
-  match baseline_rows base_file with
-  | Error e ->
-      prerr_endline ("bench: --compare: " ^ e);
-      false
-  | Ok base ->
-      Printf.printf "\nPer-node comparison vs %s (budget %+.1f%%)\n"
-        base_file budget;
-      Printf.printf "%-62s %10s %10s %8s\n" "benchmark" "base" "now" "delta";
-      let gated (r : Timings.row) =
-        r.Timings.r_unit = "ns_per_node"
-        && match r.Timings.r_domains with Some d -> d <= 1 | None -> true
-      in
-      let ok = ref true in
-      List.iter
-        (fun (r : Timings.row) ->
-          if gated r then
-            let name = r.Timings.r_name and now = r.Timings.r_value in
-            match
-              List.find_map
-                (fun (n, v, u) ->
-                  if n = name && u = "ns_per_node" then Some v else None)
-                base
-            with
-            | None -> Printf.printf "%-62s %10s %10.1f %8s\n" name "-" now "new"
-            | Some b ->
-                let delta = (now -. b) /. b *. 100. in
-                let fail = delta > budget in
-                if fail then ok := false;
-                Printf.printf "%-62s %10.1f %10.1f %+7.1f%%%s\n" name b now
-                  delta
-                  (if fail then "  REGRESSION" else ""))
-        rows;
-      List.iter
-        (fun (name, _, u) ->
-          if
-            u = "ns_per_node"
-            && not
-                 (List.exists
-                    (fun (r : Timings.row) ->
-                      r.Timings.r_name = name
-                      && r.Timings.r_unit = "ns_per_node")
-                    rows)
-          then Printf.printf "%-62s (baseline row missing from this run)\n" name)
-        base;
-      if not !ok then
-        Printf.printf
-          "bench: per-node regression beyond %.1f%% budget vs %s\n" budget
-          base_file;
-      !ok
-
-(* Profile the reference exhaustive workload (the same Peterson space
-   the per-node rows measure) and write the attribution as profile JSON
-   — a committed-format artifact CI can archive per run and diff across
-   runs with `price_adaptive profile diff`. *)
-let write_profile file =
-  let cfg = Timings.peterson_cfg () in
-  let p =
-    Mcheck.Explore.new_profile ~every:Mcheck.Explore.default_profile_every ()
-  in
-  let r =
-    Mcheck.Explore.explore ~max_nodes:100_000
-      ~estimator:{ Obs.Estimator.probes = 64; seed = 0 }
-      ~profile:p cfg
-  in
-  assert r.Mcheck.Explore.verified;
-  let s = r.Mcheck.Explore.stats in
-  let meta =
-    [
-      ("tool", Obs.Json.String "price_adaptive bench --profile");
-      ("workload", Obs.Json.String "mcheck/peterson n=2 exhaustive");
-      ("nodes", Obs.Json.Int r.Mcheck.Explore.nodes);
-      ("sampled_every", Obs.Json.Int (Obs.Profile.every p));
-      ("est_nodes", Obs.Json.Float s.Mcheck.Explore.est_nodes);
-      ("est_progress", Obs.Json.Float s.Mcheck.Explore.est_progress);
-    ]
-  in
-  let oc = open_out file in
-  output_string oc (Obs.Json.to_string (Obs.Profile.to_json ~meta p));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote search profile (%d nodes) to %s\n"
-    r.Mcheck.Explore.nodes file
-
-(* Stream the rows through the telemetry layer itself: one [bench.run]
-   instant with run metadata, then one [bench.row] instant per result —
-   the same NDJSON encoding the explorer emits, so CI can archive bench
-   output and live telemetry as a single artifact format. *)
-let write_obs file rows =
-  let oc = open_out file in
-  let obs = Obs.Telemetry.create ~sinks:[ Obs.Sink.ndjson oc ] () in
-  Obs.Telemetry.instant obs "bench.run"
-    ~args:[ ("rows", Obs.Json.Int (List.length rows)) ];
-  List.iter
-    (fun (r : Timings.row) ->
-      Obs.Telemetry.instant obs "bench.row"
-        ~args:
-          ([
-             ("bench", Obs.Json.String r.Timings.r_name);
-             ("value", Obs.Json.Float r.Timings.r_value);
-             ("unit", Obs.Json.String r.Timings.r_unit);
-           ]
-          @ (match r.Timings.r_domains with
-            | Some d -> [ ("domains", Obs.Json.Int d) ]
-            | None -> [])
-          @
-          match r.Timings.r_nps with
-          | Some nps -> [ ("nodes_per_sec", Obs.Json.Float nps) ]
-          | None -> []))
-    rows;
-  Obs.Telemetry.close obs;
-  close_out oc;
-  Printf.printf "wrote NDJSON telemetry for %d rows to %s\n"
-    (List.length rows) file
-
-(* ctrl-C: raised from the signal handler, caught at the bottom of main.
-   The run ends with a typed partial verdict on stdout (same wording and
-   exit code 3 as the explorer's interrupt verdict), and any rows already
-   measured are still flushed through the requested sinks so a cancelled
-   CI job archives what it paid for. *)
-exception Interrupted
+   End-to-end and per-layer timing is benchmark/'s job; bench/ab.sh
+   compares two revisions with it. *)
 
 let () =
-  let rec parse json obs cmp budget prof args =
-    match args with
-    | "--json" :: file :: rest -> parse (Some file) obs cmp budget prof rest
-    | "--obs" :: file :: rest -> parse json (Some file) cmp budget prof rest
-    | "--compare" :: file :: rest ->
-        parse json obs (Some file) budget prof rest
-    | "--budget" :: pct :: rest -> (
-        match float_of_string_opt pct with
-        | Some b when b >= 0. -> parse json obs cmp b prof rest
-        | _ ->
-            prerr_endline "bench: --budget requires a non-negative percent";
-            exit 2)
-    | "--profile" :: file :: rest -> parse json obs cmp budget (Some file) rest
-    | [ "--json" ] | [ "--obs" ] | [ "--compare" ] | [ "--budget" ]
-    | [ "--profile" ] ->
-        prerr_endline
-          "bench: --json/--obs/--compare/--budget/--profile require an \
-           argument";
-        exit 2
-    | a :: rest ->
-        let json, obs, cmp, budget, prof, sel =
-          parse json obs cmp budget prof rest
-        in
-        (json, obs, cmp, budget, prof, a :: sel)
-    | [] -> (json, obs, cmp, budget, prof, [])
-  in
-  let json_file, obs_file, compare_file, budget, profile_file, args =
-    parse None None None 5.0 None (List.tl (Array.to_list Sys.argv))
-  in
-  (* --json/--obs/--compare/--profile imply timings-only unless
-     experiments were also selected *)
-  let run_timings =
-    args = [] || List.mem "time" args || json_file <> None
-    || obs_file <> None || compare_file <> None || profile_file <> None
-  in
-  let selected id =
-    (args = []
-    && json_file = None
-    && obs_file = None
-    && compare_file = None
-    && profile_file = None)
-    || List.mem id args
-  in
+  let ids = List.map (fun (id, _, _) -> id) Experiments.all in
+  let args = List.tl (Array.to_list Sys.argv) in
+  (match List.filter (fun a -> a <> "overhead" && not (List.mem a ids)) args with
+  | [] -> ()
+  | bad :: _ ->
+      Printf.eprintf "bench: unknown argument %S (expected e1..e13 or overhead)\n"
+        bad;
+      exit 2);
+  let selected id = args = [] || List.mem id args in
   Printf.printf
     "Reproduction harness: \"The Price of being Adaptive\" (Ben-Baruch & \
      Hendler, PODC 2015)\n";
-  Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> raise Interrupted));
-  let experiments_done = ref 0 in
-  let rows_done = ref [] in
-  try
-    List.iter
-      (fun (id, _desc, f) ->
-        if selected id then begin
-          f ();
-          incr experiments_done
-        end)
-      Experiments.all;
-    if run_timings then begin
-      Printf.printf "\nBechamel timings (simulator machinery)\n";
-      Printf.printf "=====================================\n";
-      let rows = Timings.run () in
-      rows_done := rows;
-      (match json_file with
-      | Some file -> write_json file rows
-      | None -> ());
-      (match obs_file with
-      | Some file -> write_obs file rows
-      | None -> ());
-      (match profile_file with
-      | Some file -> write_profile file
-      | None -> ());
-      match compare_file with
-      | Some base_file ->
-          if not (compare_rows ~base_file ~budget rows) then exit 1
-      | None -> ()
-    end
-  with Interrupted ->
-    (match obs_file with
-    | Some file -> write_obs file !rows_done
-    | None -> ());
-    Printf.printf
-      "PARTIAL: stopped by abort request (interrupt) after %d experiment(s), \
-       %d timing row(s) — not a benchmark run\n"
-      !experiments_done
-      (List.length !rows_done);
-    exit 3
+  List.iter (fun (id, _desc, f) -> if selected id then f ()) Experiments.all;
+  if selected "overhead" then Overhead.run ()
