@@ -6,8 +6,8 @@
     coarse intervals (heartbeats, phase boundaries). A disabled hub
     ({!null}, or [create ~sinks:[]]) makes every emission a single
     [enabled] branch, so the instrumentation costs nothing measurable
-    when no sink is attached — the explorer's ns/node budget is guarded
-    by BENCH_PR4.json. *)
+    when no sink is attached — the explorer's end-to-end cost is
+    measured by benchmark/ with no sink attached. *)
 
 type t
 

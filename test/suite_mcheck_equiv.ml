@@ -202,8 +202,8 @@ let test_on_fingerprint_rejects_domains () =
   Alcotest.(check bool) "d=1 hook fired" true (!n >= r.Mcheck.Explore.nodes)
 
 (* The reduction must earn its keep: on the fenced Peterson exhaustive
-   check, POR explores at least 2x fewer nodes (the bench rows in
-   BENCH_PR2.json record the measured counts). *)
+   check, POR explores at least 2x fewer nodes (290 vs 706, EXPERIMENTS.md
+   E12). *)
 let test_por_reduces_nodes () =
   let on = Mcheck.Explore.explore ~max_nodes:2_000_000 (peterson ~fenced:true)
   and off =
