@@ -1044,25 +1044,27 @@ let campaign_cmd =
       value & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "worker domains; workers take cells cheapest-first from one \
-             shared queue and each cell runs as one sequential search, so \
-             reports are identical at any job count")
+            "worker domains; workers take searches cheapest-first from \
+             one shared queue and each runs sequentially, so reports are \
+             identical at any job count. Verify cells that differ only in \
+             model share one search")
   in
   let max_nodes =
     Arg.(
       value & opt int 200_000
       & info [ "max-nodes" ]
           ~doc:
-            "per-cell node budget cap; cells start at a small slice and \
-             escalate 4x on budget-limited partial verdicts")
+            "per-cell node budget; each distinct search runs once with \
+             this budget")
   in
   let max_millis =
     Arg.(
       value & opt (some int) None
       & info [ "max-millis" ]
           ~doc:
-            "per-cell wall-clock budget in milliseconds (outcomes cut \
-             by it are reported but never cached)")
+            "per-cell wall-clock budget in milliseconds, for the cell's \
+             one search (outcomes cut by it are reported but never \
+             cached)")
   in
   let spin_fuel =
     Arg.(
@@ -1164,7 +1166,7 @@ let campaign_cmd =
     end;
     let cache, cstats = Campaign.Cache.open_file ~resume cache_path in
     if resume then begin
-      Printf.printf "cache: %d cells loaded from %s%s\n"
+      Printf.printf "cache: %d search outcomes loaded from %s%s\n"
         cstats.Campaign.Cache.loaded cache_path
         (if cstats.Campaign.Cache.skipped > 0 then
            Printf.sprintf " (%d corrupt lines skipped)"
@@ -1199,10 +1201,12 @@ let campaign_cmd =
            r.Campaign.Driver.cells)
     in
     Printf.printf
-      "campaign: %d cells in %.2fs (%d executed, %d from cache) — %d \
-       verified, %d violations, %d partial, %d fence counts\n"
+      "campaign: %d cells in %.2fs (%d searches run, %d cells shared a \
+       search, %d from cache) — %d verified, %d violations, %d partial, \
+       %d fence counts\n"
       (List.length r.Campaign.Driver.cells)
-      dt r.Campaign.Driver.executed r.Campaign.Driver.hits
+      dt r.Campaign.Driver.executed r.Campaign.Driver.shared
+      r.Campaign.Driver.hits
       (tally (function Campaign.Cell.Verified -> true | _ -> false))
       (tally (function Campaign.Cell.Violation _ -> true | _ -> false))
       (tally (function Campaign.Cell.Partial _ -> true | _ -> false))

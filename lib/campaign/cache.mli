@@ -3,8 +3,8 @@
     One append-only NDJSON file: a header line carrying the format
     version and the {!Cell.code_salt}, then one line per completed cell
     [{"key": <key>, "outcome": {...}}], where the key is whatever the
-    caller looks cells up by ({!Driver.run} uses the canonical cell key
-    plus the spin fuel). Append-only is
+    caller looks cells up by ({!Driver.run} uses the cell's
+    {!Cell.search_key} plus the spin fuel). Append-only is
     what makes a killed campaign resumable — every completed cell was
     flushed when it finished, so the next run picks up exactly where
     the previous one died.
@@ -15,8 +15,9 @@
     fresh on the next append); an individual line that fails to parse —
     the torn tail of a killed write, hand-edited corruption — is
     counted and skipped, losing only that cell. Duplicate keys keep the
-    last occurrence, which is how budget-escalated re-runs supersede
-    their earlier partial outcomes without rewriting the file. *)
+    last occurrence, which is how a re-run under a larger node cap
+    supersedes a partial outcome cached under a smaller one without
+    rewriting the file. *)
 
 type stats = {
   loaded : int;  (** entries accepted *)

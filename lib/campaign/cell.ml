@@ -37,7 +37,7 @@ let make ?(kind = Verify) ?(model = Config.Cc_wb) ?(ordering = Config.Tso)
 (* Bump on any change that can alter a cell's verdict, node count or
    fence count (explorer semantics, POR, adversary construction, cache
    line format). Old caches are then recomputed wholesale. *)
-let code_salt = "pa-campaign-2"
+let code_salt = "pa-campaign-3"
 
 (* --- canonical renderings (stable by construction) --------------------- *)
 
@@ -85,16 +85,25 @@ let store_of_code s =
       | _ -> None)
   | _ -> None
 
-let key c =
+let render ~model c =
   Printf.sprintf
     "%s lock=%s n=%d model=%s ord=%s pass=%d crashes=%d aborts=%d csem=%s \
      store=%s por=%s"
-    (kind_name c.kind) c.lock c.n (model_code c.model)
+    (kind_name c.kind) c.lock c.n model
     (ordering_code c.ordering)
     c.passages c.max_crashes c.max_aborts
     (csem_code c.crash_semantics)
     (store_code c.store)
     (if c.por then "on" else "off")
+
+let key c = render ~model:(model_code c.model) c
+
+(* Verify searches run on lean machines, which never read the model
+   (the interface states the rule); adversary cells keep it. *)
+let search_key c =
+  match c.kind with
+  | Verify -> render ~model:"*" c
+  | Adversary -> key c
 
 let of_key s =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in

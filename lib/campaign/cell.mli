@@ -76,6 +76,18 @@ val key : t -> string
     Fields in fixed order; pure string rendering (see the module
     comment). Distinct cells have distinct keys. *)
 
+val search_key : t -> string
+(** Identity of the search a cell runs: {!key} for adversary cells; for
+    verify cells, {!key} with the model rendered as [*], e.g.
+    ["verify lock=tas n=2 model=* ord=tso pass=1 crashes=0 aborts=0 csem=drop store=exact por=on"].
+    The models are RMR cost models over the same executions
+    ([Config.model] is read only by a machine's accounting record, and
+    the explorer searches on lean machines, which have none), so verify
+    cells that differ only in [model] have one search and one outcome.
+    The adversary construction counts under the model's accounting, so
+    adversary cells keep it. {!Driver.run} caches outcomes and groups
+    grid cells by this key. *)
+
 val of_key : string -> (t, string) result
 (** Inverse of {!key} — the cache never needs it (keys are opaque
     there), but the round-trip keeps the rendering canonical and

@@ -259,22 +259,17 @@ let predicate spec (o : Cell.outcome) =
 
 let planned cells =
   let seen = Hashtbl.create 16 in
-  let uniq =
-    List.filter
-      (fun c ->
-        let k = Cell.key c in
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      cells
-  in
-  List.sort
-    (fun a b ->
-      let c = Float.compare (Cell.cost_hint a) (Cell.cost_hint b) in
-      if c <> 0 then c else Cell.compare a b)
-    uniq
+  List.filter_map
+    (fun c ->
+      let k = Cell.key c in
+      if Hashtbl.mem seen k then None
+      else begin
+        Hashtbl.add seen k ();
+        Some ((Cell.cost_hint c, Cell.search_key c, k), c)
+      end)
+    cells
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
 
 type cell_result = {
   cell : Cell.t;
@@ -294,38 +289,31 @@ type result = {
   brackets : bracket_result list;
   interrupted : bool;
   executed : int;
+  shared : int;
   hits : int;
 }
 
-(* Start each verify cell at a slice of the cap and escalate by 4x on
-   budget-limited partials: cheap cells resolve in the first rung, and
-   geometric growth bounds total rung work at 4/3 of the final rung. *)
-let initial_budget cap = min cap (max 4096 (cap / 64))
-
-let execute ?stop ?max_millis ?spin_fuel ~cap cell =
-  match cell.Cell.kind with
-  | Cell.Adversary ->
-      Runner.run ?stop ?max_millis ?spin_fuel ~budget_nodes:cap cell
-  | Cell.Verify ->
-      let rec go budget =
-        let o =
-          Runner.run ?stop ?max_millis ?spin_fuel ~budget_nodes:budget cell
-        in
-        match o.Cell.verdict with
-        | Cell.Partial "nodes" when budget < cap -> go (min cap (budget * 4))
-        | _ -> o
-      in
-      go (initial_budget cap)
-
 (* Never cache a time-limited or interrupt-limited partial — both are
-   wall-clock accidents and would poison warm-run determinism. A node
-   partial is only produced at the full cap (the ladder above), which is
-   exactly what [Cell.usable] wants recorded. *)
+   wall-clock accidents and would poison warm-run determinism. Every
+   search runs at the full cap, so a node partial is exactly what
+   [Cell.usable] wants recorded. *)
 let cacheable (o : Cell.outcome) =
   match o.Cell.verdict with
   | Cell.Partial "nodes" -> true
   | Cell.Partial _ -> false
   | _ -> true
+
+(* Cells in schedule order, cut into runs of one search key ([planned]
+   keeps such cells adjacent). *)
+let by_search cells =
+  Array.of_list
+    (List.fold_right
+       (fun c groups ->
+         match groups with
+         | (d :: _ as g) :: rest when Cell.search_key c = Cell.search_key d ->
+             (c :: g) :: rest
+         | _ -> [ c ] :: groups)
+       cells [])
 
 let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
     ?stop ?(obs = Obs.Telemetry.null) ~cache plan =
@@ -354,10 +342,12 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
     plan.brackets;
   let grid = planned plan.grid in
   (* Outcomes depend on the spin fuel, which is not a cell axis, so the
-     cache holds them under the cell key plus the fuel they were found
+     cache holds them under the search key plus the fuel they were found
      at: a resume at another fuel recomputes rather than trusting them. *)
-  let cache_key cell = Printf.sprintf "%s fuel=%d" (Cell.key cell) spin_fuel in
-  let executed = ref 0 and hits = ref 0 in
+  let cache_key cell =
+    Printf.sprintf "%s fuel=%d" (Cell.search_key cell) spin_fuel
+  in
+  let executed = ref 0 and shared = ref 0 and hits = ref 0 in
   let t_start = Unix.gettimeofday () in
   let last_beat = ref t_start in
   let done_cells = ref 0 in
@@ -401,25 +391,24 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
           ~args "campaign.cell"
     end
   in
-  (* cache-aware execution used by probes and the sequential path; the
-     parallel path reproduces its pieces around the worker pool *)
-  let exec_cached cell =
-    let k = cache_key cell in
-    match Cache.find cache k with
+  let cached cell =
+    match Cache.find cache (cache_key cell) with
     | Some o when Cell.usable o ~budget_nodes:cap ->
         incr hits;
         emit_cell cell o ~cached:true ~dur_us:0;
-        { cell; outcome = o; from_cache = true }
-    | _ ->
-        let t0 = Unix.gettimeofday () in
-        let o = execute ~stop ?max_millis ~spin_fuel ~cap cell in
-        let dur_us =
-          int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)
-        in
-        incr executed;
-        if cacheable o then Cache.add cache k o;
-        emit_cell cell o ~cached:false ~dur_us;
-        { cell; outcome = o; from_cache = false }
+        Some o
+    | _ -> None
+  in
+  (* one search at the cap; the only part that runs on worker domains *)
+  let search cell =
+    let t0 = Unix.gettimeofday () in
+    let o = Runner.run ~stop ?max_millis ~spin_fuel ~budget_nodes:cap cell in
+    (o, int_of_float ((Unix.gettimeofday () -. t0) *. 1e6))
+  in
+  let record cell (o, dur_us) =
+    incr executed;
+    if cacheable o then Cache.add cache (cache_key cell) o;
+    emit_cell cell o ~cached:false ~dur_us
   in
   if Obs.Telemetry.enabled obs then
     Obs.Telemetry.instant obs "campaign.plan"
@@ -432,96 +421,85 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
         ];
   let interrupted = ref false in
   let results = ref [] in
-  (* grid cells: hits answered inline, misses executed (possibly on a
-     worker pool) *)
-  let misses =
-    List.filter
-      (fun cell ->
-        match Cache.find cache (cache_key cell) with
-        | Some o when Cell.usable o ~budget_nodes:cap ->
-            incr hits;
-            emit_cell cell o ~cached:true ~dur_us:0;
-            results := { cell; outcome = o; from_cache = true } :: !results;
-            incr done_cells;
-            false
-        | _ -> true)
-      grid
-  in
-  let record_executed cell o dur_us =
-    incr executed;
-    if cacheable o then Cache.add cache (cache_key cell) o;
-    emit_cell cell o ~cached:false ~dur_us;
-    results := { cell; outcome = o; from_cache = false } :: !results;
+  let answer cell outcome ~from_cache =
+    results := { cell; outcome; from_cache } :: !results;
     incr done_cells
   in
-  (if misses <> [] then
-     let todo = Array.of_list misses in
-     let n_todo = Array.length todo in
-     let nw = max 1 (min jobs n_todo) in
-     if nw <= 1 then
-       (* sequential: no domains, no queue — the common small case *)
-       Array.iter
+  (* grid cells: hits answered inline; the misses grouped by search, and
+     each group's first cell searched (possibly on a worker pool) for the
+     whole group *)
+  let todo =
+    by_search
+      (List.filter
          (fun cell ->
-           if not (Atomic.get stop) then begin
-             let t0 = Unix.gettimeofday () in
-             let o = execute ~stop ?max_millis ~spin_fuel ~cap cell in
-             let dur_us =
-               int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)
-             in
-             record_executed cell o dur_us;
-             heartbeat ()
-           end)
-         todo
-     else begin
-       (* workers take cells in plan order from one shared index. They
-          never touch the cache, the telemetry hub or the results list —
-          they push raw outcomes through a mutexed queue the coordinator
-          drains. *)
-       let next = Atomic.make 0 in
-       let q = Queue.create () in
-       let qm = Mutex.create () in
-       let exited = Atomic.make 0 in
-       let worker () =
-         let rec loop () =
-           if not (Atomic.get stop) then
-             let i = Atomic.fetch_and_add next 1 in
-             if i < n_todo then begin
-               let cell = todo.(i) in
-               let t0 = Unix.gettimeofday () in
-               let o = execute ~stop ?max_millis ~spin_fuel ~cap cell in
-               let dur_us =
-                 int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)
-               in
-               Mutex.protect qm (fun () -> Queue.add (i, o, dur_us) q);
-               loop ()
-             end
-         in
-         loop ();
-         Atomic.incr exited
-       in
-       let domains = Array.init nw (fun _ -> Domain.spawn worker) in
-       let received = ref 0 in
-       let drain () =
-         let batch =
-           Mutex.protect qm (fun () ->
-               let b = List.of_seq (Queue.to_seq q) in
-               Queue.clear q;
-               b)
-         in
-         List.iter
-           (fun (i, o, dur_us) ->
-             incr received;
-             record_executed todo.(i) o dur_us)
-           batch
-       in
-       while !received < n_todo && Atomic.get exited < nw do
-         Unix.sleepf 0.02;
-         drain ();
-         heartbeat ()
-       done;
-       Array.iter Domain.join domains;
-       drain ()
-     end);
+           match cached cell with
+           | Some o ->
+               answer cell o ~from_cache:true;
+               false
+           | None -> true)
+         grid)
+  in
+  let finish group r =
+    record (List.hd group) r;
+    shared := !shared + List.length group - 1;
+    List.iter (fun cell -> answer cell (fst r) ~from_cache:false) group
+  in
+  let n_todo = Array.length todo in
+  let nw = max 1 (min jobs n_todo) in
+  if nw <= 1 then
+    (* sequential: no domains, no queue — the common small case *)
+    Array.iter
+      (fun group ->
+        if not (Atomic.get stop) then begin
+          finish group (search (List.hd group));
+          heartbeat ()
+        end)
+      todo
+  else begin
+    (* workers take searches in plan order from one shared index. They
+       never touch the cache, the telemetry hub or the results list —
+       they push raw outcomes through a mutexed queue the coordinator
+       drains. *)
+    let next = Atomic.make 0 in
+    let q = Queue.create () in
+    let qm = Mutex.create () in
+    let exited = Atomic.make 0 in
+    let worker () =
+      let rec loop () =
+        if not (Atomic.get stop) then
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n_todo then begin
+            let r = search (List.hd todo.(i)) in
+            Mutex.protect qm (fun () -> Queue.add (i, r) q);
+            loop ()
+          end
+      in
+      loop ();
+      Atomic.incr exited
+    in
+    let domains = Array.init nw (fun _ -> Domain.spawn worker) in
+    let received = ref 0 in
+    let drain () =
+      let batch =
+        Mutex.protect qm (fun () ->
+            let b = List.of_seq (Queue.to_seq q) in
+            Queue.clear q;
+            b)
+      in
+      List.iter
+        (fun (i, r) ->
+          incr received;
+          finish todo.(i) r)
+        batch
+    in
+    while !received < n_todo && Atomic.get exited < nw do
+      Unix.sleepf 0.02;
+      drain ();
+      heartbeat ()
+    done;
+    Array.iter Domain.join domains;
+    drain ()
+  end;
   if Atomic.get stop then interrupted := true;
   if not !interrupted then heartbeat ();
   (* frontier brackets: sequential, every probe lands in the cache *)
@@ -534,10 +512,18 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
           let stats = Bracket.new_stats () in
           let p x =
             if Atomic.get stop then raise Interrupted;
-            let r = exec_cached (cell_at spec x) in
-            if Atomic.get stop && not (Cell.definitive r.outcome) then
+            let cell = cell_at spec x in
+            let o =
+              match cached cell with
+              | Some o -> o
+              | None ->
+                  let r = search cell in
+                  record cell r;
+                  fst r
+            in
+            if Atomic.get stop && not (Cell.definitive o) then
               raise Interrupted;
-            predicate spec r.outcome
+            predicate spec o
           in
           let answer =
             try
@@ -580,6 +566,7 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
     brackets;
     interrupted = !interrupted;
     executed = !executed;
+    shared = !shared;
     hits = !hits;
   }
 

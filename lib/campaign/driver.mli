@@ -3,13 +3,14 @@
 
     A campaign is a {e plan} — a scenario grid of {!Cell.t}s plus a list
     of {!bracket_spec} frontier searches — executed against a persistent
-    {!Cache.t}. Cells are scheduled cheapest-first across [jobs] domains
-    as whole searches (the campaign parallelizes one level above the
-    explorer, so every cell's outcome is the deterministic sequential
-    one); node budgets start small and escalate on budget-limited
-    partial verdicts; completed outcomes land in the cache immediately,
-    so a killed campaign resumes where it died and a warm re-run skips
-    every cell.
+    {!Cache.t}. Each distinct search runs once, at the node cap: verify
+    cells that differ only in the memory model share one search
+    ({!Cell.search_key}). Searches are scheduled cheapest-first across
+    [jobs] domains as whole searches (the campaign parallelizes one
+    level above the explorer, so every cell's outcome is the
+    deterministic sequential one); completed outcomes land in the cache
+    immediately, so a killed campaign resumes where it died and a warm
+    re-run skips every cell.
 
     Reports are deliberately free of timings, cache-hit flags and job
     counts, and cells are emitted in canonical key order — the same plan
@@ -45,7 +46,7 @@ val parse_grid : string -> (Cell.t list, string) result
     integer fields accepting ranges [a-b]. Fields: [kind] (verify,
     adversary), [lock], [n], [model] (dsm, cc-wt, cc-wb), [ord] (tso,
     pso), [pass], [crashes], [aborts], [csem] (drop, flush, prefix),
-    [store] (exact, bitstate:B:H, bounded:S), [por] (on, off). [lock]
+    [store] (exact, bitstate:B:H), [por] (on, off). [lock]
     is required; every other field defaults to the {!Cell.make}
     default. The grid is the cartesian product of all dimensions:
     ["lock=peterson,ticket n=2-4 crashes=0,1"] is 12 cells. *)
@@ -58,8 +59,9 @@ val parse_bracket : string -> (bracket_spec, string) result
     0..4 for the fault-budget goals). [lock] is required. *)
 
 val planned : Cell.t list -> Cell.t list
-(** Deduplicate by key and order cheapest-first ({!Cell.cost_hint},
-    ties by key) — the execution schedule, also what [--dry-run]
+(** Deduplicate by key and order cheapest-first ({!Cell.cost_hint}),
+    ties by {!Cell.search_key} and then by key, so cells that share a
+    search are adjacent — the execution schedule, also what [--dry-run]
     prints. *)
 
 type cell_result = {
@@ -79,8 +81,10 @@ type result = {
   cells : cell_result list;  (** canonical key order *)
   brackets : bracket_result list;  (** in plan order *)
   interrupted : bool;
-  executed : int;  (** cells actually run, grid and probes together *)
-  hits : int;  (** cells answered from the cache *)
+  executed : int;  (** searches run, grid and probes together *)
+  shared : int;
+      (** grid cells answered by another grid cell's search in this run *)
+  hits : int;  (** cells answered from the cache, grid and probes *)
 }
 
 exception Interrupted
@@ -98,25 +102,28 @@ val run :
   result
 (** Execute a plan. Every cell of the grid and both endpoints of every
     bracket are validated up front ({!Runner.resolve}), so a bad plan
-    raises {!Runner.Bad_cell} before any budget is spent. [max_nodes]
-    (default 200_000) caps the per-cell node budget; execution starts
-    each verify cell at a small slice of the cap and escalates by 4x on
-    budget-limited partials, so cheap cells never pay for deep ones.
-    [spin_fuel] (default 6) bounds busy-wait iterations in every cell's
-    search; it is pinned process-globally for the duration of the run —
-    which is exactly what makes concurrent explores safe — so it is a
-    campaign parameter, not a cell axis.
+    raises {!Runner.Bad_cell} before any budget is spent. Every search
+    runs once, with the node budget [max_nodes] (default 200_000) and,
+    if given, the wall-clock budget [max_millis]. Nothing in a
+    one-domain search is sized by its budget and its DFS order does not
+    depend on it, so a search that needs [x <= max_nodes] nodes explores
+    exactly [x]. Grid cells with one {!Cell.search_key} share one search
+    and its outcome. [spin_fuel] (default 6) bounds busy-wait iterations
+    in every search; it is pinned process-globally for the duration of
+    the run — which is exactly what makes concurrent explores safe — so
+    it is a campaign parameter, not a cell axis.
     Outcomes are recorded in [cache] as they complete — definitive ones
     and full-cap node-budget partials only; time-limited or interrupted
-    partials are never cached. Cache entries are keyed by {!Cell.key}
-    plus [" fuel=<spin_fuel>"], so a run only reuses outcomes found at
-    its own fuel. With [jobs > 1], workers take pending cells in
-    schedule order from one shared index (coordinator-only cache and
-    telemetry access; workers only record).
+    partials are never cached. Cache entries are keyed by
+    {!Cell.search_key} plus [" fuel=<spin_fuel>"], so a run only reuses
+    outcomes found at its own fuel. With [jobs > 1], workers take pending
+    searches in schedule order from one shared index (coordinator-only
+    cache and telemetry access; workers only search).
     Setting [stop] finishes the cells in flight, flushes the cache, and
     returns with [interrupted = true].
 
-    [obs] receives per-cell spans ([campaign.cell]), ~1 Hz
+    [obs] receives one [campaign.cell] span per search and one
+    [campaign.cell] instant per cache hit, ~1 Hz
     [campaign.heartbeat] instants with progress (grid cells done ÷
     total) and ETA, and one [campaign.bracket] instant per frontier
     answered. *)

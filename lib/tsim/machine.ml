@@ -479,9 +479,15 @@ let[@inline] zmix v x = zfin (mix (mix fnv_basis (v + 1)) x)
 (* Continuations are hashed structurally. [Hashtbl.hash] stops after 10
    meaningful nodes, which conflates deep spin states; raise both
    traversal bounds so distinct continuation shapes (spin fuels, loop
-   indices, captured reads) hash apart. The runtime hashes a closure's
-   environment and skips its code pointers, so structurally equal
-   continuations hash equal no matter where they were built. *)
+   indices, captured reads) hash apart. The runtime (OCaml 5.1.1) mixes
+   a closure's code pointers into the hash along with its environment:
+   two closures with equal environments and different code hash apart,
+   and the same closure hashes differently in two runs of one binary,
+   because code addresses move between runs. Fingerprints are therefore
+   per-process values: nothing may persist them or compare them across
+   processes. The campaign cache keys by rendered cell fields
+   ([Campaign.Cell.search_key]), and profiles key by [loc_key], which
+   hashes no closure. *)
 let hash_cont (c : unit Prog.t) = Hashtbl.hash_param 128 256 c
 
 let sec_code = function

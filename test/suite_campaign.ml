@@ -1,6 +1,6 @@
 (* Campaign orchestrator: cache-key stability, cache corruption
-   tolerance, bracketing, budget escalation, warm-run determinism and
-   the adaptive-vs-dense job-count guarantee. *)
+   tolerance, bracketing, one search per distinct search, warm-run
+   determinism and the adaptive-vs-dense job-count guarantee. *)
 
 module Cell = Campaign.Cell
 module Cache = Campaign.Cache
@@ -276,7 +276,7 @@ let test_usable_rule () =
   Alcotest.(check bool) "partial below budget not usable" false
     (Cell.usable o2 ~budget_nodes:8192)
 
-(* --- driver: escalation, determinism, warm re-runs ----------------------- *)
+(* --- driver: shared searches, determinism, warm re-runs ------------------ *)
 
 let small_grid = "lock=tas,ticket,mcs,clh,bakery,filter n=2-3"
 
@@ -311,6 +311,9 @@ let test_grid_rejects () =
   (match Driver.parse_grid "lock=tas n=5-2" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "inverted range accepted");
+  (match Driver.parse_grid "lock=tas n=2 store=bounded:256" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "removed bounded store accepted");
   match Driver.parse_bracket "min-n-fences lock=tas" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "min-n-fences without k accepted"
@@ -332,25 +335,68 @@ let test_bad_cell_rejected_up_front () =
     Alcotest.fail "aborts on non-abortable lock not rejected"
   with Runner.Bad_cell _ -> ()
 
-let test_budget_escalation () =
-  (* tas n=4 needs more nodes than the first 4096-node rung but fits the
-     cap: the driver must escalate and come back verified, with the
-     final (escalated) budget recorded *)
+let test_one_search_at_cap () =
+  (* tas n=4 needs 13,853 nodes, more than a small first slice of the
+     cap would give it: it must still run once, at the cap, and come
+     back verified with the cap recorded *)
   let cache = Cache.in_memory () in
   let r =
     Driver.run ~max_nodes:500_000 ~cache
       { Driver.grid = parse_grid_exn "lock=tas n=4"; brackets = [] }
   in
+  Alcotest.(check int) "one search" 1 r.Driver.executed;
   match r.Driver.cells with
   | [ { outcome; _ } ] ->
-      Alcotest.(check bool) "verified after escalation" true
+      Alcotest.(check bool) "verified" true
         (outcome.Cell.verdict = Cell.Verified);
       Alcotest.(check bool)
-        (Printf.sprintf "needed more than one rung (nodes=%d budget=%d)"
-           outcome.Cell.nodes outcome.Cell.budget_nodes)
+        (Printf.sprintf "needs more than 4096 nodes (nodes=%d)"
+           outcome.Cell.nodes)
         true
-        (outcome.Cell.budget_nodes > 4096 && outcome.Cell.nodes > 4096)
+        (outcome.Cell.nodes > 4096);
+      Alcotest.(check int) "the cap is recorded" 500_000
+        outcome.Cell.budget_nodes
   | _ -> Alcotest.fail "expected exactly one cell"
+
+(* Sharing one search across models (Cell.search_key) holds only while
+   no search reads Config.model. Every zoo family at n=2, fault-free and
+   at one crash or abort where it has a recovery or abort section, must
+   give equal outcomes under the three models, with both orderings. *)
+let test_search_ignores_model () =
+  let open Tsim.Config in
+  List.iter
+    (fun (fam : Locks.Lock_intf.family) ->
+      let lock = fam.Locks.Lock_intf.instantiate ~n:2 in
+      let faults =
+        ((0, 0)
+        :: (if Option.is_some lock.Locks.Lock_intf.recovery then [ (1, 0) ]
+            else []))
+        @
+        if Option.is_some lock.Locks.Lock_intf.abort then [ (0, 1) ] else []
+      in
+      List.iter
+        (fun (max_crashes, max_aborts) ->
+          List.iter
+            (fun ordering ->
+              let run model =
+                let cell =
+                  Cell.make ~model ~ordering ~max_crashes ~max_aborts
+                    ~lock:fam.Locks.Lock_intf.family_name ~n:2 ()
+                in
+                ( Cell.key cell,
+                  Obs.Json.to_string
+                    (Cell.outcome_to_json
+                       (Runner.run ~budget_nodes:200_000 cell)) )
+              in
+              let _, want = run Cc_wb in
+              List.iter
+                (fun model ->
+                  let key, got = run model in
+                  Alcotest.(check string) key want got)
+                [ Dsm; Cc_wt ])
+            [ Tso; Pso ])
+        faults)
+    Locks.Zoo.(all @ two_process @ recoverable @ abortable)
 
 let test_partial_at_cap_cached_and_reused () =
   (* a cell that cannot finish under the cap must end as a nodes-partial
@@ -428,16 +474,33 @@ let test_stop_flag_interrupts () =
   | Ok () -> ()
   | Error m -> Alcotest.failf "partial report fails schema: %s" m
 
+(* The model axis makes every verify search appear twice in the grid;
+   each runs once and both cells get its outcome, at any job count. *)
 let test_jobs_report_identical () =
+  let grid = parse_grid_exn (small_grid ^ " model=dsm,cc-wb") in
   let plan =
     {
-      Driver.grid = parse_grid_exn small_grid;
+      Driver.grid = grid;
       brackets = [ parse_bracket_exn "min-crashes-refute lock=recoverable-tas-naive lo=0 hi=3" ];
     }
   in
+  let searches =
+    List.length (List.sort_uniq String.compare (List.map Cell.search_key grid))
+  in
   let run jobs =
     let cache = Cache.in_memory () in
-    report_string (Driver.run ~jobs ~max_nodes:100_000 ~cache plan)
+    let r = Driver.run ~jobs ~max_nodes:100_000 ~cache plan in
+    (* the probes never meet a grid cell, so each is one more search *)
+    let probes =
+      List.fold_left (fun a b -> a + b.Driver.evals) 0 r.Driver.brackets
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "jobs=%d: one run per distinct search" jobs)
+      (searches + probes) r.Driver.executed;
+    Alcotest.(check int)
+      (Printf.sprintf "jobs=%d: the other model's cells shared" jobs)
+      (List.length grid - searches) r.Driver.shared;
+    report_string r
   in
   let seq = run 1 in
   Alcotest.(check string) "jobs=3 report byte-equal to jobs=1" seq (run 3);
@@ -621,7 +684,10 @@ let suite =
     Alcotest.test_case "bad specs rejected" `Quick test_grid_rejects;
     Alcotest.test_case "bad cells rejected before running" `Quick
       test_bad_cell_rejected_up_front;
-    Alcotest.test_case "budget escalation" `Quick test_budget_escalation;
+    Alcotest.test_case "every cell runs once at the cap" `Quick
+      test_one_search_at_cap;
+    Alcotest.test_case "verify searches ignore the model" `Quick
+      test_search_ignores_model;
     Alcotest.test_case "cap-partial cached and reused by budget" `Quick
       test_partial_at_cap_cached_and_reused;
     Alcotest.test_case "cache entries keyed by spin fuel" `Quick
