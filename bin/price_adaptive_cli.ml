@@ -1044,10 +1044,12 @@ let campaign_cmd =
       value & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "worker domains; workers take searches cheapest-first from \
-             one shared queue and each runs sequentially, so reports are \
-             identical at any job count. Verify cells that differ only in \
-             model share one search")
+            "worker domains; workers take the brackets first, then the \
+             grid's searches cheapest-first, from one shared queue, and \
+             each search runs sequentially, so reports are identical at \
+             any job count. Each distinct search runs once per run: verify \
+             cells that differ only in model share one, and a probe that \
+             meets a grid search reuses it or waits for it")
   in
   let max_nodes =
     Arg.(
@@ -1091,8 +1093,9 @@ let campaign_cmd =
       value & flag
       & info [ "dry-run" ]
           ~doc:
-            "list the planned cells in schedule order with budgets and \
-             exit without running anything")
+            "list the brackets, then the planned cells, in the order the \
+             workers take them, with budgets, and exit without running \
+             anything")
   in
   let validate =
     Arg.(
@@ -1151,17 +1154,17 @@ let campaign_cmd =
       Printf.printf "%d cells, %d brackets, cap %d nodes/cell:\n"
         (List.length planned) (List.length brackets) max_nodes;
       List.iter
-        (fun c ->
-          Printf.printf "  %-72s cost~%.0f\n" (Campaign.Cell.key c)
-            (Campaign.Cell.cost_hint c))
-        planned;
-      List.iter
         (fun (b : Campaign.Driver.bracket_spec) ->
           Printf.printf "  bracket %s over [%d, %d] of %s\n"
             (Campaign.Driver.goal_name b.Campaign.Driver.goal)
             b.Campaign.Driver.lo b.Campaign.Driver.hi
             (Campaign.Cell.key b.Campaign.Driver.base))
         brackets;
+      List.iter
+        (fun c ->
+          Printf.printf "  %-72s cost~%.0f\n" (Campaign.Cell.key c)
+            (Campaign.Cell.cost_hint c))
+        planned;
       exit 0
     end;
     let cache, cstats = Campaign.Cache.open_file ~resume cache_path in

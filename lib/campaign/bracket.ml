@@ -25,44 +25,37 @@ let memoized ?stats p =
 let least ?stats ~lo ~hi p =
   if lo > hi then invalid_arg "Bracket.least: lo > hi";
   let p = memoized ?stats p in
+  (* bracket: double the distance from the known-false end until the
+     predicate flips, or the range ends with no flip. [hi] is probed
+     only as a doubling point, so no probe lies above the frontier. *)
+  let rec double l span =
+    let x = min hi (lo + span) in
+    if p x then Some (l, x) else if x = hi then None else double x (2 * span)
+  in
   if p lo then Some lo
-  else if not (p hi) then None
-  else begin
-    (* bracket: double the distance from the known-false end until the
-       predicate flips. Invariant after the loop: not (p !l) && p !h. *)
-    let l = ref lo and h = ref hi in
-    let span = ref 1 in
-    (try
-       while true do
-         let x = min hi (lo + !span) in
-         if p x then begin
-           h := x;
-           raise Exit
-         end
-         else l := x;
-         if x = hi then raise Exit (* cannot happen: p hi holds *)
-         else span := !span * 2
-       done
-     with Exit -> ());
-    (* three-division refinement: evaluate the third-points m1 < m2 of
-       (l, h) and keep the sub-interval the flip is in. Each round
-       shrinks the interval to at most ~2/3 (often 1/3), so the probe
-       count stays logarithmic. *)
-    while !h - !l > 1 do
-      let w = !h - !l in
-      let m1 = !l + max 1 (w / 3) in
-      let m2 = min (!h - 1) (!l + max 2 (2 * w / 3)) in
-      if p m1 then h := m1
-      else if m2 > m1 && m2 < !h then
-        if p m2 then begin
-          l := m1;
-          h := m2
-        end
-        else l := m2
-      else l := m1
-    done;
-    Some !h
-  end
+  else
+    match double lo 1 with
+    | None -> None
+    | Some (l, h) ->
+        (* three-division refinement of (l, h), where not (p l) and p h:
+           evaluate the third-points m1 < m2 and keep the sub-interval
+           the flip is in. Each round shrinks the interval to at most
+           ~2/3 (often 1/3), so the probe count stays logarithmic. *)
+        let l = ref l and h = ref h in
+        while !h - !l > 1 do
+          let w = !h - !l in
+          let m1 = !l + max 1 (w / 3) in
+          let m2 = min (!h - 1) (!l + max 2 (2 * w / 3)) in
+          if p m1 then h := m1
+          else if m2 > m1 && m2 < !h then
+            if p m2 then begin
+              l := m1;
+              h := m2
+            end
+            else l := m2
+          else l := m1
+        done;
+        Some !h
 
 let greatest ?stats ~lo ~hi p =
   if lo > hi then invalid_arg "Bracket.greatest: lo > hi";

@@ -13,6 +13,16 @@
     the third (or two-thirds) the flip is in — until the interval is a
     single step wide.
 
+    {b Probe order.} The far end is never probed up front: doubling
+    from [lo] stops at the first point where the predicate flips, or at
+    [hi] when it never does. For [least] with threshold [t > lo] no
+    probed point lies above [min hi (lo + 2^⌈log2 (t - lo)⌉)] ([greatest]
+    likewise on its negated predicate), so no probe lies above the
+    frontier — where the campaign's largest exhaustible [n] is sought,
+    such a probe is a search that runs to the node cap. The price is
+    paid by a range with no frontier: it costs the whole doubling
+    sequence, where probing [hi] first settled it in two probes.
+
     {b Soundness.} The result equals the dense sweep's exactly when [p]
     is monotone over [[lo, hi]]. For a non-monotone [p] the search
     still terminates and returns {e some} point where [p] flips from

@@ -127,9 +127,27 @@ let prop_outcome_json_roundtrip =
 
 (* --- bracketing --------------------------------------------------------- *)
 
+(* The first doubling point at or past threshold [t] of a least-search
+   from [lo]: min hi (lo + 2^ceil(log2 (t - lo))), or [lo] itself when
+   [p lo] already holds. No probe may lie above it. *)
+let doubling_bound ~lo ~hi t =
+  if t <= lo then lo
+  else
+    let rec pow2 s = if s >= t - lo then s else pow2 (2 * s) in
+    min hi (lo + pow2 1)
+
+let check_probe_bound name ~hi ~t ~bound (stats : Bracket.stats) =
+  List.iter
+    (fun (x, _) ->
+      if x > bound then
+        Alcotest.failf "%s hi=%d t=%d probed %d above the frontier bound %d"
+          name hi t x bound)
+    stats.Bracket.probed
+
 let test_bracket_least_exhaustive () =
   (* every threshold position over modest ranges must match the dense
-     scan exactly, and never evaluate a point twice *)
+     scan exactly, never evaluate a point twice, and never probe past
+     the first doubling point at or beyond the flip *)
   for hi = 1 to 24 do
     for t = 1 to hi + 1 do
       let stats = Bracket.new_stats () in
@@ -142,7 +160,10 @@ let test_bracket_least_exhaustive () =
           (match want with Some v -> string_of_int v | None -> "none");
       let pts = List.map fst stats.Bracket.probed in
       if List.length pts <> List.length (List.sort_uniq compare pts) then
-        Alcotest.failf "least hi=%d t=%d re-evaluated a point" hi t
+        Alcotest.failf "least hi=%d t=%d re-evaluated a point" hi t;
+      check_probe_bound "least" ~hi ~t
+        ~bound:(doubling_bound ~lo:1 ~hi t)
+        stats
     done
   done
 
@@ -156,7 +177,11 @@ let test_bracket_greatest_exhaustive () =
       if got <> want then
         Alcotest.failf "greatest hi=%d t=%d: got %s want %s" hi t
           (match got with Some v -> string_of_int v | None -> "none")
-          (match want with Some v -> string_of_int v | None -> "none")
+          (match want with Some v -> string_of_int v | None -> "none");
+      (* the negated predicate (x > t) flips at t + 1 *)
+      check_probe_bound "greatest" ~hi ~t
+        ~bound:(doubling_bound ~lo:1 ~hi (t + 1))
+        stats
     done
   done
 
@@ -474,37 +499,113 @@ let test_stop_flag_interrupts () =
   | Ok () -> ()
   | Error m -> Alcotest.failf "partial report fails schema: %s" m
 
+(* The cell a bracket probes at point [x] (Driver's own rule). *)
+let probe_cell (spec : Driver.bracket_spec) x =
+  match spec.Driver.goal with
+  | Driver.Min_n_fences _ | Driver.Max_exhaustive_n ->
+      { spec.Driver.base with Cell.n = x }
+  | Driver.Min_crashes_refute -> { spec.Driver.base with Cell.max_crashes = x }
+  | Driver.Min_aborts_refute -> { spec.Driver.base with Cell.max_aborts = x }
+
 (* The model axis makes every verify search appear twice in the grid;
-   each runs once and both cells get its outcome, at any job count. *)
+   each runs once and both cells get its outcome, at any job count. The
+   crash bracket's probes never meet a grid cell; the ticket bracket's
+   probes n=2 and n=3 are grid searches and n=4 is not, so depending on
+   the schedule a probe runs a grid search, waits on one or reuses one.
+   Each distinct search still runs exactly once. *)
 let test_jobs_report_identical () =
   let grid = parse_grid_exn (small_grid ^ " model=dsm,cc-wb") in
   let plan =
     {
       Driver.grid = grid;
-      brackets = [ parse_bracket_exn "min-crashes-refute lock=recoverable-tas-naive lo=0 hi=3" ];
+      brackets =
+        [
+          parse_bracket_exn
+            "min-crashes-refute lock=recoverable-tas-naive lo=0 hi=3";
+          parse_bracket_exn "max-exhaustive-n lock=ticket lo=2 hi=4";
+        ];
     }
   in
-  let searches =
-    List.length (List.sort_uniq String.compare (List.map Cell.search_key grid))
-  in
+  let distinct keys = List.length (List.sort_uniq String.compare keys) in
+  let grid_keys = List.map Cell.search_key grid in
+  let searches = distinct grid_keys in
   let run jobs =
     let cache = Cache.in_memory () in
     let r = Driver.run ~jobs ~max_nodes:100_000 ~cache plan in
-    (* the probes never meet a grid cell, so each is one more search *)
-    let probes =
-      List.fold_left (fun a b -> a + b.Driver.evals) 0 r.Driver.brackets
+    let probe_keys =
+      List.concat_map
+        (fun (b : Driver.bracket_result) ->
+          List.map
+            (fun (x, _) -> Cell.search_key (probe_cell b.Driver.spec x))
+            b.Driver.probed)
+        r.Driver.brackets
     in
     Alcotest.(check int)
-      (Printf.sprintf "jobs=%d: one run per distinct search" jobs)
-      (searches + probes) r.Driver.executed;
+      (Printf.sprintf "jobs=%d: one run per distinct search key" jobs)
+      (distinct (grid_keys @ probe_keys))
+      r.Driver.executed;
     Alcotest.(check int)
       (Printf.sprintf "jobs=%d: the other model's cells shared" jobs)
       (List.length grid - searches) r.Driver.shared;
-    report_string r
+    (report_string r, (r.Driver.executed, r.Driver.shared, r.Driver.hits))
   in
-  let seq = run 1 in
-  Alcotest.(check string) "jobs=3 report byte-equal to jobs=1" seq (run 3);
-  Alcotest.(check string) "jobs=8 report byte-equal to jobs=1" seq (run 8)
+  let seq, seq_counts = run 1 in
+  List.iter
+    (fun jobs ->
+      let report, counts = run jobs in
+      Alcotest.(check string)
+        (Printf.sprintf "jobs=%d report byte-equal to jobs=1" jobs)
+        seq report;
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "jobs=%d executed/shared/hits equal to jobs=1" jobs)
+        seq_counts counts)
+    [ 3; 8 ]
+
+(* Each search's span is stamped on the worker that ran it, on that
+   worker's lane, so the spans of one lane never overlap. *)
+let test_cell_spans_per_worker () =
+  let sink, events = Obs.Sink.memory () in
+  let obs = Obs.Telemetry.create ~sinks:[ sink ] () in
+  let cache = Cache.in_memory () in
+  let jobs = 2 in
+  let r =
+    Driver.run ~jobs ~max_nodes:100_000 ~obs ~cache
+      {
+        Driver.grid = parse_grid_exn small_grid;
+        brackets =
+          [ parse_bracket_exn "max-exhaustive-n lock=ticket lo=2 hi=4" ];
+      }
+  in
+  let lanes = Hashtbl.create 4 in
+  List.iter
+    (fun (e : Obs.Event.t) ->
+      let lane = Option.value ~default:[] (Hashtbl.find_opt lanes e.tid) in
+      match e.payload with
+      | Obs.Event.Span_begin ("campaign.cell", _) ->
+          Hashtbl.replace lanes e.tid ((e.ts_us, -1) :: lane)
+      | Obs.Event.Span_end "campaign.cell" -> (
+          match lane with
+          | (ts0, -1) :: rest ->
+              Hashtbl.replace lanes e.tid ((ts0, e.ts_us) :: rest)
+          | _ -> Alcotest.failf "tid %d: span end without a begin" e.tid)
+      | _ -> ())
+    (events ());
+  let spans = Hashtbl.fold (fun _ l n -> n + List.length l) lanes 0 in
+  Alcotest.(check int) "one span per search" r.Driver.executed spans;
+  Hashtbl.iter
+    (fun tid lane ->
+      if tid < 0 || tid >= jobs then
+        Alcotest.failf "span on tid %d, not a worker index" tid;
+      let rec disjoint = function
+        | (a0, a1) :: ((b0, _) :: _ as rest) ->
+            if b0 < a1 then
+              Alcotest.failf "tid %d: spans [%d, %d] and [%d, ...] overlap"
+                tid a0 a1 b0;
+            disjoint rest
+        | _ -> ()
+      in
+      disjoint (List.sort compare lane))
+    lanes
 
 let test_warm_rerun_fast_hits_identical () =
   let path = tmpfile () in
@@ -698,6 +799,8 @@ let suite =
       test_stop_flag_interrupts;
     Alcotest.test_case "report identical across job counts" `Quick
       test_jobs_report_identical;
+    Alcotest.test_case "cell spans never overlap on one worker lane" `Quick
+      test_cell_spans_per_worker;
     Alcotest.test_case "warm re-run: >=95% hits, 10x faster, identical"
       `Quick test_warm_rerun_fast_hits_identical;
     Alcotest.test_case "bracket beats the dense sweep" `Quick
