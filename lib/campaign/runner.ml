@@ -22,11 +22,13 @@ let find_family name =
                     (Locks.Zoo.all @ Locks.Zoo.two_process
                    @ Locks.Zoo.recoverable @ Locks.Zoo.abortable)))))
 
-(* Build the machine configuration a cell describes, validating every
-   cross-field constraint the CLI would reject (unknown lock, aborts on
-   a non-abortable lock, multi-passage one-time locks, store parameters
-   out of range). Raises [Bad_cell]; called at plan time so a campaign
-   fails on bad input before running anything. *)
+(* Build the lock and the machine configuration a cell describes,
+   validating every cross-field constraint the CLI would reject (unknown
+   lock, aborts on a non-abortable lock, multi-passage one-time locks, a
+   process count [Config.make] refuses, store parameters out of range).
+   An adversary cell gets the configuration its construction runs under.
+   Raises [Bad_cell]; called at plan time so a campaign fails on bad
+   input before running anything. *)
 let config_of (c : Cell.t) =
   let fam = find_family c.Cell.lock in
   let lock =
@@ -38,23 +40,26 @@ let config_of (c : Cell.t) =
     raise
       (Bad_cell
          (Printf.sprintf "%s has no abort cleanup section" c.Cell.lock));
-  if c.Cell.kind = Cell.Adversary then None
-  else
-    let cfg =
-      try
-        Locks.Harness.config_of_lock ~model:c.Cell.model
-          ~ordering:c.Cell.ordering ~max_passages:c.Cell.passages
-          ~crash_semantics:c.Cell.crash_semantics lock ~n:c.Cell.n
-      with Invalid_argument m | Failure m ->
-        raise (Bad_cell (Printf.sprintf "%s: %s" c.Cell.lock m))
-    in
-    (* the store mode bypasses Config.make, so re-validate its ranges *)
-    (match c.Cell.store with
-    | Tsim.Config.Store_exact -> ()
-    | Tsim.Config.Store_bitstate { log2_bits; hashes } ->
-        if log2_bits < 10 || log2_bits > 36 || hashes < 1 || hashes > 8 then
-          raise (Bad_cell "bitstate store parameters out of range"));
-    Some { cfg with Tsim.Config.store = c.Cell.store }
+  let cfg =
+    try
+      match c.Cell.kind with
+      | Cell.Adversary ->
+          Locks.Harness.config_of_lock ~model:c.Cell.model ~max_passages:1
+            ~check_exclusion:true lock ~n:c.Cell.n
+      | Cell.Verify ->
+          Locks.Harness.config_of_lock ~model:c.Cell.model
+            ~ordering:c.Cell.ordering ~max_passages:c.Cell.passages
+            ~crash_semantics:c.Cell.crash_semantics lock ~n:c.Cell.n
+    with Invalid_argument m | Failure m ->
+      raise (Bad_cell (Printf.sprintf "%s: %s" c.Cell.lock m))
+  in
+  (* the store mode bypasses Config.make, so re-validate its ranges *)
+  (match c.Cell.store with
+  | Tsim.Config.Store_exact -> ()
+  | Tsim.Config.Store_bitstate { log2_bits; hashes } ->
+      if log2_bits < 10 || log2_bits > 36 || hashes < 1 || hashes > 8 then
+        raise (Bad_cell "bitstate store parameters out of range"));
+  (lock, { cfg with Tsim.Config.store = c.Cell.store })
 
 let resolve c = ignore (config_of c)
 
@@ -67,8 +72,7 @@ let run ?stop ?max_millis ?(spin_fuel = 6) ~budget_nodes (c : Cell.t) :
     Cell.outcome =
   match c.Cell.kind with
   | Cell.Adversary ->
-      let fam = find_family c.Cell.lock in
-      let lock = fam.Locks.Lock_intf.instantiate ~n:c.Cell.n in
+      let lock, _ = config_of c in
       let con =
         Adversary.Construction.create ~model:c.Cell.model lock ~n:c.Cell.n
       in
@@ -80,11 +84,7 @@ let run ?stop ?max_millis ?(spin_fuel = 6) ~budget_nodes (c : Cell.t) :
         budget_nodes;
       }
   | Cell.Verify ->
-      let cfg =
-        match config_of c with
-        | Some cfg -> cfg
-        | None -> assert false
-      in
+      let _, cfg = config_of c in
       let r =
         Mcheck.Explore.explore ~max_nodes:budget_nodes ?max_millis ?stop
           ~spin_fuel ~por:c.Cell.por ~max_crashes:c.Cell.max_crashes

@@ -27,14 +27,12 @@ let make ?(d0 = 4) ~n () : Lock_intf.t =
   (* stage sides: d0, 2 d0, ... until one side covers any contention *)
   let sides =
     let rec go d acc = if d >= 2 * n then List.rev (d :: acc) else go (2 * d) (d :: acc) in
-    go d0 []
+    Array.of_list (go d0 [])
   in
-  let m = List.length sides in
-  let grids =
-    List.map (fun side -> Splitter.make_grid layout ~side) sides
-  in
+  let m = Array.length sides in
+  let grids = Array.map (fun side -> Splitter.make_grid layout ~side) sides in
   let stage_trees =
-    List.mapi
+    Array.mapi
       (fun i side ->
         Peterson_kit.tournament_over layout
           (Printf.sprintf "stage%d" i)
@@ -54,11 +52,11 @@ let make ?(d0 = 4) ~n () : Lock_intf.t =
         let* () = (fst slow_tree) p in
         arb_entry m
       else
-        let* name = Splitter.rename (List.nth grids i) p in
+        let* name = Splitter.rename grids.(i) p in
         match name with
         | Some nm ->
             claims.(p) <- Fast (i, nm);
-            let* () = (fst (List.nth stage_trees i)) nm in
+            let* () = (fst stage_trees.(i)) nm in
             arb_entry i
         | None -> try_stage (i + 1)
     in
@@ -68,7 +66,7 @@ let make ?(d0 = 4) ~n () : Lock_intf.t =
     match claims.(p) with
     | Fast (i, nm) ->
         let* () = arb_exit i in
-        (snd (List.nth stage_trees i)) nm
+        (snd stage_trees.(i)) nm
     | Slow ->
         let* () = arb_exit m in
         (snd slow_tree) p

@@ -37,26 +37,26 @@ let enter_splitter (s : splitter) p =
     let* x = read s.x in
     if x = me then return Stop else return Down
 
-type grid = {
-  side : int;
-  cells : splitter array array;  (* cells.(r).(d) *)
-  mark : Var.t array array;  (* visited marks, for adaptive collects *)
-}
+(* A side x side grid is two blocks: the visited marks (for adaptive
+   collects), row-major, then the splitters, each as its y then its x. *)
+type grid = { side : int; marks : Var.t; splitters : Var.t }
 
 let make_grid layout ~side =
-  {
-    side;
-    cells =
-      Array.init side (fun r ->
-          Array.init side (fun d ->
-              make_splitter layout (Printf.sprintf "sp[%d][%d]" r d)));
-    mark =
-      Array.init side (fun r ->
-          Array.init side (fun d ->
-              Layout.var layout ~init:0 (Printf.sprintf "mark[%d][%d]" r d)));
-  }
+  let cell k = Printf.sprintf "[%d][%d]" (k / side) (k mod side) in
+  let marks = Layout.block layout (fun k -> "mark" ^ cell k) (side * side) in
+  let splitters =
+    Layout.block layout
+      (fun k -> Printf.sprintf "sp%s.%s" (cell (k / 2)) (if k mod 2 = 0 then "y" else "x"))
+      (2 * side * side)
+  in
+  { side; marks; splitters }
 
 let cell_name g ~r ~d = (r * g.side) + d
+let mark g ~r ~d = g.marks + cell_name g ~r ~d
+
+let cell g ~r ~d =
+  let y = g.splitters + (2 * cell_name g ~r ~d) in
+  { x = y + 1; y }
 
 (* Walk the grid from (0,0); returns the claimed cell's name, or None if
    the walk falls off the grid (more than [side] contenders on a path).
@@ -65,8 +65,8 @@ let rename g p =
   let rec walk r d =
     if r >= g.side || d >= g.side then return None
     else
-      let* () = write g.mark.(r).(d) 1 in
-      let* outcome = enter_splitter g.cells.(r).(d) p in
+      let* () = write (mark g ~r ~d) 1 in
+      let* outcome = enter_splitter (cell g ~r ~d) p in
       match outcome with
       | Stop -> return (Some (cell_name g ~r ~d))
       | Right -> walk (r + 1) d
@@ -90,7 +90,7 @@ let collect_marked g =
         match cs with
         | [] -> return (any, acc)
         | (r, d) :: rest ->
-            let* mk = read g.mark.(r).(d) in
+            let* mk = read (mark g ~r ~d) in
             if mk <> 0 then scan rest true ((r, d) :: acc)
             else scan rest any acc
       in

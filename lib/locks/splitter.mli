@@ -18,15 +18,21 @@ type splitter = { x : Var.t; y : Var.t }
 val make_splitter : Layout.t -> string -> splitter
 val enter_splitter : splitter -> Pid.t -> outcome Prog.t
 
-type grid = {
-  side : int;
-  cells : splitter array array;
-  mark : Var.t array array;
-      (** visited marks: a process marks every cell on its path, so an
-          unmarked diagonal bounds the occupied region *)
-}
+type grid
+(** A [side] x [side] renaming grid of splitters, each cell with a
+    visited mark: a process marks every cell on its path, so an
+    unmarked diagonal bounds the occupied region. *)
 
 val make_grid : Layout.t -> side:int -> grid
+(** Declares the [side]² marks ["mark[r][d]"], row-major, then the
+    splitters, ["sp[r][d].y"] before ["sp[r][d].x"], each group as one
+    layout block. *)
+
+val cell : grid -> r:int -> d:int -> splitter
+(** The splitter at row [r], column [d]. *)
+
+val mark : grid -> r:int -> d:int -> Var.t
+(** The visited mark of cell ([r], [d]). *)
 
 val cell_name : grid -> r:int -> d:int -> int
 (** Dense encoding of a cell as a name. *)

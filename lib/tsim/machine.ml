@@ -226,7 +226,7 @@ let create (cfg : Config.t) =
   in
   {
     cfg;
-    mem = Array.init nvars (fun v -> Layout.init cfg.layout v);
+    mem = Layout.initial_memory cfg.layout;
     procs;
     cs_entries = 0;
     active_count = 0;

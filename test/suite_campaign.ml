@@ -339,6 +339,14 @@ let test_grid_rejects () =
   (match Driver.parse_grid "lock=tas n=2 store=bounded:256" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "removed bounded store accepted");
+  (* an adversary cell is checked against the configuration its
+     construction runs under, so n=0 is refused before anything runs *)
+  (match Driver.parse_grid "kind=adversary lock=tas n=0" with
+  | Error _ -> ()
+  | Ok grid -> (
+      match List.iter Runner.resolve (Driver.planned grid) with
+      | () -> Alcotest.fail "adversary cell with n=0 accepted"
+      | exception Runner.Bad_cell _ -> ()));
   match Driver.parse_bracket "min-n-fences lock=tas" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "min-n-fences without k accepted"

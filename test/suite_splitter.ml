@@ -73,7 +73,7 @@ let prop_grid_unique_names =
     QCheck.(pair (int_range 2 6) (int_bound 100_000))
     (fun (n, seed) ->
       let side = n + 1 in
-      let g, names, _ = run_grid ~n ~side ~schedule:(`Rand seed) in
+      let _, names, _ = run_grid ~n ~side ~schedule:(`Rand seed) in
       let got = Array.to_list names in
       (* everyone got a name (grid large enough) *)
       List.for_all Option.is_some got
@@ -82,28 +82,32 @@ let prop_grid_unique_names =
       List.length (List.sort_uniq compare vals) = n
       && List.for_all
            (fun name ->
-             let r = name / g.Splitter.side
-             and d = name mod g.Splitter.side in
+             let r = name / side and d = name mod side in
              r + d <= 2 * (n - 1))
            vals)
 
 (* The marks let a collect find every claimed cell: each name's cell is
-   marked and lies before the first empty diagonal. *)
+   marked, its splitter's y is set, and it lies before the first empty
+   diagonal. *)
 let test_collect_marked_covers_names () =
-  let n = 4 in
-  let g, names, m = run_grid ~n ~side:6 ~schedule:(`Rand 7) in
+  let n = 4 and side = 6 in
+  let g, names, m = run_grid ~n ~side ~schedule:(`Rand 7) in
   (* run the collect as a fresh process program on the same machine is not
      possible (config fixed); instead read marks directly from memory *)
-  let marked r d = Machine.mem_value m g.Splitter.mark.(r).(d) <> 0 in
+  let marked r d = Machine.mem_value m (Splitter.mark g ~r ~d) <> 0 in
   Array.iter
     (fun name ->
       match name with
       | None -> Alcotest.fail "missing name"
       | Some nm ->
-          let r = nm / g.Splitter.side and d = nm mod g.Splitter.side in
+          let r = nm / side and d = nm mod side in
           Alcotest.(check bool)
             (Printf.sprintf "cell (%d,%d) marked" r d)
-            true (marked r d))
+            true (marked r d);
+          Alcotest.(check int)
+            (Printf.sprintf "cell (%d,%d) claimed" r d)
+            1
+            (Machine.mem_value m (Splitter.cell g ~r ~d).Splitter.y))
     names
 
 let suite =
