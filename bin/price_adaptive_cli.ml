@@ -703,6 +703,42 @@ let verify_cmd =
 
 (* --- replay -------------------------------------------------------------- *)
 
+(* What replay and stats share: look the lock up, load the schedule,
+   replay it at [spin_fuel] on a fully-accounting machine, and exit 2 on
+   a schedule that does not fit the lock. *)
+let replay_schedule name file ~n ~spin_fuel ~crash_semantics ~record_trace =
+  let fam =
+    match find_lock name with Ok fam -> fam | Error e -> die2 "%s" e
+  in
+  let schedule =
+    match Mcheck.Explore.load_schedule file with
+    | Ok schedule -> schedule
+    | Error msg ->
+        (* Sys_error messages already lead with the path *)
+        if String.starts_with ~prefix:file msg then die2 "%s" msg
+        else die2 "%s: %s" file msg
+  in
+  let lock = fam.Locks.Lock_intf.instantiate ~n in
+  let cfg =
+    Locks.Harness.config_of_lock ~model:Tsim.Config.Cc_wb ~crash_semantics
+      lock ~n
+  in
+  let saved = !Tsim.Prog.default_spin_fuel in
+  Tsim.Prog.default_spin_fuel := spin_fuel;
+  let m, outcome =
+    Fun.protect
+      ~finally:(fun () -> Tsim.Prog.default_spin_fuel := saved)
+      (fun () ->
+        Mcheck.Explore.replay { cfg with Tsim.Config.record_trace } schedule)
+  in
+  (match outcome with
+  | Mcheck.Explore.R_bad_pid (i, p) ->
+      die2 "%s: move %d references p%d but the machine has n=%d" file i p n
+  | Mcheck.Explore.R_bad_abort (i, p) ->
+      die2 "%s: move %d aborts p%d outside a declared wait point" file i p
+  | _ -> ());
+  (lock, schedule, m, outcome)
+
 let replay_cmd =
   let doc =
     "Replay a schedule file (one move per line, as saved by verify \
@@ -727,61 +763,25 @@ let replay_cmd =
              or atomic-prefix (must match the exploring run)")
   in
   let run name file n spin_fuel crash_semantics =
-    match find_lock name with
-    | Error e -> die2 "%s" e
-    | Ok fam -> (
-        match Mcheck.Explore.load_schedule file with
-        | Error msg ->
-            (* Sys_error messages already lead with the path *)
-            let prefixed =
-              String.length msg >= String.length file
-              && String.sub msg 0 (String.length file) = file
-            in
-            if prefixed then die2 "%s" msg else die2 "%s: %s" file msg
-        | Ok schedule ->
-            let lock = fam.Locks.Lock_intf.instantiate ~n in
-            let cfg =
-              Locks.Harness.config_of_lock ~model:Tsim.Config.Cc_wb
-                ~crash_semantics lock ~n
-            in
-            (* outcome-only replay: the trace is never read, so don't pay
-               for recording it (config_of_lock defaults it on). The
-               stats command keeps recording on — it recomputes metrics
-               from the trace. *)
-            let cfg = { cfg with Tsim.Config.record_trace = false } in
-            let saved = !Tsim.Prog.default_spin_fuel in
-            Tsim.Prog.default_spin_fuel := spin_fuel;
-            let _, outcome =
-              Fun.protect
-                ~finally:(fun () -> Tsim.Prog.default_spin_fuel := saved)
-                (fun () -> Mcheck.Explore.replay cfg schedule)
-            in
-            (match outcome with
-            | Mcheck.Explore.R_bad_pid (i, p) ->
-                die2 "%s: move %d references p%d but the machine has n=%d"
-                  file i p n
-            | _ -> ());
-            Printf.printf "%s n=%d: %d moves\n" lock.Locks.Lock_intf.name n
-              (List.length schedule);
-            (match outcome with
-            | Mcheck.Explore.R_completed ->
-                print_endline "schedule completed without violation"
-            | Mcheck.Explore.R_exclusion (h, i) ->
-                Printf.printf
-                  "EXCLUSION VIOLATION: p%d in the critical section, p%d \
-                   entered\n"
-                  h i
-            | Mcheck.Explore.R_spin v ->
-                Printf.printf "SPIN EXHAUSTED on v%d\n" v
-            | Mcheck.Explore.R_bad_pid (i, p) ->
-                die2 "%s: move %d references p%d but the machine has n=%d"
-                  file i p n
-            | Mcheck.Explore.R_bad_abort (i, p) ->
-                die2 "%s: move %d aborts p%d outside a declared wait point"
-                  file i p
-            | Mcheck.Explore.R_stuck (i, msg) ->
-                Printf.printf "stuck at move %d: %s\n" i msg;
-                exit 1))
+    (* outcome-only replay: the trace is never read, so don't pay for
+       recording it. The stats command records it: it recomputes metrics
+       from the trace. *)
+    let lock, schedule, _, outcome =
+      replay_schedule name file ~n ~spin_fuel ~crash_semantics
+        ~record_trace:false
+    in
+    Printf.printf "%s n=%d: %d moves\n" lock.Locks.Lock_intf.name n
+      (List.length schedule);
+    match outcome with
+    | Mcheck.Explore.R_exclusion (h, i) ->
+        Printf.printf
+          "EXCLUSION VIOLATION: p%d in the critical section, p%d entered\n"
+          h i
+    | Mcheck.Explore.R_spin v -> Printf.printf "SPIN EXHAUSTED on v%d\n" v
+    | Mcheck.Explore.R_stuck (i, msg) ->
+        Printf.printf "stuck at move %d: %s\n" i msg;
+        exit 1
+    | _ -> print_endline "schedule completed without violation"
   in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(const run $ lock_arg $ file $ n $ spin_fuel $ crash_semantics)
@@ -821,93 +821,70 @@ let stats_cmd =
              spans)")
   in
   let run name file n spin_fuel crash_semantics chrome =
-    match find_lock name with
-    | Error e -> die2 "%s" e
-    | Ok fam -> (
-        match Mcheck.Explore.load_schedule file with
-        | Error msg -> die2 "%s: %s" file msg
-        | Ok schedule ->
-            let lock = fam.Locks.Lock_intf.instantiate ~n in
-            let cfg =
-              Locks.Harness.config_of_lock ~model:Tsim.Config.Cc_wb
-                ~crash_semantics lock ~n
-            in
-            let cfg = { cfg with Tsim.Config.record_trace = true } in
-            let saved = !Tsim.Prog.default_spin_fuel in
-            Tsim.Prog.default_spin_fuel := spin_fuel;
-            let m, outcome =
-              Fun.protect
-                ~finally:(fun () -> Tsim.Prog.default_spin_fuel := saved)
-                (fun () -> Mcheck.Explore.replay cfg schedule)
-            in
-            (match outcome with
-            | Mcheck.Explore.R_bad_pid (i, p) ->
-                die2 "%s: move %d references p%d but the machine has n=%d"
-                  file i p n
-            | Mcheck.Explore.R_bad_abort (i, p) ->
-                die2 "%s: move %d aborts p%d outside a declared wait point"
-                  file i p
-            | Mcheck.Explore.R_stuck (i, msg) ->
-                die2 "%s: stuck at move %d: %s" file i msg
-            | Mcheck.Explore.R_completed | Mcheck.Explore.R_exclusion _
-            | Mcheck.Explore.R_spin _ ->
-                ());
-            let tr = Execution.Trace.of_machine m in
-            let metrics = Execution.Metrics.compute tr in
-            Printf.printf "%s n=%d: %d moves, %d events\n"
-              lock.Locks.Lock_intf.name n (List.length schedule)
-              (Execution.Trace.length tr);
-            (match outcome with
-            | Mcheck.Explore.R_exclusion (h, i) ->
-                Printf.printf
-                  "note: schedule ends in an exclusion violation (p%d \
-                   holds, p%d enters)\n"
-                  h i
-            | Mcheck.Explore.R_spin v ->
-                Printf.printf "note: schedule ends in spin exhaustion on \
-                               v%d\n"
-                  v
-            | _ -> ());
-            Format.printf "%a" Execution.Metrics.pp metrics;
-            (* per-passage breakdown through the shared columnar
-               renderer: one row per (process, passage) *)
-            (match
-               List.concat_map
-                 (fun pp ->
-                   List.map
-                     (fun mp ->
-                       [
-                         ("pid", Obs.Json.Int pp.Execution.Metrics.pp_pid);
-                         ( "passage",
-                           Obs.Json.Int mp.Execution.Metrics.mp_index );
-                         ("events", Obs.Json.Int mp.Execution.Metrics.mp_events);
-                         ("rmrs", Obs.Json.Int mp.Execution.Metrics.mp_rmrs);
-                         ("fences", Obs.Json.Int mp.Execution.Metrics.mp_fences);
-                         ( "criticals",
-                           Obs.Json.Int mp.Execution.Metrics.mp_criticals );
-                       ])
-                     pp.Execution.Metrics.pp_passage_log)
-                 metrics.Execution.Metrics.processes
-             with
-            | [] -> ()
-            | rows -> print_string (Obs.Json.pp_rows ~indent:4 rows));
-            (match chrome with
-            | Some out ->
-                let oc = open_out out in
-                Execution.Chrome.export oc tr;
-                close_out oc;
-                Printf.printf "chrome trace -> %s\n" out
-            | None -> ());
-            match Execution.Metrics.cross_check m metrics with
-            | [] ->
-                print_endline
-                  "cross-check: online machine counters agree with the \
-                   trace recomputation"
-            | fails ->
-                Printf.printf "cross-check: %d mismatches\n"
-                  (List.length fails);
-                List.iter (fun f -> Printf.printf "  %s\n" f) fails;
-                exit 1)
+    let lock, schedule, m, outcome =
+      replay_schedule name file ~n ~spin_fuel ~crash_semantics
+        ~record_trace:true
+    in
+    (match outcome with
+    | Mcheck.Explore.R_stuck (i, msg) ->
+        die2 "%s: stuck at move %d: %s" file i msg
+    | _ -> ());
+    let tr = Execution.Trace.of_machine m in
+    let metrics = Execution.Metrics.compute tr in
+    Printf.printf "%s n=%d: %d moves, %d events\n"
+      lock.Locks.Lock_intf.name n (List.length schedule)
+      (Execution.Trace.length tr);
+    (match outcome with
+    | Mcheck.Explore.R_exclusion (h, i) ->
+        Printf.printf
+          "note: schedule ends in an exclusion violation (p%d \
+           holds, p%d enters)\n"
+          h i
+    | Mcheck.Explore.R_spin v ->
+        Printf.printf "note: schedule ends in spin exhaustion on \
+                       v%d\n"
+          v
+    | _ -> ());
+    Format.printf "%a" Execution.Metrics.pp metrics;
+    (* per-passage breakdown through the shared columnar
+       renderer: one row per (process, passage) *)
+    (match
+       List.concat_map
+         (fun pp ->
+           List.map
+             (fun mp ->
+               [
+                 ("pid", Obs.Json.Int pp.Execution.Metrics.pp_pid);
+                 ( "passage",
+                   Obs.Json.Int mp.Execution.Metrics.mp_index );
+                 ("events", Obs.Json.Int mp.Execution.Metrics.mp_events);
+                 ("rmrs", Obs.Json.Int mp.Execution.Metrics.mp_rmrs);
+                 ("fences", Obs.Json.Int mp.Execution.Metrics.mp_fences);
+                 ( "criticals",
+                   Obs.Json.Int mp.Execution.Metrics.mp_criticals );
+               ])
+             pp.Execution.Metrics.pp_passage_log)
+         metrics.Execution.Metrics.processes
+     with
+    | [] -> ()
+    | rows -> print_string (Obs.Json.pp_rows ~indent:4 rows));
+    (match chrome with
+    | Some out ->
+        let oc = open_out out in
+        Execution.Chrome.export oc tr;
+        close_out oc;
+        Printf.printf "chrome trace -> %s\n" out
+    | None -> ());
+    match Execution.Metrics.cross_check m metrics with
+    | [] ->
+        print_endline
+          "cross-check: online machine counters agree with the \
+           trace recomputation"
+    | fails ->
+        Printf.printf "cross-check: %d mismatches\n"
+          (List.length fails);
+        List.iter (fun f -> Printf.printf "  %s\n" f) fails;
+        exit 1
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(
@@ -1044,12 +1021,14 @@ let campaign_cmd =
       value & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "worker domains; workers take the brackets first, then the \
-             grid's searches cheapest-first, from one shared queue, and \
-             each search runs sequentially, so reports are identical at \
-             any job count. Each distinct search runs once per run: verify \
-             cells that differ only in model share one, and a probe that \
-             meets a grid search reuses it or waits for it")
+            "workers, the calling domain among them; the other N-1 \
+             domains start with the first search, so a run the cache \
+             answers starts none. Workers take the brackets first, then \
+             the grid's searches cheapest-first, from one shared queue, \
+             and each search runs sequentially, so reports are identical \
+             at any job count. Each distinct search runs once per run: \
+             verify cells that differ only in model share one, and a probe \
+             that meets a grid search reuses it or waits for it")
   in
   let max_nodes =
     Arg.(

@@ -14,8 +14,6 @@ open Tsim.Ids
 
 type clause = A | B | C
 
-let clause_name = function A -> "a" | B -> "b" | C -> "c"
-
 type var_verdict = { var : Var.t; clause : clause option; detail : string }
 
 (* Does the trace contain a contiguous block of commit-writes to [v] by all

@@ -9,8 +9,6 @@ open Execution
 
 type clause = A | B | C
 
-val clause_name : clause -> string
-
 type var_verdict = { var : Var.t; clause : clause option; detail : string }
 
 val find_ordered_block : Trace.t -> Var.t -> Pidset.t -> int option

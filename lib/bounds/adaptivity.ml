@@ -26,5 +26,3 @@ let polynomial ~c ~d =
   }
 
 let constant c = { name = Printf.sprintf "f(i) = %g" c; eval = (fun _ -> c) }
-
-let custom name eval = { name; eval }

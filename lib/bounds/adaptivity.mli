@@ -15,4 +15,3 @@ val exponential : float -> t
 
 val polynomial : c:float -> d:float -> t
 val constant : float -> t
-val custom : string -> (int -> float) -> t

@@ -49,7 +49,7 @@ let ints_of field v =
   in
   List.concat_map range (String.split_on_char ',' v)
 
-let enums_of field of_code v =
+let enums_of of_code field v =
   List.map
     (fun p ->
       match of_code p with
@@ -67,81 +67,73 @@ let por_of_code = function
   | "off" -> Some false
   | _ -> None
 
-let parse_grid_exn spec =
-  let kinds = ref [ Cell.Verify ]
-  and locks = ref []
-  and ns = ref [ 2 ]
-  and models = ref [ Tsim.Config.Cc_wb ]
-  and ords = ref [ Tsim.Config.Tso ]
-  and passes = ref [ 1 ]
-  and crashes = ref [ 0 ]
-  and aborts = ref [ 0 ]
-  and csems = ref [ Tsim.Config.Drop_buffer ]
-  and stores = ref [ Tsim.Config.Store_exact ]
-  and pors = ref [ true ] in
-  List.iter
-    (fun tok ->
-      match split_kv tok with
-      | None -> fail "expected field=values, got %S" tok
-      | Some (k, v) -> (
-          match k with
-          | "kind" -> kinds := enums_of k kind_of_code v
-          | "lock" -> locks := String.split_on_char ',' v
-          | "n" -> ns := ints_of k v
-          | "model" -> models := enums_of k Cell.model_of_code v
-          | "ord" -> ords := enums_of k Cell.ordering_of_code v
-          | "pass" -> passes := ints_of k v
-          | "crashes" -> crashes := ints_of k v
-          | "aborts" -> aborts := ints_of k v
-          | "csem" -> csems := enums_of k Cell.csem_of_code v
-          | "store" -> stores := enums_of k Cell.store_of_code v
-          | "por" -> pors := enums_of k por_of_code v
-          | k -> fail "unknown grid field %S" k))
-    (tokens_of spec);
-  if !locks = [] then fail "grid needs at least one lock=...";
-  (* cartesian product over every dimension *)
-  List.concat_map
-    (fun kind ->
-      List.concat_map
-        (fun lock ->
-          List.concat_map
-            (fun n ->
-              List.concat_map
-                (fun model ->
-                  List.concat_map
-                    (fun ordering ->
-                      List.concat_map
-                        (fun passages ->
-                          List.concat_map
-                            (fun max_crashes ->
-                              List.concat_map
-                                (fun max_aborts ->
-                                  List.concat_map
-                                    (fun crash_semantics ->
-                                      List.concat_map
-                                        (fun store ->
-                                          List.map
-                                            (fun por ->
-                                              Cell.make ~kind ~model ~ordering
-                                                ~passages ~max_crashes
-                                                ~max_aborts ~crash_semantics
-                                                ~store ~por ~lock ~n ())
-                                            !pors)
-                                        !stores)
-                                    !csems)
-                                !aborts)
-                            !crashes)
-                        !passes)
-                    !ords)
-                !models)
-            !ns)
-        !locks)
-    !kinds
+(* The cell fields a grid or a bracket sets, in the grid's product order
+   (outermost first): each parses its value list into one cell update
+   per value. *)
+let fields =
+  let each values set k v = List.map (fun x c -> set c x) (values k v) in
+  let ints = each ints_of and enums of_code = each (enums_of of_code) in
+  [
+    ("kind", enums kind_of_code (fun c kind -> { c with Cell.kind }));
+    ( "lock",
+      each (fun _ -> String.split_on_char ',') (fun c lock ->
+          { c with Cell.lock }) );
+    ("n", ints (fun c n -> { c with Cell.n }));
+    ("model", enums Cell.model_of_code (fun c model -> { c with Cell.model }));
+    ( "ord",
+      enums Cell.ordering_of_code (fun c ordering -> { c with Cell.ordering })
+    );
+    ("pass", ints (fun c passages -> { c with Cell.passages }));
+    ("crashes", ints (fun c max_crashes -> { c with Cell.max_crashes }));
+    ("aborts", ints (fun c max_aborts -> { c with Cell.max_aborts }));
+    ( "csem",
+      enums Cell.csem_of_code (fun c crash_semantics ->
+          { c with Cell.crash_semantics }) );
+    ("store", enums Cell.store_of_code (fun c store -> { c with Cell.store }));
+    ("por", enums por_of_code (fun c por -> { c with Cell.por }));
+  ]
 
-let parse_grid spec =
-  match parse_grid_exn spec with
-  | cells -> Ok cells
+let one k v = function
+  | [ x ] -> x
+  | _ -> fail "%s: one value only, got %S" k v
+
+(* A spec's [field=value] tokens: every field [known], none twice. *)
+let assignments ~what ~known toks =
+  List.fold_left
+    (fun given tok ->
+      match split_kv tok with
+      | None -> fail "expected field=value, got %S" tok
+      | Some (k, _) when not (List.mem k known) ->
+          fail "unknown %s field %S" what k
+      | Some (k, _) when List.mem_assoc k given -> fail "%s given twice" k
+      | Some kv -> kv :: given)
+    [] toks
+
+(* The cells [given] describes over [Cell.make]'s defaults: the product
+   of its value lists, or one cell when [single]. *)
+let cells_of ~what ?kind ~single given =
+  if not (List.mem_assoc "lock" given) then fail "%s needs lock=..." what;
+  List.fold_left
+    (fun cells (k, values) ->
+      match List.assoc_opt k given with
+      | None -> cells
+      | Some v ->
+          let updates = values k v in
+          let updates = if single then [ one k v updates ] else updates in
+          List.concat_map (fun c -> List.map (fun u -> u c) updates) cells)
+    [ Cell.make ?kind ~lock:"" ~n:2 () ]
+    fields
+
+let parse spec_exn spec =
+  match spec_exn spec with
+  | x -> Ok x
   | exception Spec_error m -> Error m
+
+let parse_grid =
+  parse (fun spec ->
+      cells_of ~what:"grid" ~single:false
+        (assignments ~what:"grid" ~known:(List.map fst fields)
+           (tokens_of spec)))
 
 (* --- bracket specs ----------------------------------------------------- *)
 
@@ -164,79 +156,37 @@ type bracket_spec = {
   hi : int;
 }
 
-let parse_bracket_exn spec =
-  match tokens_of spec with
-  | [] -> fail "empty bracket spec"
-  | goal_tok :: fields ->
-      let kv = List.map (fun t ->
-          match split_kv t with
-          | Some kv -> kv
-          | None -> fail "expected field=value, got %S" t)
-          fields
-      in
-      let get k = List.assoc_opt k kv in
-      let int_f k =
-        Option.map
-          (fun v ->
-            match int_of_string_opt v with
-            | Some x -> x
-            | None -> fail "%s: bad integer %S" k v)
-          (get k)
-      in
-      let enum_f k of_code =
-        Option.map
-          (fun v ->
-            match of_code v with
-            | Some x -> x
-            | None -> fail "%s: unknown value %S" k v)
-          (get k)
-      in
-      List.iter
-        (fun (k, _) ->
-          match k with
-          | "lock" | "n" | "model" | "ord" | "pass" | "crashes" | "aborts"
-          | "csem" | "store" | "por" | "k" | "lo" | "hi" ->
-              ()
-          | k -> fail "unknown bracket field %S" k)
-        kv;
-      let goal, kind, default_lo, default_hi =
-        match goal_tok with
-        | "min-n-fences" -> (
-            match int_f "k" with
-            | Some k when k >= 1 -> (Min_n_fences k, Cell.Adversary, 2, 8)
-            | Some _ -> fail "min-n-fences: k must be >= 1"
-            | None -> fail "min-n-fences needs k=<fences>")
-        | "max-exhaustive-n" -> (Max_exhaustive_n, Cell.Verify, 2, 8)
-        | "min-crashes-refute" -> (Min_crashes_refute, Cell.Verify, 0, 4)
-        | "min-aborts-refute" -> (Min_aborts_refute, Cell.Verify, 0, 4)
-        | g -> fail "unknown bracket goal %S" g
-      in
-      let lock =
-        match get "lock" with
-        | Some l -> l
-        | None -> fail "bracket needs lock=..."
-      in
-      let base =
-        Cell.make ~kind
-          ?model:(enum_f "model" Cell.model_of_code)
-          ?ordering:(enum_f "ord" Cell.ordering_of_code)
-          ?passages:(int_f "pass") ?max_crashes:(int_f "crashes")
-          ?max_aborts:(int_f "aborts")
-          ?crash_semantics:(enum_f "csem" Cell.csem_of_code)
-          ?store:(enum_f "store" Cell.store_of_code)
-          ?por:(enum_f "por" por_of_code) ~lock
-          ~n:(Option.value (int_f "n") ~default:2)
-          ()
-      in
-      let lo = Option.value (int_f "lo") ~default:default_lo in
-      let hi = Option.value (int_f "hi") ~default:default_hi in
-      if lo > hi then fail "bracket has lo=%d > hi=%d" lo hi;
-      { goal; base; lo; hi }
+let bracket_known =
+  "k" :: "lo" :: "hi" :: List.filter (( <> ) "kind") (List.map fst fields)
 
-let parse_bracket spec =
-  match parse_bracket_exn spec with
-  | b -> Ok b
-  | exception Spec_error m -> Error m
+let parse_bracket =
+  parse (fun spec ->
+      match tokens_of spec with
+      | [] -> fail "empty bracket spec"
+      | goal_tok :: toks ->
+          let given = assignments ~what:"bracket" ~known:bracket_known toks in
+          let int_f k =
+            Option.map (fun v -> one k v (ints_of k v)) (List.assoc_opt k given)
+          in
+          let goal, kind, default_lo, default_hi =
+            match goal_tok with
+            | "min-n-fences" -> (
+                match int_f "k" with
+                | Some k when k >= 1 -> (Min_n_fences k, Cell.Adversary, 2, 8)
+                | Some _ -> fail "min-n-fences: k must be >= 1"
+                | None -> fail "min-n-fences needs k=<fences>")
+            | "max-exhaustive-n" -> (Max_exhaustive_n, Cell.Verify, 2, 8)
+            | "min-crashes-refute" -> (Min_crashes_refute, Cell.Verify, 0, 4)
+            | "min-aborts-refute" -> (Min_aborts_refute, Cell.Verify, 0, 4)
+            | g -> fail "unknown bracket goal %S" g
+          in
+          let base =
+            List.hd (cells_of ~what:"bracket" ~kind ~single:true given)
+          in
+          let lo = Option.value (int_f "lo") ~default:default_lo in
+          let hi = Option.value (int_f "hi") ~default:default_hi in
+          if lo > hi then fail "bracket has lo=%d > hi=%d" lo hi;
+          { goal; base; lo; hi })
 
 type plan = { grid : Cell.t list; brackets : bracket_spec list }
 
@@ -318,20 +268,6 @@ let by_search cells =
 (* A cache key's state in one run's single-flight table. *)
 type slot = Searching | Found of Cell.outcome | Raised of exn
 
-(* Telemetry a worker hands to the coordinator, the only domain that
-   touches the hub. [tid] is the worker's index; a search carries the
-   worker's clock readings at its start and end. *)
-type note =
-  | Searched of {
-      tid : int;
-      cell : Cell.t;
-      outcome : Cell.outcome;
-      ts0 : int;
-      ts1 : int;
-    }
-  | Hit of { tid : int; cell : Cell.t; outcome : Cell.outcome }
-  | Answered of bracket_result
-
 let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
     ?stop ?(obs = Obs.Telemetry.null) ~cache plan =
   let stop =
@@ -358,6 +294,8 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
       Runner.resolve (cell_at spec spec.hi))
     plan.brackets;
   let grid = planned plan.grid in
+  let groups = by_search grid in
+  let brackets = Array.of_list plan.brackets in
   (* Outcomes depend on the spin fuel, which is not a cell axis, so the
      cache holds them under the search key plus the fuel they were found
      at: a resume at another fuel recomputes rather than trusting them. *)
@@ -365,16 +303,32 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
     Printf.sprintf "%s fuel=%d" (Cell.search_key cell) spin_fuel
   in
   let traced = Obs.Telemetry.enabled obs in
+  let total_cells = List.length grid in
+  if traced then
+    Obs.Telemetry.instant obs "campaign.plan"
+      ~args:
+        [
+          ("cells", Obs.Json.Int total_cells);
+          ("brackets", Obs.Json.Int (Array.length brackets));
+          ("jobs", Obs.Json.Int jobs);
+          ("max_nodes", Obs.Json.Int cap);
+        ];
+  (* [m] guards the single-flight table, the cache, the counters and the
+     hub: each worker emits its own telemetry while holding it. *)
+  let m = Mutex.create () and changed = Condition.create () in
+  let slots = Hashtbl.create 64 in
+  let executed = ref 0 and shared = ref 0 and hits = ref 0 in
+  let done_cells = ref 0 in
   let t_start = Unix.gettimeofday () in
   let last_beat = ref t_start in
-  let total_cells = List.length grid in
-  let heartbeat (done_cells, executed, hits) =
+  (* ~1 Hz progress, under [m] *)
+  let heartbeat () =
     let now = Unix.gettimeofday () in
     if traced && now -. !last_beat >= 1.0 then begin
       last_beat := now;
       let p =
         if total_cells = 0 then 1.0
-        else float_of_int done_cells /. float_of_int total_cells
+        else float_of_int !done_cells /. float_of_int total_cells
       in
       Obs.Telemetry.gauge obs "campaign.progress" p;
       if p > 0.0 then
@@ -383,10 +337,10 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
       Obs.Telemetry.instant obs "campaign.heartbeat"
         ~args:
           [
-            ("done", Obs.Json.Int done_cells);
+            ("done", Obs.Json.Int !done_cells);
             ("total", Obs.Json.Int total_cells);
-            ("executed", Obs.Json.Int executed);
-            ("hits", Obs.Json.Int hits);
+            ("executed", Obs.Json.Int !executed);
+            ("hits", Obs.Json.Int !hits);
           ]
     end
   in
@@ -398,76 +352,53 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
       ("cached", Obs.Json.Bool cached);
     ]
   in
-  let emit = function
-    | Searched { tid; cell; outcome; ts0; ts1 } ->
-        Obs.Telemetry.span_at obs ~tid ~ts0 ~ts1
-          ~args:(cell_args cell outcome ~cached:false)
-          "campaign.cell"
-    | Hit { tid; cell; outcome } ->
-        Obs.Telemetry.instant obs ~tid
-          ~args:(cell_args cell outcome ~cached:true)
-          "campaign.cell"
-    | Answered br ->
-        Obs.Telemetry.instant obs "campaign.bracket"
-          ~args:
-            [
-              ("goal", Obs.Json.String (goal_name br.spec.goal));
-              ("base", Obs.Json.String (Cell.key br.spec.base));
-              ( "answer",
-                match br.answer with
-                | Some a -> Obs.Json.Int a
-                | None -> Obs.Json.Null );
-              ("evals", Obs.Json.Int br.evals);
-            ]
+  (* under [m]: [cells] answered without a search *)
+  let hit tid cells o =
+    hits := !hits + List.length cells;
+    if traced then
+      List.iter
+        (fun cell ->
+          Obs.Telemetry.instant obs ~tid
+            ~args:(cell_args cell o ~cached:true)
+            "campaign.cell")
+        cells
   in
-  let brackets = Array.of_list plan.brackets in
-  if traced then
-    Obs.Telemetry.instant obs "campaign.plan"
-      ~args:
-        [
-          ("cells", Obs.Json.Int total_cells);
-          ("brackets", Obs.Json.Int (Array.length brackets));
-          ("jobs", Obs.Json.Int jobs);
-          ("max_nodes", Obs.Json.Int cap);
-        ];
-  (* grid cells the cache answers are answered here, before any worker
-     starts; the misses are grouped by search *)
-  let hits = ref 0 in
-  let results = ref [] in
-  let groups =
-    by_search
-      (List.filter
-         (fun cell ->
-           match Cache.find cache (cache_key cell) with
-           | Some o when Cell.usable o ~budget_nodes:cap ->
-               incr hits;
-               if traced then emit (Hit { tid = 0; cell; outcome = o });
-               results := { cell; outcome = o; from_cache = true } :: !results;
-               false
-           | _ -> true)
-         grid)
-  in
-  (* The worker pool. Its tasks are the brackets, in plan order, then the
-     grid's search groups in schedule order, taken from one shared index.
-     [m] guards the single-flight table, the cache, the counters and the
-     notes for the coordinator; each task writes only its own result
-     slot, which the coordinator reads after the join. *)
+  (* The pool: the calling domain is worker 0, and up to [jobs - 1]
+     helpers are spawned when the first search starts, so a run the
+     cache answers starts no domain. Tasks are the brackets, in plan
+     order, then the grid's search groups in schedule order, taken from
+     one shared index; each writes only its own result slot, read after
+     the join. *)
   let n_brackets = Array.length brackets in
   let n_tasks = n_brackets + Array.length groups in
-  let nw = min (max 1 jobs) n_tasks in
-  let m = Mutex.create () and changed = Condition.create () in
-  let slots = Hashtbl.create 64 in
-  let notes = Queue.create () in
-  let executed = ref 0 and done_cells = ref !hits and running = ref nw in
-  let note n =
-    if traced then begin
-      Queue.add n notes;
-      Condition.broadcast changed
+  let answered =
+    Array.map (fun spec -> { spec; answer = None; evals = 0; probed = [] })
+      brackets
+  and searched = Array.make (Array.length groups) [] in
+  let next = Atomic.make 0 and halt = Atomic.make false in
+  let spawned = ref false and helpers = ref [] in
+  let rec work tid =
+    (* a task that raises stops the pool; [run] re-raises after the join *)
+    match take tid with
+    | () -> None
+    | exception e ->
+        Atomic.set halt true;
+        Some e
+  and take tid =
+    if not (Atomic.get halt) then begin
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n_tasks then begin
+        if i < n_brackets then run_bracket tid i
+        else run_group tid (i - n_brackets);
+        take tid
+      end
     end
-  in
-  (* Every search a grid group or a probe asks for: the disk cache, else
-     this run's outcome, else one search while other askers wait. *)
-  let ask tid cell =
+  (* Every search a grid group or a probe asks for: this run's table,
+     else the disk cache, else one search by the first of [cells] while
+     other askers of its key wait. Once [stop] is set it answers only
+     from the table or the cache. *)
+  and ask tid cells =
+    let cell = List.hd cells and others = List.length cells - 1 in
     let key = cache_key cell in
     let known =
       Mutex.protect m (fun () ->
@@ -476,52 +407,79 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
             | Some Searching ->
                 Condition.wait changed m;
                 lookup ()
-            | Some (Found o) -> Some o
+            | Some (Found o) ->
+                hit tid [ cell ] o;
+                shared := !shared + others;
+                `Known (o, false)
             | Some (Raised e) -> raise e
             | None -> (
                 match Cache.find cache key with
-                | Some o when Cell.usable o ~budget_nodes:cap -> Some o
+                | Some o when Cell.usable o ~budget_nodes:cap ->
+                    hit tid cells o;
+                    `Known (o, true)
+                | _ when Atomic.get stop -> `Stopped
                 | _ ->
                     Hashtbl.replace slots key Searching;
-                    None)
+                    `Search)
           in
-          let known = lookup () in
-          Option.iter
-            (fun outcome ->
-              incr hits;
-              note (Hit { tid; cell; outcome }))
-            known;
-          known)
+          lookup ())
     in
     match known with
-    | Some o -> o
-    | None -> (
-        let ts0 = Obs.Telemetry.now_us obs in
+    | `Known answer -> Some answer
+    | `Stopped -> None
+    | `Search -> (
         match
-          Runner.run ~stop ?max_millis ~spin_fuel ~budget_nodes:cap cell
+          if not !spawned then start_helpers ();
+          let ts0 = Obs.Telemetry.now_us obs in
+          (ts0, Runner.run ~stop ?max_millis ~spin_fuel ~budget_nodes:cap cell)
         with
-        | outcome ->
+        | ts0, outcome ->
             let ts1 = Obs.Telemetry.now_us obs in
             Mutex.protect m (fun () ->
                 Hashtbl.replace slots key (Found outcome);
                 Condition.broadcast changed;
                 incr executed;
-                note (Searched { tid; cell; outcome; ts0; ts1 });
-                if cacheable outcome then Cache.add cache key outcome);
-            outcome
+                shared := !shared + others;
+                if traced then
+                  Obs.Telemetry.span_at obs ~tid ~ts0 ~ts1
+                    ~args:(cell_args cell outcome ~cached:false)
+                    "campaign.cell";
+                if cacheable outcome then Cache.add cache key outcome;
+                heartbeat ());
+            Some (outcome, false)
         | exception e ->
             Mutex.protect m (fun () ->
                 Hashtbl.replace slots key (Raised e);
                 Condition.broadcast changed);
             raise e)
-  in
-  let run_bracket tid spec =
+  (* Only worker 0 runs before the first search, so only it starts the
+     helpers, one at a time: if a spawn fails, the helpers already
+     started are still joined, and [ask] records the failure for the
+     key's other askers. *)
+  and start_helpers () =
+    spawned := true;
+    for k = 1 to min (jobs - 1) (n_tasks - Atomic.get next) do
+      helpers := Domain.spawn (fun () -> work k) :: !helpers
+    done
+  and run_group tid i =
+    let group = groups.(i) in
+    match ask tid group with
+    | None -> ()
+    | Some (outcome, from_cache) ->
+        searched.(i) <-
+          List.map (fun cell -> { cell; outcome; from_cache }) group;
+        Mutex.protect m (fun () ->
+            done_cells := !done_cells + List.length group;
+            heartbeat ())
+  and run_bracket tid i =
+    let spec = brackets.(i) in
     let stats = Bracket.new_stats () in
+    (* after [stop], a partial may be an interrupted search *)
     let p x =
-      if Atomic.get stop then raise Interrupted;
-      let o = ask tid (cell_at spec x) in
-      if Atomic.get stop && not (Cell.definitive o) then raise Interrupted;
-      predicate spec o
+      match ask tid [ cell_at spec x ] with
+      | Some (o, _) when Cell.definitive o || not (Atomic.get stop) ->
+          predicate spec o
+      | _ -> raise Interrupted
     in
     let answer =
       try
@@ -532,112 +490,46 @@ let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
             Bracket.least ~stats ~lo:spec.lo ~hi:spec.hi p
       with Interrupted -> None
     in
-    let br =
+    let evals = stats.Bracket.evals in
+    answered.(i) <-
       {
         spec;
         answer;
-        evals = stats.Bracket.evals;
+        evals;
         probed =
           List.sort
             (fun (a, _) (b, _) -> Stdlib.compare a b)
             stats.Bracket.probed;
-      }
-    in
-    Mutex.protect m (fun () -> note (Answered br));
-    br
-  in
-  let answered = Array.make n_brackets None in
-  let searched = Array.make (Array.length groups) None in
-  let tasks =
-    Array.append
-      (Array.mapi
-         (fun i spec tid -> answered.(i) <- Some (run_bracket tid spec))
-         brackets)
-      (Array.mapi
-         (fun i group tid ->
-           searched.(i) <- Some (ask tid (List.hd group));
-           Mutex.protect m (fun () ->
-               done_cells := !done_cells + List.length group))
-         groups)
-  in
-  let next = Atomic.make 0 and halt = Atomic.make false in
-  let worker tid () =
-    let rec loop () =
-      if not (Atomic.get stop || Atomic.get halt) then begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n_tasks then begin
-          tasks.(i) tid;
-          loop ()
-        end
-      end
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.protect m (fun () ->
-            decr running;
-            Condition.broadcast changed))
-      (fun () ->
-        try loop ()
-        with e ->
-          (* the pool stops taking tasks; [run] re-raises after the join *)
-          Atomic.set halt true;
-          raise e)
-  in
-  let domains = Array.init nw (fun tid -> Domain.spawn (worker tid)) in
-  (* the coordinator emits what the workers noted until the last one
-     exits; it waits on [changed], never on a timer *)
-  let rec coordinate () =
-    let batch, live, progress =
+      };
+    if traced then
       Mutex.protect m (fun () ->
-          while !running > 0 && Queue.is_empty notes do
-            Condition.wait changed m
-          done;
-          let batch = List.of_seq (Queue.to_seq notes) in
-          Queue.clear notes;
-          (batch, !running > 0, (!done_cells, !executed, !hits)))
-    in
-    List.iter emit batch;
-    heartbeat progress;
-    if live then coordinate ()
+          Obs.Telemetry.instant obs "campaign.bracket"
+            ~args:
+              [
+                ("goal", Obs.Json.String (goal_name spec.goal));
+                ("base", Obs.Json.String (Cell.key spec.base));
+                ( "answer",
+                  match answer with
+                  | Some a -> Obs.Json.Int a
+                  | None -> Obs.Json.Null );
+                ("evals", Obs.Json.Int evals);
+              ])
   in
+  let failed = work 0 in
   let failed =
-    match coordinate () with
-    | () -> None
-    | exception e ->
-        Atomic.set halt true;
-        Some e
-  in
-  let failed =
-    Array.fold_left
+    List.fold_left
       (fun failed d ->
-        match Domain.join d with
-        | () -> failed
-        | exception e -> if Option.is_none failed then Some e else failed)
-      failed domains
+        let e = Domain.join d in
+        if Option.is_some failed then failed else e)
+      failed (List.rev !helpers)
   in
   Option.iter raise failed;
-  let shared = ref 0 in
-  Array.iteri
-    (fun i group ->
-      Option.iter
-        (fun outcome ->
-          shared := !shared + List.length group - 1;
-          List.iter
-            (fun cell ->
-              results := { cell; outcome; from_cache = false } :: !results)
-            group)
-        searched.(i))
-    groups;
   {
-    cells = List.sort (fun a b -> Cell.compare a.cell b.cell) !results;
-    brackets =
-      Array.to_list
-        (Array.mapi
-           (fun i spec ->
-             match answered.(i) with
-             | Some br -> br
-             | None -> { spec; answer = None; evals = 0; probed = [] })
-           brackets);
+    cells =
+      List.sort
+        (fun a b -> Cell.compare a.cell b.cell)
+        (List.concat (Array.to_list searched));
+    brackets = Array.to_list answered;
     interrupted = Atomic.get stop;
     executed = !executed;
     shared = !shared;

@@ -7,8 +7,9 @@
     verify cells that differ only in the memory model share one search
     ({!Cell.search_key}), and a bracket probe that lands on a grid
     search shares it too. The brackets and the grid's searches are
-    tasks of one pool of [jobs] worker domains, brackets first, then the
-    grid cheapest-first; each search runs whole and sequential (the
+    tasks of one pool of up to [jobs] workers, the calling domain among
+    them, brackets first, then the grid cheapest-first; each search runs
+    whole and sequential (the
     campaign parallelizes one level above the explorer, so every cell's
     outcome is the deterministic sequential one). Completed outcomes
     land in the cache immediately, so a killed campaign resumes where it
@@ -49,16 +50,20 @@ val parse_grid : string -> (Cell.t list, string) result
     adversary), [lock], [n], [model] (dsm, cc-wt, cc-wb), [ord] (tso,
     pso), [pass], [crashes], [aborts], [csem] (drop, flush, prefix),
     [store] (exact, bitstate:B:H), [por] (on, off). [lock]
-    is required; every other field defaults to the {!Cell.make}
-    default. The grid is the cartesian product of all dimensions:
+    is required, no field may appear twice, and every other field
+    defaults to the {!Cell.make} default. The grid is the cartesian
+    product of all dimensions:
     ["lock=peterson,ticket n=2-4 crashes=0,1"] is 12 cells. *)
 
 val parse_bracket : string -> (bracket_spec, string) result
 (** Bracket spec: a goal name — [min-n-fences] (requires [k=]),
     [max-exhaustive-n], [min-crashes-refute], [min-aborts-refute] —
-    followed by single-valued [field=v] tokens for the base cell plus
-    optional [lo=]/[hi=] range bounds (defaults 2..8 for the [n] goals,
-    0..4 for the fault-budget goals). [lock] is required. *)
+    followed by [field=v] tokens for the base cell plus optional
+    [lo=]/[hi=] range bounds (defaults 2..8 for the [n] goals, 0..4 for
+    the fault-budget goals). The base cell's fields are {!parse_grid}'s,
+    parsed by the same table, except [kind], which the goal sets; each
+    takes one value (["n=2,3"] is an error) and may appear once. [lock]
+    is required. *)
 
 val planned : Cell.t list -> Cell.t list
 (** Deduplicate by key and order cheapest-first ({!Cell.cost_hint}),
@@ -92,10 +97,10 @@ type result = {
   shared : int;
       (** grid cells answered by another grid cell's search in this run *)
   hits : int;
-      (** lookups answered without a search: grid cells the cache
-          answered before the run, and grid searches and probes that
-          found their search in the cache or already run (or running)
-          in this run, whichever task searched first *)
+      (** lookups answered without a search: every cell of a grid
+          group the cache answers, each probe the cache answers, and
+          each grid group or probe that found its search already run
+          (or running) in this run, whichever task searched first *)
 }
 
 exception Interrupted
@@ -123,28 +128,30 @@ val run :
     the run — which is exactly what makes concurrent explores safe — so
     it is a campaign parameter, not a cell axis.
 
-    Grid cells the cache answers are answered before any search; the
-    rest are grouped by {!Cell.search_key}. [min (max 1 jobs) tasks]
-    worker domains take the tasks from one shared index: every bracket,
-    in plan order, then every group in schedule order ({!planned}).
-    A bracket's probes run on the worker
-    that took it. Every search a group or a probe asks for goes through
-    one single-flight table keyed like the cache: the cache, else this
-    run's outcome, else one search while other askers of that key wait.
-    So the counters, the report and every bracket answer are the same
-    at any [jobs]. Workers read and write [cache] only under the table's
-    lock and never touch [obs]; the calling domain emits their
-    telemetry as it arrives, waiting on the workers rather than a timer.
-    A search that raises ends the run with its exception once every
-    worker has stopped; any asker waiting on it raises it too.
+    The calling domain is worker 0; when the first search starts, it
+    spawns up to [jobs - 1] helper domains (never more than the tasks
+    left), so a run the cache answers, and any [jobs = 1] run, starts
+    no domain. The workers take the tasks from one shared index: every
+    bracket, in plan order, then every group of grid cells sharing a
+    {!Cell.search_key}, in schedule order ({!planned}). A bracket's
+    probes run on the worker that took it. Every group and every probe
+    asks one single-flight lookup keyed like the cache: this run's
+    outcome, else the cache, else one search while other askers of that
+    key wait. So the counters, the report and every bracket answer are
+    the same at any [jobs]. Workers read and write [cache] and emit
+    their telemetry only under the table's lock. A search that raises
+    ends the run with its exception once every worker has stopped; any
+    asker waiting on it raises it too.
 
     Outcomes are recorded in [cache] as they complete — definitive ones
     and full-cap node-budget partials only; time-limited or interrupted
     partials are never cached. Cache entries are keyed by
     {!Cell.search_key} plus [" fuel=<spin_fuel>"], so a run only reuses
     outcomes found at its own fuel.
-    Setting [stop] finishes the searches in flight, flushes the cache,
-    and returns with [interrupted = true].
+    Setting [stop] finishes the searches in flight and starts no other:
+    the remaining tasks still take what this run or the cache already
+    knows, so an interrupted report keeps every cached cell. The run
+    returns with [interrupted = true].
 
     [obs] receives one [campaign.cell] span per search, stamped by the
     worker that ran it with its start and end on the worker's lane

@@ -25,7 +25,6 @@ let create vertices =
 
 let order t = Array.length t.vertices
 let size t = t.edges
-let mem_vertex t v = Hashtbl.mem t.index v
 
 let add_edge t u v =
   match (Hashtbl.find_opt t.index u, Hashtbl.find_opt t.index v) with

@@ -17,8 +17,6 @@ val order : 'v t -> int
 val size : 'v t -> int
 (** Number of edges. *)
 
-val mem_vertex : 'v t -> 'v -> bool
-
 val add_edge : 'v t -> 'v -> 'v -> unit
 (** Self-loops, duplicates and edges to absent vertices are ignored. *)
 

@@ -1,6 +1,6 @@
 (* Reusable Peterson building blocks: a 2-process node and a tournament
-   over anonymous slots. Used by the tournament lock, the adaptive-tree
-   lock and the cascade lock. *)
+   over anonymous slots. Used by the adaptive-tree lock and the cascade
+   lock; the tournament lock declares and runs its own nodes. *)
 
 open Tsim
 open Prog

@@ -37,8 +37,8 @@ let enter_splitter (s : splitter) p =
     let* x = read s.x in
     if x = me then return Stop else return Down
 
-(* A side x side grid is two blocks: the visited marks (for adaptive
-   collects), row-major, then the splitters, each as its y then its x. *)
+(* A side x side grid is two blocks: the visited marks, row-major, then
+   the splitters, each as its y then its x. *)
 type grid = { side : int; marks : Var.t; splitters : Var.t }
 
 let make_grid layout ~side =
@@ -60,7 +60,7 @@ let cell g ~r ~d =
 
 (* Walk the grid from (0,0); returns the claimed cell's name, or None if
    the walk falls off the grid (more than [side] contenders on a path).
-   Marks every visited cell so collects can detect the occupied region. *)
+   Marks every visited cell, so the marks bound the region walks reached. *)
 let rename g p =
   let rec walk r d =
     if r >= g.side || d >= g.side then return None
@@ -73,28 +73,3 @@ let rename g p =
       | Down -> walk r (d + 1)
   in
   walk 0 0
-
-(* Read the announce marks diagonal by diagonal; by the monotone-path
-   argument, a fully unmarked diagonal means no process went beyond it.
-   Returns the set of marked cells up to the first empty diagonal. *)
-let collect_marked g =
-  let rec diagonal dg acc =
-    if dg > 2 * (g.side - 1) then return acc
-    else
-      let cells =
-        List.filter
-          (fun (r, d) -> r < g.side && d < g.side)
-          (List.init (dg + 1) (fun r -> (r, dg - r)))
-      in
-      let rec scan cs any acc =
-        match cs with
-        | [] -> return (any, acc)
-        | (r, d) :: rest ->
-            let* mk = read (mark g ~r ~d) in
-            if mk <> 0 then scan rest true ((r, d) :: acc)
-            else scan rest any acc
-      in
-      let* any, acc = scan cells false acc in
-      if any then diagonal (dg + 1) acc else return acc
-  in
-  diagonal 0 []

@@ -40,6 +40,3 @@ val cell_name : grid -> r:int -> d:int -> int
 val rename : grid -> Pid.t -> int option Prog.t
 (** Walk from (0,0); [Some name] of the claimed cell, or [None] if the
     walk fell off the grid. *)
-
-val collect_marked : grid -> (int * int) list Prog.t
-(** Read marks diagonal by diagonal up to the first empty diagonal. *)

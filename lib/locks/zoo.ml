@@ -16,16 +16,6 @@ let all : Lock_intf.family list =
     Cascade.family;
   ]
 
-let read_write_only : Lock_intf.family list =
-  [
-    Bakery.family;
-    Filter.family;
-    Tournament.family;
-    Fastpath.family;
-    Adaptive_tree.family;
-    Cascade.family;
-  ]
-
 let multi_passage : Lock_intf.family list =
   [
     Ticket.family;

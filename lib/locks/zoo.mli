@@ -2,9 +2,6 @@
 
 val all : Lock_intf.family list
 
-val read_write_only : Lock_intf.family list
-(** Locks that use no comparison primitives. *)
-
 val multi_passage : Lock_intf.family list
 (** Locks supporting repeated passages (excludes one-time locks). *)
 

@@ -624,6 +624,22 @@ let charge ctx =
         in
         claim ()
 
+(* The explore.* counters, from a [stats] record: the heartbeat's live
+   snapshot and [explore]'s final one publish the same list. *)
+let publish_counters obs ~nodes ~violations (s : stats) =
+  let set name v = Obs.Telemetry.set (Obs.Telemetry.counter obs name) v in
+  set "explore.nodes" nodes;
+  set "explore.dedup_hits" s.dedup_hits;
+  set "explore.sleep_prunes" s.sleep_prunes;
+  set "explore.ample_fused" s.ample_fused;
+  set "explore.seen_entries" s.seen_entries;
+  set "explore.crashes_applied" s.crashes_applied;
+  set "explore.aborts_applied" s.aborts_applied;
+  set "explore.violations" violations;
+  set "explore.steals" s.steals;
+  set "explore.store_drops" s.store_drops;
+  Obs.Telemetry.flush_counters obs
+
 (* Heartbeat: push counter snapshots, the instantaneous nodes/sec, the
    current DFS depth and — when the estimator is running — progress %,
    ETA and the live total estimate to the sinks. Cadence is time-based
@@ -635,17 +651,8 @@ let charge ctx =
    sink attached the explorer never reaches here. *)
 let heartbeat ctx depth now =
   let obs = ctx.obs in
-  let t = Obs.Telemetry.counter obs in
-  let setc name v = Obs.Telemetry.set (t name) v in
-  setc "explore.nodes" ctx.nodes;
-  setc "explore.dedup_hits" ctx.c_dedup;
-  setc "explore.sleep_prunes" ctx.c_sleep_prunes;
-  setc "explore.ample_fused" ctx.c_fused;
-  setc "explore.seen_entries" (seen_len ctx);
-  setc "explore.crashes_applied" ctx.c_crashes;
-  setc "explore.aborts_applied" ctx.c_aborts;
-  setc "explore.violations" ctx.nviol;
-  Obs.Telemetry.flush_counters obs;
+  publish_counters obs ~nodes:ctx.nodes ~violations:ctx.nviol
+    (stats_of_ctx ctx);
   Obs.Telemetry.gauge obs "explore.frontier_depth" (float_of_int depth);
   let dn = ctx.nodes - ctx.hb_nodes and dt = now - ctx.hb_us in
   if dt > 0 && ctx.hb_us > 0 then
@@ -1634,18 +1641,8 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(on_spin = `Prune)
   @@ fun () ->
   let finish (r : result) =
     if Obs.Telemetry.enabled obs then begin
-      let t = Obs.Telemetry.counter obs in
-      Obs.Telemetry.set (t "explore.nodes") r.nodes;
-      Obs.Telemetry.set (t "explore.dedup_hits") r.stats.dedup_hits;
-      Obs.Telemetry.set (t "explore.sleep_prunes") r.stats.sleep_prunes;
-      Obs.Telemetry.set (t "explore.ample_fused") r.stats.ample_fused;
-      Obs.Telemetry.set (t "explore.seen_entries") r.stats.seen_entries;
-      Obs.Telemetry.set (t "explore.crashes_applied") r.stats.crashes_applied;
-      Obs.Telemetry.set (t "explore.aborts_applied") r.stats.aborts_applied;
-      Obs.Telemetry.set (t "explore.violations") (List.length r.violations);
-      Obs.Telemetry.set (t "explore.steals") r.stats.steals;
-      Obs.Telemetry.set (t "explore.store_drops") r.stats.store_drops;
-      Obs.Telemetry.flush_counters obs;
+      publish_counters obs ~nodes:r.nodes
+        ~violations:(List.length r.violations) r.stats;
       if r.stats.omission_prob > 0.0 then
         Obs.Telemetry.gauge obs "explore.omission_prob" r.stats.omission_prob;
       if Option.is_some estimator then begin

@@ -47,8 +47,7 @@ let move_pid = function
       p
 
 (* Fields are mutable solely for [of_move_into]'s in-place refill of a
-   scratch record on the explorer hot path; every other producer builds a
-   fresh record and no consumer ever writes one. *)
+   scratch record on the explorer hot path; no consumer ever writes one. *)
 type t = {
   mutable pid : Pid.t;
   mutable reads : int;  (* bitset of shared variables read from memory *)
@@ -67,82 +66,11 @@ type t = {
    (dependent on everything) — correctness never relies on the bitset. *)
 let tracked_vars = Sys.int_size - 2
 
-let local ?(may_enable_cs = false) pid =
-  { pid; reads = 0; writes = 0; cs_check = false; may_enable_cs;
-    budget = false; global = false }
+(* --- computing footprints --------------------------------------------- *)
 
-let of_var pid ~may_enable_cs ~reads ~writes v =
-  if v < 0 || v >= tracked_vars then
-    { pid; reads = 0; writes = 0; cs_check = false; may_enable_cs;
-      budget = false; global = true }
-  else
-    let b = 1 lsl v in
-    { pid; reads = (if reads then b else 0);
-      writes = (if writes then b else 0); cs_check = false; may_enable_cs;
-      budget = false; global = false }
-
-let of_move m mv =
-  match mv with
-  | Step p -> (
-      let may = Machine.step_may_enable_cs m p in
-      match Machine.step_footprint m p with
-      | Machine.F_none | Machine.F_local -> local ~may_enable_cs:may p
-      | Machine.F_read v ->
-          of_var p ~may_enable_cs:may ~reads:true ~writes:false v
-      | Machine.F_write v ->
-          of_var p ~may_enable_cs:may ~reads:false ~writes:true v
-      | Machine.F_rmw v ->
-          of_var p ~may_enable_cs:may ~reads:true ~writes:true v
-      | Machine.F_cs ->
-          { pid = p; reads = 0; writes = 0; cs_check = true;
-            may_enable_cs = false; budget = false; global = false })
-  | Commit p -> (
-      match Wbuf.peek (Machine.proc m p).Machine.buf with
-      | Some e ->
-          of_var p ~may_enable_cs:false ~reads:false ~writes:true e.Wbuf.var
-      | None ->
-          (* commit of an empty buffer: never enabled; stay conservative *)
-          { pid = p; reads = 0; writes = 0; cs_check = false;
-            may_enable_cs = false; budget = false; global = true })
-  | Commit_var (p, v) ->
-      of_var p ~may_enable_cs:false ~reads:false ~writes:true v
-  | Crash (p, k) ->
-      (* writes = the committed prefix (the first [k] buffered vars); the
-         wipe itself is process-local. A crash always may change the
-         owner's CS-enabledness (it un-enables a completed entry section,
-         so its order against another process's CS execution decides
-         whether a violation is observed), and it consumes the shared
-         crash budget. *)
-      let buf = (Machine.proc m p).Machine.buf in
-      let writes = ref 0 and global = ref false in
-      let i = ref 0 in
-      Wbuf.iter
-        (fun e ->
-          if !i < k then begin
-            if e.Wbuf.var >= tracked_vars then global := true
-            else writes := !writes lor (1 lsl e.Wbuf.var)
-          end;
-          incr i)
-        buf;
-      { pid = p; reads = 0; writes = !writes; cs_check = false;
-        may_enable_cs = true; budget = true; global = !global }
-  | Recover p -> local p
-  | Abort p ->
-      (* Process-local: the buffer is kept, the continuation swaps to the
-         cleanup section. Like a crash it changes the owner's section
-         against the CS check and consumes a shared fault budget (any two
-         budget moves are ordered conservatively). *)
-      { pid = p; reads = 0; writes = 0; cs_check = false;
-        may_enable_cs = true; budget = true; global = false }
-
-(* --- allocation-free refill (explorer hot path) ---------------------- *)
-
-(* [of_move] costs ~14 words per call (the [pending] payload, the
-   [step_footprint] constructor, the record itself); with several calls
-   per node that was a measurable slice of the explorer's minor-GC
-   pressure. [of_move_into] computes the same footprint into a caller-
-   owned scratch record with zero allocation, via
-   {!Machine.step_footprint_packed}. *)
+(* The explorer refills a caller-owned scratch record per move, with
+   zero allocation ({!Machine.step_footprint_packed} classifies a step
+   without building its pending event); [of_move] fills a fresh one. *)
 
 let make_scratch () =
   { pid = Pid.of_int 0; reads = 0; writes = 0; cs_check = false;
@@ -177,19 +105,20 @@ let of_move_into f m mv =
       let v = packed lsr 3 in
       match packed land 7 with
       | 0 | 1 ->
-          (* F_none / F_local *)
+          (* finished, or process-local *)
           fill f p ~reads:0 ~writes:0 ~cs_check:false ~may_enable_cs:may
             ~budget:false ~global:false
       | 2 -> fill_var f p ~may_enable_cs:may ~reads:true ~writes:false v
       | 3 -> fill_var f p ~may_enable_cs:may ~reads:false ~writes:true v
       | 4 -> fill_var f p ~may_enable_cs:may ~reads:true ~writes:true v
       | _ ->
-          (* F_cs *)
+          (* CS execution *)
           fill f p ~reads:0 ~writes:0 ~cs_check:true ~may_enable_cs:false
             ~budget:false ~global:false)
   | Commit p ->
       let buf = (Machine.proc m p).Machine.buf in
       if Wbuf.is_empty buf then
+        (* commit of an empty buffer: never enabled; stay conservative *)
         fill f p ~reads:0 ~writes:0 ~cs_check:false ~may_enable_cs:false
           ~budget:false ~global:true
       else
@@ -198,6 +127,12 @@ let of_move_into f m mv =
   | Commit_var (p, v) ->
       fill_var f p ~may_enable_cs:false ~reads:false ~writes:true v
   | Crash (p, k) ->
+      (* writes = the committed prefix (the first [k] buffered vars); the
+         wipe itself is process-local. A crash always may change the
+         owner's CS-enabledness (it un-enables a completed entry section,
+         so its order against another process's CS execution decides
+         whether a violation is observed), and it consumes the shared
+         crash budget. *)
       let buf = (Machine.proc m p).Machine.buf in
       let writes = ref 0 and global = ref false in
       let i = ref 0 in
@@ -215,8 +150,17 @@ let of_move_into f m mv =
       fill f p ~reads:0 ~writes:0 ~cs_check:false ~may_enable_cs:false
         ~budget:false ~global:false
   | Abort p ->
+      (* Process-local: the buffer is kept, the continuation swaps to the
+         cleanup section. Like a crash it changes the owner's section
+         against the CS check and consumes a shared fault budget (any two
+         budget moves are ordered conservatively). *)
       fill f p ~reads:0 ~writes:0 ~cs_check:false ~may_enable_cs:true
         ~budget:true ~global:false
+
+let of_move m mv =
+  let f = make_scratch () in
+  of_move_into f m mv;
+  f
 
 let independent a b =
   (not (Pid.equal a.pid b.pid))
@@ -298,13 +242,3 @@ let decode c code =
   | s -> Crash (p, s - 3 - nvars)
 
 let full_mask c = (1 lsl c.total_bits) - 1
-
-(* Iterate the set bits of a sleep mask as decoded moves. *)
-let iter_mask c f mask =
-  let rec go code mask =
-    if mask <> 0 then begin
-      if mask land 1 <> 0 then f code (decode c code);
-      go (code + 1) (mask lsr 1)
-    end
-  in
-  go 0 (mask land full_mask c)

@@ -39,20 +39,20 @@ type t = {
   mutable global : bool;  (** conservative fallback: dependent on everything *)
 }
 
-val of_move : Machine.t -> move -> t
-(** Footprint of [mv] in machine state [m], computed without executing
-    it. Only meaningful for enabled moves; disabled ones get conservative
-    answers. *)
-
 val make_scratch : unit -> t
 (** A scratch record for {!of_move_into} (initially an empty local
     footprint of pid 0). *)
 
 val of_move_into : t -> Machine.t -> move -> unit
-(** [of_move_into f m mv] computes [of_move m mv] into [f] in place,
-    allocating nothing (explorer hot path). The previous contents of [f]
-    are overwritten; results from earlier fills must not be read after a
+(** [of_move_into f m mv] fills [f] with the footprint of [mv] in machine
+    state [m], computed without executing it and allocating nothing
+    (explorer hot path). Only meaningful for enabled moves; disabled ones
+    get conservative answers. The previous contents of [f] are
+    overwritten; results from earlier fills must not be read after a
     refill. *)
+
+val of_move : Machine.t -> move -> t
+(** {!of_move_into} on a fresh {!make_scratch} record. *)
 
 val independent : t -> t -> bool
 (** Sound commutation check: [independent a b] implies the two moves are
@@ -91,6 +91,3 @@ val encode : codec -> move -> int
 val decode : codec -> int -> move
 val full_mask : codec -> int
 (** Mask with one bit per encodable move; only valid when [encodable]. *)
-
-val iter_mask : codec -> (int -> move -> unit) -> int -> unit
-(** Apply [f code move] to every set bit of a sleep mask. *)

@@ -225,9 +225,3 @@ let capacity t =
   match t.kind with
   | K_exact -> t.slots
   | K_bits { words; _ } -> 32 * words
-
-let mode_name t =
-  match t.kind with
-  | K_exact -> Printf.sprintf "exact(%d slots)" t.slots
-  | K_bits { words; hashes } ->
-      Printf.sprintf "bitstate(%d bits, k=%d)" (32 * words) hashes

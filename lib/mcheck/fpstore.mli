@@ -114,6 +114,3 @@ val masks : t -> bool
 
 val capacity : t -> int
 (** Slots (exact) or usable bits (bitstate). *)
-
-val mode_name : t -> string
-(** Human-readable mode + size, for logs and stats dumps. *)

@@ -110,22 +110,5 @@ let fences_completed t p =
       | _ -> acc)
     0 t
 
-(* Events by [p] in its current (last started, unfinished) passage. *)
-let current_passage_events t p =
-  let evs = ref [] and in_passage = ref false in
-  iter
-    (fun (e : Event.t) ->
-      if Pid.equal e.Event.pid p then
-        match e.Event.kind with
-        | Event.Enter ->
-            in_passage := true;
-            evs := [ e ]
-        | Event.Exit ->
-            in_passage := false;
-            evs := []
-        | _ -> if !in_passage then evs := e :: !evs)
-    t;
-  List.rev !evs
-
 let pp fmt t =
   Array.iter (fun e -> Format.fprintf fmt "%a@." Event.pp e) t.events

@@ -52,7 +52,4 @@ val active : t -> Pidset.t
 val fences_completed : t -> Pid.t -> int
 (** EndFence events by the process. *)
 
-val current_passage_events : t -> Pid.t -> Event.t list
-(** The process's events since its last Enter (its unfinished passage). *)
-
 val pp : Format.formatter -> t -> unit

@@ -1269,37 +1269,15 @@ let step m p : Event.t =
 (* Shared-memory footprint of the event [step m p] would execute, decided
    from machine state without executing it. This is what lets the model
    checker's partial-order reduction (lib/mcheck) classify moves as
-   commuting without trial execution. [F_local] means the event touches
-   only process-local state: the process's own buffer, fence flags,
-   section bookkeeping and continuation — including reads satisfied by
-   store-to-load forwarding, which never reach shared memory. *)
-type footprint =
-  | F_none  (* finished process: step would raise *)
-  | F_local  (* process-local only (buffer push, fence flags, sections) *)
-  | F_read of Var.t  (* reads [v] from shared memory *)
-  | F_write of Var.t  (* commits a buffered write to [v] *)
-  | F_rmw of Var.t  (* atomically reads and writes [v] *)
-  | F_cs  (* CS execution: reads every process's entry progress *)
-
-let step_footprint m p : footprint =
-  let pr = m.procs.(p) in
-  match pending m p with
-  | P_done -> F_none
-  | P_enter | P_exit | P_recover | P_marker _ | P_abort_done -> F_local
-  | P_cs -> F_cs
-  | P_begin_fence | P_end_fence | P_rmw_fence -> F_local
-  | P_issue_write _ -> F_local
-  | P_commit v -> F_write v
-  | P_read v -> if Wbuf.find pr.buf v <> None then F_local else F_read v
-  | P_cas (v, _, _) | P_faa (v, _) | P_swap (v, _) -> F_rmw v
-
-(* Packed [step_footprint]: the constructor tag in the low 3 bits
-   (0 = none, 1 = local, 2 = read, 3 = write, 4 = rmw, 5 = cs) and the
-   variable — when the class carries one — in the bits above. Same
-   discrimination as [step_footprint], but no [pending] payload or
-   footprint constructor is allocated: the explorer's scratch-footprint
-   path ({!Footprint.of_move_into}) calls this for every enabled move of
-   every node. *)
+   commuting without trial execution. The class is in the low 3 bits
+   (0 = finished, 1 = local, 2 = read, 3 = write, 4 = rmw, 5 = CS) and the
+   variable — when the class carries one — in the bits above. "Local"
+   means the event touches only process-local state: the process's own
+   buffer, fence flags, section bookkeeping and continuation — including
+   reads satisfied by store-to-load forwarding, which never reach shared
+   memory. Nothing is allocated: the explorer's scratch-footprint path
+   ({!Footprint.of_move_into}) calls this for every enabled move of every
+   node. *)
 let step_footprint_packed m p =
   let pr = m.procs.(p) in
   match pr.sec with

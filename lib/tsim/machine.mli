@@ -233,28 +233,17 @@ val mode : t -> Pid.t -> [ `Read | `Write ]
 
 val pending : t -> Pid.t -> pending
 
-(** Shared-memory footprint of the event {!step} would execute, decided
-    from machine state without executing it. Drives the model checker's
-    partial-order reduction. *)
-type footprint =
-  | F_none  (** finished process: {!step} would raise *)
-  | F_local
-      (** touches only process-local state: the process's buffer, fence
-          flags, section bookkeeping and continuation — including reads
-          satisfied by store-to-load forwarding *)
-  | F_read of Var.t  (** reads [v] from shared memory *)
-  | F_write of Var.t  (** commits a buffered write to [v] *)
-  | F_rmw of Var.t  (** atomically reads and writes [v] *)
-  | F_cs  (** CS execution: reads every process's entry progress *)
-
-val step_footprint : t -> Pid.t -> footprint
-
 val step_footprint_packed : t -> Pid.t -> int
-(** {!step_footprint} without the constructor allocation: the tag in the
-    low 3 bits (0 = [F_none], 1 = [F_local], 2 = [F_read], 3 = [F_write],
-    4 = [F_rmw], 5 = [F_cs]) and, for the classes that carry one, the
-    variable in the bits above. Explorer hot path (the model checker's
-    scratch-footprint fill). *)
+(** Shared-memory footprint of the event {!step} would execute, decided
+    from machine state without executing it and without allocating:
+    drives the model checker's partial-order reduction. The class is in
+    the low 3 bits — 0: finished process ({!step} would raise); 1:
+    touches only process-local state (its buffer, fence flags, section
+    bookkeeping and continuation, including reads satisfied by
+    store-to-load forwarding); 2: reads a variable from shared memory; 3:
+    commits a buffered write; 4: atomically reads and writes a variable;
+    5: CS execution (reads every process's entry progress) — and for
+    classes 2–4 the variable is in the bits above. *)
 
 val step_may_enable_cs : t -> Pid.t -> bool
 (** Could {!step} leave the process CS-enabled (in Entry with a completed

@@ -121,14 +121,6 @@ let random ?(seed = 42) ?(commit_bias = 0.3) ?(crash_prob = 0.0)
     livelocked = !livelocked;
   }
 
-(* The paper's canonical scheduling regime: whenever a process is picked
-   and it is *not* executing a fence, it executes its next program event;
-   commits happen only during fences. [Machine.step] already implements
-   this policy, so the canonical scheduler is a random or round-robin
-   driver that never calls [Machine.commit] explicitly. *)
-let canonical_random ?(seed = 42) ?(max_steps = 10_000_000) m =
-  random ~seed ~commit_bias:0.0 ~max_steps m
-
 (* Run a single process solo until it finishes all its passages. *)
 let solo ?(max_steps = 1_000_000) m p =
   let steps = ref 0 in

@@ -507,6 +507,77 @@ let test_stop_flag_interrupts () =
   | Ok () -> ()
   | Error m -> Alcotest.failf "partial report fails schema: %s" m
 
+(* Domains get increasing ids, so the id of a fresh domain tells how
+   many were spawned since the last one. *)
+let fresh_domain_id () =
+  (Domain.join (Domain.spawn (fun () -> Domain.self ())) :> int)
+
+(* Once [stop] is set no search starts, but every task still takes what
+   the cache knows: over a cache that answers the whole plan, the
+   interrupted report carries every grid cell and the bracket's answer,
+   and no worker domain is started. *)
+let test_stop_keeps_cached_cells () =
+  let cache = Cache.in_memory () in
+  let plan =
+    {
+      Driver.grid = parse_grid_exn small_grid;
+      brackets =
+        [ parse_bracket_exn "max-exhaustive-n lock=ticket lo=2 hi=4" ];
+    }
+  in
+  let cold = Driver.run ~max_nodes:100_000 ~cache plan in
+  let stop = Atomic.make true in
+  let before = fresh_domain_id () in
+  let r = Driver.run ~jobs:2 ~max_nodes:100_000 ~stop ~cache plan in
+  Alcotest.(check int) "no domain started" (before + 1) (fresh_domain_id ());
+  Alcotest.(check bool) "interrupted" true r.Driver.interrupted;
+  Alcotest.(check int) "nothing ran" 0 r.Driver.executed;
+  Alcotest.(check int) "every grid cell reported"
+    (List.length cold.Driver.cells)
+    (List.length r.Driver.cells);
+  Alcotest.(check bool) "every cell from the cache" true
+    (List.for_all (fun c -> c.Driver.from_cache) r.Driver.cells);
+  let outcomes (res : Driver.result) =
+    List.map (fun c -> (Cell.key c.Driver.cell, c.Driver.outcome)) res.cells
+  in
+  Alcotest.(check bool) "the cold run's outcomes" true
+    (outcomes cold = outcomes r);
+  Alcotest.(check (list (option int))) "the bracket answered from the cache"
+    (List.map (fun b -> b.Driver.answer) cold.Driver.brackets)
+    (List.map (fun b -> b.Driver.answer) r.Driver.brackets)
+
+(* A bracket's base cell goes through the grid's field table: every grid
+   field but [kind], which the goal sets, with one value each. *)
+let test_bracket_takes_grid_fields () =
+  let fields =
+    "lock=recoverable-tas n=3 model=dsm ord=pso pass=2 crashes=1 aborts=0 \
+     csem=flush store=bitstate:20:3 por=off"
+  in
+  let b = parse_bracket_exn ("min-crashes-refute " ^ fields ^ " lo=1 hi=2") in
+  (match parse_grid_exn fields with
+  | [ cell ] ->
+      Alcotest.(check string) "base = the one-cell grid" (Cell.key cell)
+        (Cell.key b.Driver.base)
+  | _ -> Alcotest.fail "expected a one-cell grid");
+  Alcotest.(check (pair int int)) "bounds" (1, 2) (b.Driver.lo, b.Driver.hi);
+  List.iter
+    (fun spec ->
+      match Driver.parse_bracket spec with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "bracket %S accepted" spec)
+    [
+      "max-exhaustive-n lock=tas n=2,3";
+      "max-exhaustive-n lock=tas n=2-3";
+      "max-exhaustive-n lock=tas,ticket";
+      "max-exhaustive-n lock=tas model=dsm,cc-wb";
+      "max-exhaustive-n lock=tas hi=4,5";
+      "max-exhaustive-n kind=verify lock=tas";
+      "max-exhaustive-n lock=tas n=2 n=3";
+    ];
+  match Driver.parse_grid "lock=tas lock=ticket" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "grid field given twice accepted"
+
 (* The cell a bracket probes at point [x] (Driver's own rule). *)
 let probe_cell (spec : Driver.bracket_spec) x =
   match spec.Driver.goal with
@@ -805,6 +876,10 @@ let suite =
       test_millis_partial_never_cached;
     Alcotest.test_case "stop flag: partial report, nothing poisoned" `Quick
       test_stop_flag_interrupts;
+    Alcotest.test_case "stop flag: cached cells still reported" `Quick
+      test_stop_keeps_cached_cells;
+    Alcotest.test_case "brackets take the grid's fields, one value each"
+      `Quick test_bracket_takes_grid_fields;
     Alcotest.test_case "report identical across job counts" `Quick
       test_jobs_report_identical;
     Alcotest.test_case "cell spans never overlap on one worker lane" `Quick

@@ -86,14 +86,12 @@ let prop_grid_unique_names =
              r + d <= 2 * (n - 1))
            vals)
 
-(* The marks let a collect find every claimed cell: each name's cell is
-   marked, its splitter's y is set, and it lies before the first empty
-   diagonal. *)
-let test_collect_marked_covers_names () =
+(* A walk marks every cell it visits: read from machine memory after
+   the run, each claimed name's cell is marked and its splitter's y is
+   set. *)
+let test_claimed_cells_marked () =
   let n = 4 and side = 6 in
   let g, names, m = run_grid ~n ~side ~schedule:(`Rand 7) in
-  (* run the collect as a fresh process program on the same machine is not
-     possible (config fixed); instead read marks directly from memory *)
   let marked r d = Machine.mem_value m (Splitter.mark g ~r ~d) <> 0 in
   Array.iter
     (fun name ->
@@ -115,8 +113,8 @@ let suite =
     Alcotest.test_case "solo stops" `Quick test_splitter_solo_stops;
     Alcotest.test_case "grid solo gets origin" `Quick
       test_grid_solo_gets_origin;
-    Alcotest.test_case "collect covers names" `Quick
-      test_collect_marked_covers_names;
+    Alcotest.test_case "claimed cells are marked" `Quick
+      test_claimed_cells_marked;
     QCheck_alcotest.to_alcotest prop_splitter_guarantees;
     QCheck_alcotest.to_alcotest prop_grid_unique_names;
   ]
