@@ -649,23 +649,28 @@ let best_fences_anywhere t =
   done;
   (!best, !best_pid)
 
-let run ?(max_steps = 10_000) ?(max_rounds = 100_000) ?(min_act = 0) t :
-    Report.t =
+let run ?(max_steps = 10_000) ?(max_rounds = 100_000) ?(min_act = 0)
+    ?(stop = fun () -> false) t : Report.t =
   Obs.Telemetry.span t.obs
     ~args:[ ("target", Obs.Json.String t.target); ("n", Obs.Json.Int t.n) ]
     "adversary.run"
   @@ fun () ->
-  let rounds = ref 0 in
+  let rounds = ref 0 and stopped = ref false in
   let outcome =
     try
       while
         Pidset.cardinal t.act > min_act
         && t.step_idx < max_steps && !rounds < max_rounds
+        && not !stopped
       do
-        one_round t;
-        incr rounds
+        if stop () then stopped := true
+        else begin
+          one_round t;
+          incr rounds
+        end
       done;
-      if Pidset.cardinal t.act <= min_act then
+      if !stopped then Report.Stopped
+      else if Pidset.cardinal t.act <= min_act then
         Report.Exhausted_active_processes
       else Report.Reached_step_limit
     with Stuck msg -> Report.Stuck msg

@@ -58,10 +58,14 @@ val finished : t -> Pidset.t
 val one_round : t -> unit
 (** Execute a single construction round (exposed for tests/debugging). *)
 
-val run : ?max_steps:int -> ?max_rounds:int -> ?min_act:int -> t -> Report.t
+val run :
+  ?max_steps:int -> ?max_rounds:int -> ?min_act:int -> ?stop:(unit -> bool) ->
+  t -> Report.t
 (** Run induction steps until at most [min_act] active processes remain
     (default 0), a limit is hit, or the construction gets stuck. Pass
-    [~min_act:1] to keep a surviving process for {!Witness.extract}. *)
+    [~min_act:1] to keep a surviving process for {!Witness.extract}.
+    [stop] is polled before every round; once it answers [true] the run
+    ends with outcome {!Report.Stopped} (default: never). *)
 
 val audit_failures : t -> string list
 (** IN-set violations recorded by the per-step audit (empty unless an

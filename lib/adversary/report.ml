@@ -46,6 +46,7 @@ type step = {
 type outcome =
   | Exhausted_active_processes
   | Reached_step_limit
+  | Stopped
   | Stuck of string
 
 type t = {
@@ -62,6 +63,7 @@ type t = {
 let outcome_name = function
   | Exhausted_active_processes -> "exhausted active processes"
   | Reached_step_limit -> "reached step limit"
+  | Stopped -> "stopped"
   | Stuck s -> "stuck: " ^ s
 
 let pp_step fmt (s : step) =

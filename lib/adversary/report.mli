@@ -39,6 +39,7 @@ type step = {
 type outcome =
   | Exhausted_active_processes
   | Reached_step_limit
+  | Stopped  (** the caller's stop predicate ended the run *)
   | Stuck of string  (** an invariant broke (or an ablation was active) *)
 
 type t = {

@@ -72,13 +72,33 @@ let run ?stop ?max_millis ?(spin_fuel = 6) ~budget_nodes (c : Cell.t) :
     Cell.outcome =
   match c.Cell.kind with
   | Cell.Adversary ->
+      (* the budget and the stop flag end the construction between rounds,
+         with the partial verdicts a verify cell gets *)
+      let deadline =
+        Option.map
+          (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.))
+          max_millis
+      in
+      let interrupted () = Option.fold ~none:false ~some:Atomic.get stop in
+      let late () =
+        Option.fold ~none:false ~some:(fun t -> Unix.gettimeofday () > t)
+          deadline
+      in
       let lock, _ = config_of c in
       let con =
         Adversary.Construction.create ~model:c.Cell.model lock ~n:c.Cell.n
       in
-      let report = Adversary.Construction.run ~min_act:1 con in
+      let report =
+        Adversary.Construction.run ~min_act:1
+          ~stop:(fun () -> interrupted () || late ())
+          con
+      in
       {
-        Cell.verdict = Cell.Fences report.Adversary.Report.best_fences;
+        Cell.verdict =
+          (match report.Adversary.Report.outcome with
+          | Adversary.Report.Stopped ->
+              Cell.Partial (if interrupted () then "interrupted" else "millis")
+          | _ -> Cell.Fences report.Adversary.Report.best_fences);
         nodes = report.Adversary.Report.total_contention;
         max_depth = List.length report.Adversary.Report.steps;
         budget_nodes;

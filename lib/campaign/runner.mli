@@ -27,7 +27,11 @@ val run :
     explorer under [budget_nodes] with [spin_fuel] (default 6) bounding
     busy-wait iterations; [Adversary] cells run the Section 4
     construction to [min_act:1] ([budget_nodes] is recorded but not
-    enforced — the construction terminates on its own). Violation kinds
+    enforced — the construction terminates on its own). Both kinds stop
+    at [max_millis] milliseconds (a verify cell's clock starts with its
+    search, an adversary cell's before it builds H_0) or once [stop] is
+    set, with verdict [Partial "millis"] or [Partial "interrupted"]; an
+    adversary cell checks between construction rounds. Violation kinds
     are canonicalized to a sorted, deduplicated list of names so equal
     searches yield byte-equal outcomes.
 

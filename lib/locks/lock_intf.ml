@@ -12,7 +12,11 @@
    constructing the exit section. Exploration does not: the scratch lives
    outside the machine state, so every explored branch shares it and no
    journal rollback restores it, and state counts for these locks depend
-   on the exploration order (EXPERIMENTS.md E22). *)
+   on the exploration order (EXPERIMENTS.md E22).
+
+   Lock programs close over variable ids, not over the lock's tables:
+   [Machine.hash_cont] walks every value a continuation captures and
+   stops at 128 (see the interface). *)
 
 open Tsim
 open Tsim.Ids

@@ -9,7 +9,16 @@
     consistent, since it re-executes entries before exits; exploration is
     not, because the scratch is outside the machine state and shared by
     every explored branch (no journal rollback restores it), so state
-    counts for those locks depend on exploration order. *)
+    counts for those locks depend on exploration order.
+
+    Lock programs close over variable ids, not over the lock's tables
+    (arrays of ids, per-process paths, records holding them): look an
+    id up before building the closures that use it. The explorer hashes
+    every continuation with [Hashtbl.hash_param 128 256], which walks
+    every value the closures capture and stops after 128 meaningful
+    values or 256 queued ones, so a captured table costs that walk on
+    every step and can push the rest of the continuation past the
+    horizon, where two states that differ get one fingerprint. *)
 
 open Tsim
 open Tsim.Ids

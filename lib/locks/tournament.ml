@@ -15,18 +15,11 @@
    store-buffering pitfall the simulator's litmus example demonstrates. *)
 
 open Tsim
-open Tsim.Ids
 open Prog
 
 let next_pow2 n =
   let rec go x = if x >= n then x else go (2 * x) in
   go 1
-
-type ctx = {
-  flags : Var.t array array;  (* flags.(node).(side) *)
-  turn : Var.t array;  (* turn.(node): side whose rival may go first *)
-  path : (int * int) list array;  (* per process: (node, side), leaf→root *)
-}
 
 (* [pso_safe] inserts a fence between the flag and turn writes: Peterson
    relies on the flag being visible no later than the turn, which TSO's
@@ -48,34 +41,35 @@ let make ?(pso_safe = false) ~n () : Lock_intf.t =
         in
         climb (l + p) [])
   in
-  let ctx = { flags; turn; path } in
-  (* wait while (flag[1-side] = 1 && turn = 1-side...) — Peterson: I wait
-     while the rival is interested and it is my turn to yield. *)
+  (* A node's variable ids are looked up before its closures are built,
+     so a continuation captures three ids, not the lock's tables (see
+     the Lock_intf header). Peterson: wait while the rival is interested
+     and it is my turn to yield. *)
   let acquire_node (node, side) =
-    let* () = write ctx.flags.(node).(side) 1 in
+    let own = flags.(node).(side) and rival = flags.(node).(1 - side) in
+    let turn = turn.(node) in
+    let* () = write own 1 in
     let* () = if pso_safe then fence else unit in
-    let* () = write ctx.turn.(node) side in
+    let* () = write turn side in
     (* giving way: the LAST process to write turn waits *)
     let* () = fence in
     let rec await fuel =
-      if fuel <= 0 then raise (Prog.Spin_exhausted ctx.turn.(node))
+      if fuel <= 0 then raise (Prog.Spin_exhausted turn)
       else
-        let* rival = read ctx.flags.(node).(1 - side) in
-        if rival = 0 then unit
+        let* r = read rival in
+        if r = 0 then unit
         else
-          let* t = read ctx.turn.(node) in
+          let* t = read turn in
           if t <> side then unit else await (fuel - 1)
     in
     await !Tsim.Prog.default_spin_fuel
   in
   let release_node (node, side) =
-    let* () = write ctx.flags.(node).(side) 0 in
+    let* () = write flags.(node).(side) 0 in
     fence
   in
-  let entry p = seq (List.map acquire_node ctx.path.(p)) in
-  let exit_section p =
-    seq (List.map release_node (List.rev ctx.path.(p)))
-  in
+  let entry p = seq (List.map acquire_node path.(p)) in
+  let exit_section p = seq (List.map release_node (List.rev path.(p))) in
   {
     Lock_intf.name = (if pso_safe then "tournament-pso" else "tournament");
     uses_rmw = false;

@@ -820,29 +820,27 @@ let pid_counts ctx m moves =
    in the subtree). Footprints of sleeping moves are computed in the
    current state, which is exact: a sleeping move's owner has not moved
    since it fell asleep (same-process moves are dependent and would have
-   woken it), and other processes' moves do not change its footprint. *)
-(* Bit index of an isolated bit [x = 1 lsl k]. *)
-let log2_bit x =
-  let rec go k x = if x <= 1 then k else go (k + 1) (x lsr 1) in
-  go 0 x
+   woken it), and other processes' moves do not change its footprint.
 
-(* [fmv] is conventionally [ctx.fp_a] (the executed move's footprint);
+   [fmv] is conventionally [ctx.fp_a] (the executed move's footprint);
    sleeping moves are refilled one at a time into [ctx.fp_b], so the two
-   scratches never alias. The decoded-move table spares a [decode]
-   allocation per sleeping bit. *)
-let rec sleep_keep ctx m fmv rest keep =
-  if rest = 0 then keep
+   scratches never alias. One pass over the mask, carrying the move code
+   of its low bit as it shifts: each sleeping move costs one footprint
+   and one independence check, and the decoded-move table spares a
+   [decode] allocation per move. *)
+let rec sleep_keep ctx m fmv z code keep =
+  if z = 0 then keep
+  else if z land 1 = 0 then sleep_keep ctx m fmv (z lsr 1) (code + 1) keep
   else begin
-    let bit = rest land -rest in
-    Footprint.of_move_into ctx.fp_b m ctx.decoded.(log2_bit bit);
+    Footprint.of_move_into ctx.fp_b m ctx.decoded.(code);
     let keep =
-      if Footprint.independent ctx.fp_b fmv then keep lor bit else keep
+      if Footprint.independent ctx.fp_b fmv then keep lor (1 lsl code)
+      else keep
     in
-    sleep_keep ctx m fmv (rest land (rest - 1)) keep
+    sleep_keep ctx m fmv (z lsr 1) (code + 1) keep
   end
 
-let filter_sleep_fp ctx m fmv z =
-  if z = 0 then 0 else sleep_keep ctx m fmv z 0
+let filter_sleep_fp ctx m fmv z = sleep_keep ctx m fmv z 0 0
 
 let filter_sleep ctx m mv z =
   if z = 0 then 0

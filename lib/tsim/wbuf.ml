@@ -25,37 +25,31 @@ let create () : t = Vec.create ~capacity:4 dummy_entry
 let is_empty = Vec.is_empty
 let size = Vec.length
 
-let index_of (t : t) var =
-  let rec go i =
-    if i >= Vec.length t then None
-    else if Var.equal (Vec.get t i).var var then Some i
-    else go (i + 1)
-  in
-  go 0
+(* Index of the pending write to [var], or -1. The scans are top-level
+   recursions, so they allocate no closure (the explorer's hot path). *)
+let rec index_of (t : t) var i =
+  if i >= Vec.length t then -1
+  else if Var.equal (Vec.get t i).var var then i
+  else index_of t var (i + 1)
+
+let mem (t : t) var = index_of t var 0 >= 0
 
 (* Store-to-load forwarding: a read sees its own pending write. *)
 let find (t : t) var =
-  match index_of t var with None -> None | Some i -> Some (Vec.get t i).value
-
-(* Allocation-free membership test (the explorer's hot path). *)
-let mem (t : t) var =
-  let rec go i =
-    i < Vec.length t && (Var.equal (Vec.get t i).var var || go (i + 1))
-  in
-  go 0
+  let i = index_of t var 0 in
+  if i < 0 then None else Some (Vec.get t i).value
 
 (* Journal-aware issue: reports the replaced entry (and its index) so the
    mutation journal can restore it on undo, or [None] when the write was
    appended (undo = drop the last entry). *)
 let push' (t : t) entry =
-  match index_of t entry.var with
-  | Some i ->
-      let old = Vec.get t i in
-      Vec.set t i entry;
-      Some (i, old)
-  | None ->
-      Vec.push t entry;
-      None
+  let i = index_of t entry.var 0 in
+  if i < 0 then (Vec.push t entry; None)
+  else begin
+    let old = Vec.get t i in
+    Vec.set t i entry;
+    Some (i, old)
+  end
 
 let push (t : t) entry = ignore (push' t entry)
 
@@ -72,9 +66,9 @@ let pop (t : t) =
 (* Journal-aware PSO commit: also reports the index the entry occupied, so
    undo can re-insert it in order. *)
 let pop_var' (t : t) var =
-  match index_of t var with
-  | None -> invalid_arg "Wbuf.pop_var: no pending write to that variable"
-  | Some i -> (i, Vec.remove t i)
+  let i = index_of t var 0 in
+  if i < 0 then invalid_arg "Wbuf.pop_var: no pending write to that variable";
+  (i, Vec.remove t i)
 
 (* Remove the pending write to [var] out of order (PSO commits). *)
 let pop_var (t : t) var = snd (pop_var' t var)

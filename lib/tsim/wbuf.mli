@@ -23,11 +23,11 @@ val is_empty : t -> bool
 val size : t -> int
 
 val find : t -> Var.t -> Value.t option
-(** Store-to-load forwarding: the pending value for [var], if any. *)
+(** Store-to-load forwarding: the pending value for [var], if any. Scans
+    without allocating; only a hit allocates its result. *)
 
 val mem : t -> Var.t -> bool
-(** [find t v <> None] without the option allocation (explorer hot
-    path). *)
+(** [find t v <> None], allocation-free (explorer hot path). *)
 
 val push : t -> entry -> unit
 (** Issue a write (replacing any pending write to the same variable). *)

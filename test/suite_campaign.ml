@@ -491,6 +491,35 @@ let test_millis_partial_never_cached () =
   Alcotest.(check int) "wall-clock outcomes never cached" 0
     (Cache.entries cache)
 
+(* Adversary cells stop between construction rounds with a verify cell's
+   partial verdicts: the wall-clock budget gives [Partial "millis"],
+   which is never cached and which a bracket probe counts as the goal
+   not reached; the stop flag gives [Partial "interrupted"]. *)
+let test_adversary_millis_partial () =
+  let cache = Cache.in_memory () in
+  let plan =
+    {
+      Driver.grid = parse_grid_exn "kind=adversary lock=cascade n=64";
+      brackets = [ parse_bracket_exn "min-n-fences k=2 lock=cascade" ];
+    }
+  in
+  let r = Driver.run ~max_millis:0 ~cache plan in
+  (match r.Driver.cells with
+  | [ { outcome; _ } ] ->
+      Alcotest.(check string) "time-limited partial" "partial:millis"
+        (Cell.verdict_to_string outcome.Cell.verdict)
+  | _ -> Alcotest.fail "expected one cell");
+  Alcotest.(check (list (option int))) "no probe reached k" [ None ]
+    (List.map (fun b -> b.Driver.answer) r.Driver.brackets);
+  Alcotest.(check int) "wall-clock outcomes never cached" 0
+    (Cache.entries cache)
+
+let test_adversary_stop_flag () =
+  let cell = List.hd (parse_grid_exn "kind=adversary lock=cascade n=64") in
+  let o = Runner.run ~stop:(Atomic.make true) ~budget_nodes:1 cell in
+  Alcotest.(check string) "interrupted" "partial:interrupted"
+    (Cell.verdict_to_string o.Cell.verdict)
+
 let test_stop_flag_interrupts () =
   let cache = Cache.in_memory () in
   let stop = Atomic.make true in
@@ -874,6 +903,10 @@ let suite =
       test_cache_keyed_by_fuel;
     Alcotest.test_case "time-limited partials never cached" `Quick
       test_millis_partial_never_cached;
+    Alcotest.test_case "adversary cells honour the wall-clock budget" `Quick
+      test_adversary_millis_partial;
+    Alcotest.test_case "adversary cells honour the stop flag" `Quick
+      test_adversary_stop_flag;
     Alcotest.test_case "stop flag: partial report, nothing poisoned" `Quick
       test_stop_flag_interrupts;
     Alcotest.test_case "stop flag: cached cells still reported" `Quick

@@ -223,6 +223,127 @@ let prop_random_multipassage =
       stats.Harness.exclusion_ok && stats.Harness.completed
       && stats.Harness.cs_entries = 9)
 
+(* What [Hashtbl.hash_param 128 256] sees of a value, by a walk that
+   mirrors the OCaml 5.1 runtime's breadth-first [caml_hash]: the
+   meaningful values it mixes (integers, strings, floats, custom blocks,
+   the words of a closure before its environment; the hash stops after
+   128) and the values it queues (the root and every field of a block or
+   closure environment; the runtime's queue holds 256 values whatever the
+   second argument says). Queueing stops at 257, enough to tell that a
+   limit is passed. Returns (meaningful, queued). *)
+let hash_horizon (root : Obj.t) =
+  let cap = 257 in
+  let queue = Array.make cap (Obj.repr 0) in
+  queue.(0) <- root;
+  let wr = ref 1 and meaningful = ref 0 in
+  let enqueue (v : Obj.t) i =
+    if !wr < cap then begin
+      queue.(!wr) <- Obj.field v i;
+      incr wr
+    end
+  in
+  let rec visit (v : Obj.t) =
+    if Obj.is_int v then incr meaningful
+    else
+      let tag = Obj.tag v in
+      if tag = Obj.infix_tag then
+        (* the enclosing closure of a mutually recursive definition *)
+        let offset = Obj.size v * (Sys.word_size / 8) in
+        visit (Obj.add_offset v (Int32.of_int (-offset)))
+      else if tag = Obj.forward_tag then visit (Obj.field v 0)
+      else if tag = Obj.closure_tag then begin
+        let info : int = Obj.obj (Obj.field v 1) in
+        let start_env = info land ((1 lsl 55) - 1) in
+        meaningful := !meaningful + start_env;
+        for i = start_env to Obj.size v - 1 do enqueue v i done
+      end
+      else if
+        tag = Obj.string_tag || tag = Obj.double_tag
+        || tag = Obj.double_array_tag || tag = Obj.object_tag
+        || tag = Obj.custom_tag
+      then incr meaningful
+      else if tag < Obj.no_scan_tag && tag <> Obj.cont_tag then
+        for i = 0 to Obj.size v - 1 do enqueue v i done
+  in
+  let rd = ref 0 in
+  while !rd < !wr do
+    visit queue.(!rd);
+    incr rd
+  done;
+  (!meaningful, !wr)
+
+(* [Machine.hash_cont] must see each process's whole continuation, or two
+   states that differ past its horizon get one fingerprint. Random walks
+   (with one crash and one abort where the lock has those sections) check
+   every continuation of every zoo family at n=2 and n=3, and of the
+   tournament at n=4 and n=8. Cascade is left out: its closures capture
+   its stage trees and its claims array.
+
+   First, the runtime agrees with the walker's model on lists: 127
+   integers and the final [] are 128 meaningful values in 255 queued
+   ones, and the hash sees the last element; the queue stays at 256
+   however far the second argument raises it. *)
+let test_continuations_within_hash_horizon () =
+  let l = List.init 127 Fun.id in
+  Alcotest.(check (pair int int)) "127-list" (128, 255)
+    (hash_horizon (Obj.repr l));
+  let l' = List.mapi (fun i x -> if i = 126 then -1 else x) l in
+  Alcotest.(check bool) "last element hashed" true
+    (Hashtbl.hash_param 128 256 l <> Hashtbl.hash_param 128 256 l');
+  Alcotest.(check (pair int int)) "128-list" (129, 257)
+    (hash_horizon (Obj.repr (List.init 128 Fun.id)));
+  let long = List.init 1000 Fun.id in
+  Alcotest.(check int) "queue capped at 256"
+    (Hashtbl.hash_param 1000 256 long)
+    (Hashtbl.hash_param 1000 1000 long);
+  let sizes (fam : Lock_intf.family) =
+    match fam.Lock_intf.family_name with
+    | "cascade" -> []
+    | "tournament" -> [ 2; 3; 4; 8 ]
+    | _ when List.memq fam Zoo.two_process -> [ 2 ]
+    | _ -> [ 2; 3 ]
+  in
+  let check_family (fam : Lock_intf.family) n =
+    let lock = fam.Lock_intf.instantiate ~n in
+    let cfg = Harness.config_of_lock lock ~n in
+    let max_crashes = if lock.Lock_intf.recovery = None then 0 else 1 in
+    let max_aborts = if lock.Lock_intf.abort = None then 0 else 1 in
+    let over = ref 0 and most = ref 0 and longest = ref 0 in
+    let rec walk rng m steps =
+      for p = 0 to n - 1 do
+        let meaningful, queued =
+          hash_horizon (Obj.repr (Machine.proc m p).Machine.cont)
+        in
+        if meaningful > 128 || queued > 256 then incr over;
+        most := max !most meaningful;
+        longest := max !longest queued
+      done;
+      match Mcheck.Explore.enabled_moves ~max_crashes ~max_aborts m with
+      | moves when moves <> [] && steps > 0 -> (
+          let i = Random.State.int rng (List.length moves) in
+          match Mcheck.Explore.apply m (List.nth moves i) with
+          | () -> walk rng m (steps - 1)
+          | exception (Machine.Exclusion_violation _ | Prog.Spin_exhausted _)
+            -> ())
+      | _ -> ()
+    in
+    for seed = 1 to 20 do
+      walk (Random.State.make [| seed; n |]) (Machine.create cfg) 400
+    done;
+    if !over = 0 then []
+    else
+      [ Printf.sprintf "%s n=%d: %d continuations past it (up to %d \
+                        meaningful, %d queued)"
+          fam.Lock_intf.family_name n !over !most !longest ]
+  in
+  match
+    List.concat_map
+      (fun fam -> List.concat_map (check_family fam) (sizes fam))
+      Zoo.(all @ two_process @ recoverable @ abortable)
+  with
+  | [] -> ()
+  | bad -> Alcotest.failf "hash horizon: %s" (String.concat "; " bad)
+
 let suite =
   List.concat_map
     (fun fam -> [ exclusion_case fam; solo_case fam ])
@@ -331,4 +452,6 @@ let suite =
       Alcotest.test_case "ticket FIFO order" `Quick test_ticket_fifo;
       Alcotest.test_case "prog combinators" `Quick test_prog_combinators;
       deep_fuzz_case;
+      Alcotest.test_case "continuations within the hash horizon" `Quick
+        test_continuations_within_hash_horizon;
     ]

@@ -182,6 +182,70 @@ let test_mp_exhaustive_tso_vs_pso () =
            schedule)
   | [] -> Alcotest.fail "expected violation"
 
+(* POR-on state counts of zoo searches, pinned exactly: a change to how
+   a state is explored (sleep-set filtering, buffer scans, how a lock
+   builds its programs) must leave which states are explored alone.
+   Tournament n=4 is the end-to-end benchmark's search; its move codec
+   uses 56 of the 61 encodable bits, so it covers sleep masks near the
+   top of the word. The nine grid locks at n=3 are the campaign
+   benchmark's grid (under PSO the read/write locks stop at their first
+   violation), and mcs n=4 is its bracket probe, cut at the campaign's
+   200,000-node cap. To re-pin after a change meant to move a count,
+   take the actual line from the failure output and record why it
+   moved. *)
+let search ?(ordering = Config.Tso) ?(max_crashes = 0) ?(max_aborts = 0)
+    ?(max_nodes = 2_000_000) name n =
+  let fam = Option.get (Locks.Zoo.find name) in
+  let r =
+    Mcheck.Explore.explore ~max_nodes ~max_crashes ~max_aborts
+      (Locks.Harness.config_of_lock ~model:Config.Cc_wb ~ordering
+         (fam.Locks.Lock_intf.instantiate ~n) ~n)
+  in
+  Printf.sprintf "%s n=%d %s%s%s: %d states, depth %d, %s" name n
+    (Config.ordering_name ordering)
+    (if max_crashes > 0 then Printf.sprintf " crashes<=%d" max_crashes else "")
+    (if max_aborts > 0 then Printf.sprintf " aborts<=%d" max_aborts else "")
+    r.Mcheck.Explore.nodes r.Mcheck.Explore.max_depth
+    (if r.Mcheck.Explore.verified then "verified"
+     else if r.Mcheck.Explore.violations <> [] then "violation"
+     else "partial")
+
+let test_por_counts () =
+  let grid =
+    List.concat_map
+      (fun name -> [ search name 3; search ~ordering:Config.Pso name 3 ])
+      [ "tas"; "ticket"; "mcs"; "clh"; "anderson"; "bakery"; "filter";
+        "tournament"; "fastpath" ]
+  in
+  Alcotest.(check (list string)) "POR-on searches"
+    [ "tournament n=4 TSO: 955284 states, depth 134, verified";
+      "recoverable-tas n=3 TSO crashes<=2: 58732 states, depth 61, verified";
+      "abortable-tas n=2 TSO aborts<=1: 1849 states, depth 84, verified";
+      "mcs n=4 TSO: 200000 states, depth 99, partial";
+      "tas n=3 TSO: 1166 states, depth 49, verified";
+      "tas n=3 PSO: 1166 states, depth 49, verified";
+      "ticket n=3 TSO: 1956 states, depth 36, verified";
+      "ticket n=3 PSO: 1956 states, depth 36, verified";
+      "mcs n=3 TSO: 10343 states, depth 70, verified";
+      "mcs n=3 PSO: 13388 states, depth 70, verified";
+      "clh n=3 TSO: 2515 states, depth 42, verified";
+      "clh n=3 PSO: 3023 states, depth 42, verified";
+      "anderson n=3 TSO: 1711 states, depth 35, verified";
+      "anderson n=3 PSO: 1711 states, depth 35, verified";
+      "bakery n=3 TSO: 80373 states, depth 90, verified";
+      "bakery n=3 PSO: 521 states, depth 75, violation";
+      "filter n=3 TSO: 69327 states, depth 95, verified";
+      "filter n=3 PSO: 1156 states, depth 88, violation";
+      "tournament n=3 TSO: 24920 states, depth 97, verified";
+      "tournament n=3 PSO: 376 states, depth 75, violation";
+      "fastpath n=3 TSO: 95452 states, depth 147, verified";
+      "fastpath n=3 PSO: 24061 states, depth 125, violation" ]
+    ([ search "tournament" 4;
+       search ~max_crashes:2 "recoverable-tas" 3;
+       search ~max_aborts:1 "abortable-tas" 2;
+       search ~max_nodes:200_000 "mcs" 4 ]
+    @ grid)
+
 let suite =
   [
     Alcotest.test_case "MP litmus: exhaustive TSO vs PSO" `Quick
@@ -193,4 +257,5 @@ let suite =
     Alcotest.test_case "ticket n=2: verified" `Quick test_ticket_verified;
     Alcotest.test_case "tas n=2: verified" `Quick test_tas_verified;
     Alcotest.test_case "flag lock: race found" `Quick test_flag_lock_broken;
+    Alcotest.test_case "POR-on state counts pinned" `Quick test_por_counts;
   ]
