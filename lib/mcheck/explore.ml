@@ -15,10 +15,12 @@
    The hot path is tuned for throughput (see DESIGN.md "Exploration
    performance"): machines run with [record_trace = false] so clones are
    O(state); states are fingerprinted by an allocation-free FNV-1a hash
-   over packed ints instead of a built string; and [~domains:k] fans the
-   root frontier out over OCaml 5 domains, which share one lock-free
-   fingerprint store ({!Fpstore}) and load-balance through Chase–Lev
-   work-stealing deques ({!Deque}) — see DESIGN.md §5f.
+   over packed ints instead of a built string; and [~domains:k] runs k
+   workers of one loop — the calling domain is worker 0 and starts at
+   the root, k − 1 helper domains start by stealing — which share one
+   lock-free fingerprint store ({!Fpstore}) and one node-budget pool and
+   load-balance through Chase–Lev work-stealing deques ({!Deque}) — see
+   DESIGN.md §5f.
 
    On top of that sits a dynamic partial-order reduction (on by default,
    [~por:false] to disable), combining three classic ingredients over the
@@ -174,22 +176,21 @@ type stats = {
   crashes_applied : int;  (* crash moves executed *)
   aborts_applied : int;  (* abort moves executed *)
   domains_used : int;
-  domain_nodes : int list;  (* per-domain node counts, domain order *)
+  domain_nodes : int list;  (* per-worker node counts, worker 0 first *)
   merge_stall_us : int;
-      (* parallel mode: idle window between the first and last domain
-         finishing — load-imbalance cost paid at the join barrier *)
+      (* idle window of the workers that finished before the last one —
+         load-imbalance cost paid at the join *)
   journal_peak : int;
-      (* high-water undo-log depth (max over domains) *)
+      (* high-water undo-log depth (max over workers) *)
   undo_records : int;  (* total undo records pushed *)
-  steals : int;  (* parallel mode: work items taken from other domains *)
+  steals : int;  (* work items taken from other workers *)
   store_drops : int;  (* shared store: states left unstored (window full) *)
   omission_prob : float;
       (* bitstate store: estimated probability that the next distinct
          state falsely aliases as seen — (ones/m)^k at final fill *)
   est_nodes : float;
       (* Knuth-probe estimate of the explored tree's node count; 0 when
-         the estimator was off. Parallel: exact BFS-seed nodes plus the
-         sum of the per-item worker estimates. *)
+         the estimator was off. Several workers: the sum of theirs. *)
   est_progress : float;
       (* fraction of the tree fully explored, by probe probability mass
          (reaches ~1.0 on exhaustion); 0 when the estimator was off *)
@@ -468,28 +469,38 @@ module Seenmap = struct
     if 2 * t.count > t.mask then grow t
 end
 
-(* Seen-state memory. The sequential default is the mask-aware hash
-   table (fingerprint -> sleep mask last explored under). Parallel
-   search — and bitstate mode at any domain count — use the shared
+(* Seen-state memory. The one-domain default is the mask-aware hash
+   table (fingerprint -> sleep mask last explored under). Several
+   workers — and bitstate mode at any domain count — use the shared
    lock-free store instead ({!Fpstore}), which expresses the same
    rule as atomic claims on a per-state "remaining moves" word. *)
 type seen_store =
   | Seen_tbl of Seenmap.t
   | Seen_shared of Fpstore.t
 
-(* Mutable search state, one [ctx] per domain. Violation caps and tallies
-   are domain-local; the seen store and the node-budget pool (parallel
-   mode) are the only shared structures.
+(* A parked subtree: an independent machine plus the search coordinates
+   to resume it. Every parked item has already been admitted by the
+   shared store (its state is claimed), so the worker that pops it
+   resumes with [run_start] directly. The root is the first item of
+   worker 0. *)
+type work_item = {
+  w_m : Machine.t;
+  w_sched : move list;
+  w_depth : int;
+  w_sleep : int;
+}
+
+(* Mutable search state, one [ctx] per worker. Violation caps and tallies
+   are worker-local; the seen store, the node-budget pool and the [halt]
+   flag are shared by the workers of one search.
 
    [quota] is the locally claimed slice of the node budget; when it runs
-   out the ctx claims another chunk from [pool] (CAS), or stops when
-   [pool] is [None] (sequential: quota IS the budget) or drained.
+   out the ctx claims another chunk from [pool] (CAS), or stops when the
+   pool is drained.
 
-   [delegate] is installed by the parallel driver (BFS seed and
-   workers): called with a successor state that has just been admitted
-   by the seen store, it may clone the machine and park the subtree — on
-   the seed's frontier queue, or on the worker's deque for thieves to
-   steal — instead of recursing. *)
+   [deque] is the worker's work-stealing deque when it has fellow
+   workers: a successor state just admitted by the seen store may be
+   cloned and parked there for thieves instead of recursed into. *)
 type ctx = {
   seen : seen_store;
   por : bool;
@@ -498,7 +509,10 @@ type ctx = {
   paranoid : bool;  (* cross-check incremental fingerprints per node *)
   on_fingerprint : (int -> unit) option;
   on_spin : [ `Prune | `Violation ];
-  pool : int Atomic.t option;  (* parallel mode: shared budget pool *)
+  pool : int Atomic.t;  (* node budget not yet claimed by any worker *)
+  budget : int;  (* the pool's initial size *)
+  halt : bool Atomic.t;  (* a worker raised: the others stop at a poll *)
+  deque : work_item Deque.t option;  (* [None] when working alone *)
   max_violations : int;
   max_crashes : int;  (* crash faults the adversary may inject, total *)
   max_aborts : int;  (* abort faults the adversary may inject, total *)
@@ -517,7 +531,6 @@ type ctx = {
       (* scratch for [singleton_ample_journal]'s per-pid move tally,
          grown on demand — the explorer's only per-node [Array.make] was
          here *)
-  mutable delegate : (Machine.t -> move list -> int -> int -> bool) option;
   mutable nodes : int;
   mutable max_depth : int;
   mutable nviol : int;  (* = List.length violations, kept O(1) *)
@@ -548,12 +561,9 @@ type ctx = {
   mutable prof_jbase : int;  (* Journal.records at the previous record *)
 }
 
-let make_ctx ?seen ?pool ?on_fingerprint ?(max_crashes = 0) ?(max_aborts = 0)
-    ?stop ?deadline ?(obs = Obs.Telemetry.null) ?(paranoid = false) ?est
-    ?profile ~por ~codec ~on_spin ~max_nodes ~max_violations () =
-  let seen =
-    match seen with Some s -> s | None -> Seen_tbl (Seenmap.create ())
-  in
+let make_ctx ~seen ~pool ~halt ?deque ?on_fingerprint ~max_crashes ~max_aborts
+    ?stop ?deadline ~obs ~paranoid ?est ?profile ~por ~codec ~on_spin
+    ~max_violations () =
   let sleepable = por && codec.Footprint.encodable in
   let decoded =
     if sleepable then
@@ -563,8 +573,9 @@ let make_ctx ?seen ?pool ?on_fingerprint ?(max_crashes = 0) ?(max_aborts = 0)
   { seen; por; codec;
     sleepable; decoded; fp_a = Footprint.make_scratch ();
     fp_b = Footprint.make_scratch (); paranoid; on_fingerprint;
-    on_spin; pool; max_violations; max_crashes; max_aborts; stop; deadline;
-    obs; quota = max_nodes; pid_counts = [||]; delegate = None;
+    on_spin; pool; budget = Atomic.get pool; halt; deque; max_violations;
+    max_crashes; max_aborts; stop; deadline;
+    obs; quota = 0; pid_counts = [||];
     nodes = 0; max_depth = 0; nviol = 0; violations = []; stopped = None;
     c_dedup = 0; c_resleeps = 0; c_sleep_prunes = 0; c_chains = 0;
     c_fused = 0; c_crashes = 0; c_aborts = 0; c_jpeak = 0; c_jrecords = 0;
@@ -598,31 +609,27 @@ let stats_of_ctx ctx =
 
 (* Charge the node budget for one expansion: burn local quota, then
    claim another chunk from the shared pool. Chunked claims (256 nodes)
-   keep the pool CAS off the hot path while bounding how far the global
-   budget can be overshot (k domains × one chunk each). *)
+   keep the pool CAS off the hot path; a lone worker spends the budget
+   exactly, and several never spend more than it between them. *)
 let budget_chunk = 256
+
+let rec claim ctx =
+  let avail = Atomic.get ctx.pool in
+  if avail <= 0 then false
+  else
+    let take = if avail < budget_chunk then avail else budget_chunk in
+    if Atomic.compare_and_set ctx.pool avail (avail - take) then begin
+      ctx.quota <- take - 1;
+      true
+    end
+    else claim ctx
 
 let charge ctx =
   if ctx.quota > 0 then begin
     ctx.quota <- ctx.quota - 1;
     true
   end
-  else
-    match ctx.pool with
-    | None -> false
-    | Some pool ->
-        let rec claim () =
-          let avail = Atomic.get pool in
-          if avail <= 0 then false
-          else
-            let take = if avail < budget_chunk then avail else budget_chunk in
-            if Atomic.compare_and_set pool avail (avail - take) then begin
-              ctx.quota <- take - 1;
-              true
-            end
-            else claim ()
-        in
-        claim ()
+  else claim ctx
 
 (* The explore.* counters, from a [stats] record: the heartbeat's live
    snapshot and [explore]'s final one publish the same list. *)
@@ -648,17 +655,20 @@ let publish_counters obs ~nodes ~violations (s : stats) =
    a fast search pays one [now_us] read per 1024 nodes and one sink
    write per second, while a slow search (< 1024 nodes/s) simply beats
    on every poll. All of this is behind [Telemetry.enabled] — with no
-   sink attached the explorer never reaches here. *)
+   sink attached the explorer never reaches here. Only worker 0 holds the
+   hub: its node count is every worker's (the budget drawn from the
+   shared pool, less its own unspent quota), the other tallies are its
+   own. *)
 let heartbeat ctx depth now =
   let obs = ctx.obs in
-  publish_counters obs ~nodes:ctx.nodes ~violations:ctx.nviol
-    (stats_of_ctx ctx);
+  let nodes = ctx.budget - Atomic.get ctx.pool - ctx.quota in
+  publish_counters obs ~nodes ~violations:ctx.nviol (stats_of_ctx ctx);
   Obs.Telemetry.gauge obs "explore.frontier_depth" (float_of_int depth);
-  let dn = ctx.nodes - ctx.hb_nodes and dt = now - ctx.hb_us in
+  let dn = nodes - ctx.hb_nodes and dt = now - ctx.hb_us in
   if dt > 0 && ctx.hb_us > 0 then
     Obs.Telemetry.gauge obs "explore.nodes_per_sec"
       (1e6 *. float_of_int dn /. float_of_int dt);
-  ctx.hb_nodes <- ctx.nodes;
+  ctx.hb_nodes <- nodes;
   ctx.hb_us <- now;
   (match ctx.est with
   | Some e ->
@@ -666,7 +676,7 @@ let heartbeat ctx depth now =
       Obs.Telemetry.gauge obs "explore.progress" pr;
       if pr > 1e-9 then begin
         Obs.Telemetry.gauge obs "explore.est_total"
-          (float_of_int ctx.nodes /. pr);
+          (float_of_int nodes /. pr);
         let elapsed = now - ctx.t_start_us in
         if elapsed > 0 then
           Obs.Telemetry.gauge obs "explore.eta_s"
@@ -721,9 +731,9 @@ let[@inline] est_leave ctx =
    either way. *)
 
 (* Profile hook: charge the just-admitted node to its cell. Runs at
-   admission (after the seen store said yes, before delegation), which
-   gives exactly-once semantics per counted node across delegation and
-   the BFS seed. The move class and RMR charge were stashed in the ctx
+   admission (after the seen store said yes, before parking), which
+   gives exactly-once semantics per counted node across workers. The
+   move class and RMR charge were stashed in the ctx
    by the expansion loop (they must be read in the pre-state); section
    and location are read from the post-state of the process that moved.
    Undo records are attributed as the delta of the machine's monotone
@@ -927,8 +937,8 @@ let seen_admit ctx fp z =
 (* One DFS loop serves every search: it expands children by apply →
    recurse → undo on a single journaling machine, and reads the
    incrementally-maintained fingerprint instead of rehashing the state.
-   [Machine.clone] survives only for subtree hand-off (the parallel BFS
-   seed and work-stealing delegation) and replay. The test-only
+   [Machine.clone] survives only for subtrees parked for other workers
+   and for replay. The test-only
    reference explorer (test/reference.ml: clone per child, full
    fingerprint, no reduction) checks state sets and verdicts against
    this loop.
@@ -996,6 +1006,17 @@ let singleton_ample_journal ctx m z moves =
   then None
   else ample_pick_journal ctx m z (pid_counts ctx m moves) moves
 
+(* Parking thresholds: a worker parks only while its own deque holds
+   fewer than [deque_low_water] items, and only on every 64th node. *)
+let deque_low_water = 4
+
+let park_period_mask = 63
+
+let park own m schedule depth z =
+  Deque.push own
+    { w_m = Machine.clone m; w_sched = schedule; w_depth = depth;
+      w_sleep = z }
+
 let rec dfs_journal ctx m schedule depth sleep =
   if not (charge ctx) then begin
     ctx.stopped <- Some `Nodes;
@@ -1005,6 +1026,8 @@ let rec dfs_journal ctx m schedule depth sleep =
      every 1024 nodes: a gettimeofday (or sink write) per node would
      dominate the hot path *)
   if ctx.nodes land 1023 = 0 then begin
+    (* another worker raised: [explore] re-raises that, not this result *)
+    if Atomic.get ctx.halt then raise Done;
     (match ctx.stop with
     | Some s when Atomic.get s ->
         ctx.stopped <- Some `Aborts;
@@ -1144,9 +1167,10 @@ and chase_journal ctx m ~chain_mark mv ~z_in ~z_out schedule depth fuel =
 
 (* Admit a successor through the seen store, with the fingerprint read
    from the journal fold (computed once, shared by the hook and the
-   store), then recurse — or hand the subtree to the delegate when one is
-   installed (parallel mode) and willing. A delegate that parks the
-   subtree clones the machine — the clone sheds the active journal (see
+   store), then recurse — or park the subtree on the worker's deque for
+   thieves, when it has fellow workers and its deque runs low, at most
+   once per 64 nodes so the O(state) clone stays far off the per-node
+   budget. The clone sheds the active journal (see
    {!Machine.clone}), and whoever pops it re-enables journaling through
    [run_start]. *)
 and visit_child_journal ctx m schedule depth z =
@@ -1158,8 +1182,11 @@ and visit_child_journal ctx m schedule depth z =
     (match ctx.prof with
     | Some p -> if Obs.Profile.armed p then prof_record ctx p m schedule depth
     | None -> ());
-    match ctx.delegate with
-    | Some park when park m schedule depth z ->
+    match ctx.deque with
+    | Some own
+      when ctx.nodes land park_period_mask = 0
+           && Deque.size own < deque_low_water ->
+        park own m schedule depth z;
         est_leaf ctx (* parked: the subtree is someone else's estimate *)
     | _ -> dfs_journal ctx m schedule depth z
   end
@@ -1176,9 +1203,10 @@ let search_machine cfg =
   Machine.set_lean m true;
   m
 
-(* Run one start state to completion, folding the machine's journal
+(* Run one work item to completion, folding the machine's journal
    gauges into the ctx even when [Done] aborts mid-subtree. *)
-let run_start ctx m schedule depth sleep =
+let run_start ctx it =
+  let m = it.w_m in
   Machine.Journal.enable m;
   (* [enable] zeroes the machine's record counter; re-base the profiler's
      per-node undo attribution on the fresh counter *)
@@ -1187,383 +1215,149 @@ let run_start ctx m schedule depth sleep =
     ~finally:(fun () ->
       ctx.c_jpeak <- max ctx.c_jpeak (Machine.Journal.peak m);
       ctx.c_jrecords <- ctx.c_jrecords + Machine.Journal.records m)
-    (fun () -> dfs_journal ctx m schedule depth sleep)
+    (fun () -> dfs_journal ctx m it.w_sched it.w_depth it.w_sleep)
 
-(* --- parallel driver -------------------------------------------------- *)
+(* --- the worker loop -------------------------------------------------- *)
 
-(* Expand breadth-first from the root until at least [target] pending
-   states exist (or the space is exhausted / a violation cap fires):
-   each popped state runs the DFS loop with a delegate that clones every
-   admitted child onto the queue, so exactly one node is expanded per
-   pop. Returns the pending frontier — states with their sleep masks —
-   in deterministic (BFS) order. *)
-let bfs_frontier ctx m0 ~target =
-  let pending = Queue.create () in
-  Queue.add (m0, [], 0, 0) pending;
-  ctx.delegate <-
-    Some
-      (fun m sched d z ->
-        Queue.add (Machine.clone m, sched, d, z) pending;
-        true);
-  while Queue.length pending > 0 && Queue.length pending < target do
-    let m, schedule, depth, sleep = Queue.pop pending in
-    run_start ctx m schedule depth sleep
-  done;
-  ctx.delegate <- None;
-  List.of_seq (Queue.to_seq pending)
+(* Worker [d] of a search: run [first] (worker 0's is the root; a helper
+   has none and starts by stealing), then pop its own deque LIFO
+   (depth-first locality) and steal FIFO from the others' when it runs
+   dry. Termination: items are only ever pushed to the pusher's OWN
+   deque, so a worker draining its own deque before leaving guarantees
+   every parked item is run by someone. [busy] counts the workers
+   holding work: a worker releases its token before hunting and takes
+   one back on a successful steal, which makes [busy = 0 ∧ all deques
+   empty] a sound termination signal — nobody busy means nobody can push
+   again. A thief that leaves on a momentarily-true signal while another
+   is mid-steal is still sound: parked work always drains through its
+   owner's deque.
 
-let result_of_ctx ctx ~exhausted =
-  {
-    nodes = ctx.nodes;
-    exhausted;
-    verified = exhausted && ctx.violations = [];
-    violations = List.rev ctx.violations;
-    max_depth = ctx.max_depth;
-    partial = (if exhausted then None else ctx.stopped);
-    stats = stats_of_ctx ctx;
-  }
-
-(* A parked subtree: an independent machine plus the search coordinates
-   to resume it. [w_idx] is the frontier index of the BFS start the
-   subtree descends from — violations inherit it so the merge stays
-   deterministic no matter which domain ends up exploring the subtree.
-   Every parked item has already been admitted by the shared store (its
-   state is claimed), so the popping worker resumes with [run_start]
-   directly. *)
-type work_item = {
-  w_idx : int;
-  w_m : Machine.t;
-  w_sched : move list;
-  w_depth : int;
-  w_sleep : int;
-}
-
-type worker_out = {
-  o_nodes : int;
-  o_depth : int;
-  o_exhausted : bool;
-  o_stopped : partial_reason option;
-  o_tagged : ((int * move list) * violation) list;
-      (* key: (frontier index, root-first schedule) — a total order
-         independent of which domain found the violation or when *)
-  o_stats : stats;
-  o_t0 : float;
-  o_t1 : float;
-}
-
-(* How eagerly a worker parks subtrees for thieves: only when its own
-   deque has run low, and at most one park per [delegate_period] nodes so
-   the clone cost (O(state) per park) stays far off the
-   per-node budget while stealable work is replenished every ~64 nodes. *)
-let deque_low_water = 4
-
-let delegate_period_mask = 63
-
-(* Per-domain worker: pop own deque LIFO (depth-first locality), steal
-   FIFO from others when empty. Termination: items are only ever pushed
-   to the pusher's OWN deque, so a worker draining its own deque before
-   exiting guarantees every parked item is processed by someone; the
-   [busy] count (workers currently holding work) lets idle thieves
-   distinguish "momentarily empty" from "globally done". *)
-let shared_worker ~paranoid ~store ~pool ~deques ~busy ~d ~por
-    ~codec ~on_spin ~max_violations ~max_crashes ~max_aborts ~stop ~deadline
-    ~est_cfg ~profile_shard () =
-  (* each domain owns an independent estimator (distinct seed — the
-     probes must not be correlated across domains) and an independent
-     profile shard; the coordinator merges both after the join *)
-  let est =
-    Option.map
-      (fun (c : Obs.Estimator.cfg) ->
-        Obs.Estimator.create ~cfg:{ c with Obs.Estimator.seed = c.Obs.Estimator.seed + d + 1 } ())
-      est_cfg
-  in
-  let ctx =
-    make_ctx ~seen:(Seen_shared store) ~pool ~max_crashes ~max_aborts ?stop
-      ?deadline ~paranoid ~por ~codec ~on_spin ~max_nodes:0
-      ~max_violations ?est ?profile:profile_shard ()
-  in
-  let own = deques.(d) in
+   Returns the worker's wall-clock window, or the exception that ended
+   it after raising [halt], so the other workers stop at their next poll
+   and hunters stop hunting. A [Done] stop is not an error: its reason
+   is the ctx's [stopped]. *)
+let work ctx ~deques ~busy ~d first =
   let k = Array.length deques in
-  let cur_idx = ref 0 in
-  ctx.delegate <-
-    Some
-      (fun m sched depth z ->
-        if
-          Deque.size own >= deque_low_water
-          || ctx.nodes land delegate_period_mask <> 0
-        then false
-        else begin
-          Deque.push own
-            { w_idx = !cur_idx; w_m = Machine.clone m; w_sched = sched;
-              w_depth = depth; w_sleep = z };
-          true
-        end);
-  let tagged = ref [] in
-  let drain idx =
-    List.iter
-      (fun v -> tagged := ((idx, v.schedule), v) :: !tagged)
-      (List.rev ctx.violations);
-    ctx.violations <- []
-  in
-  let run_item it =
-    cur_idx := it.w_idx;
-    match run_start ctx it.w_m it.w_sched it.w_depth it.w_sleep with
-    | () -> drain it.w_idx
-    | exception Done ->
-        drain it.w_idx;
-        raise Done
-  in
-  let steal_sweep () =
-    let rec go i =
-      if i >= k then None
-      else
-        match Deque.steal deques.((d + i) mod k) with
-        | Some it ->
-            ctx.c_steals <- ctx.c_steals + 1;
-            Some it
-        | None -> go (i + 1)
-    in
-    go 1
-  in
-  (* The worker holds a [busy] token whenever it owns work. Releasing it
-     before hunting (and re-acquiring on a successful steal) makes
-     [busy = 0 ∧ all deques empty] a sound termination signal: nobody
-     busy means nobody can push again. A worker that exits the hunt on a
-     momentarily-true signal while a thief is mid-steal is still sound —
-     parked work always drains through its owner's deque. *)
-  let acquire () =
-    match Deque.pop own with
-    | Some it -> Some it
-    | None ->
-        Atomic.decr busy;
-        let rec hunt () =
-          match steal_sweep () with
-          | Some it ->
-              Atomic.incr busy;
-              Some it
-          | None ->
-              if Atomic.get busy = 0 then None
-              else begin
-                Domain.cpu_relax ();
-                hunt ()
-              end
-        in
-        hunt ()
-  in
-  (match profile_shard with
-  | Some p -> Obs.Profile.start p
-  | None -> ());
-  let t0 = Unix.gettimeofday () in
-  let exhausted =
-    try
-      let rec go () =
-        match acquire () with
-        | None -> ()
-        | Some it ->
-            run_item it;
-            go ()
-      in
-      go ();
-      true
-    with Done ->
-      Atomic.decr busy;
-      false
-  in
-  let t1 = Unix.gettimeofday () in
-  (match profile_shard with
-  | Some p -> Obs.Profile.stop p
-  | None -> ());
-  { o_nodes = ctx.nodes; o_depth = ctx.max_depth; o_exhausted = exhausted;
-    o_stopped = ctx.stopped; o_tagged = List.rev !tagged;
-    o_stats = stats_of_ctx ctx; o_t0 = t0; o_t1 = t1 }
-
-let explore_parallel ~domains ~max_nodes ~max_violations ~por ~codec
-    ~on_spin ~max_crashes ~max_aborts ~stop ~deadline ~obs ~paranoid
-    ~estimator ~profile cfg =
-  (* the BFS seed expands on the coordinator with the same DFS loop as
-     the workers; its delegate clones every admitted child, because
-     frontier states must be independent machines that can be handed to
-     other domains, and workers re-enable journaling on their own copies
-     (run_start). The seed shares the store with the workers, so
-     frontier states are already claimed when parked.
-     The coordinator profiles into the caller's accumulator directly (it
-     runs alone until the spawn) but carries no estimator: queue-order
-     BFS breaks the enter/leaf/leave stack discipline, so the parallel
-     estimate is [exact BFS nodes + Σ per-subtree worker estimates]. *)
-  let store =
-    Fpstore.create ~mode:cfg.Config.store ~expected:max_nodes
-  in
-  let ctx =
-    make_ctx ~seen:(Seen_shared store) ~max_crashes ~max_aborts ?stop
-      ?deadline ~obs ~paranoid ~por ~codec ~on_spin ~max_nodes
-      ~max_violations ?profile ()
-  in
-  let bfs_t0 = Obs.Telemetry.now_us obs in
-  let finish_seed_only r =
-    if Option.is_none estimator then r
+  let rec steal i =
+    if i >= k then None
     else
-      { r with
-        stats =
-          { r.stats with
-            est_nodes = float_of_int r.nodes;
-            est_progress = (if r.exhausted then 1.0 else 0.0) } }
+      match Deque.steal deques.((d + i) mod k) with
+      | Some _ as it ->
+          ctx.c_steals <- ctx.c_steals + 1;
+          it
+      | None -> steal (i + 1)
   in
-  match bfs_frontier ctx (search_machine cfg) ~target:(domains * 8) with
-  | [] ->
-      (* space smaller than frontier: the seed enumerated it exactly *)
-      finish_seed_only (result_of_ctx ctx ~exhausted:true)
-  | exception Done -> finish_seed_only (result_of_ctx ctx ~exhausted:false)
-  | frontier ->
-      if Obs.Telemetry.enabled obs then
-        Obs.Telemetry.span_at obs ~ts0:bfs_t0
-          ~ts1:(Obs.Telemetry.now_us obs)
-          ~args:[ ("frontier", Obs.Json.Int (List.length frontier)) ]
-          "explore.bfs_seed";
-      let k = min domains (List.length frontier) in
-      let deques = Array.init k (fun _ -> Deque.create ()) in
-      List.iteri
-        (fun i (m, sched, depth, sleep) ->
-          Deque.push deques.(i mod k)
-            { w_idx = i; w_m = m; w_sched = sched; w_depth = depth;
-              w_sleep = sleep })
-        frontier;
-      (* the budget not consumed by the BFS seed becomes a shared pool
-         the workers claim from in chunks — work stealing makes any
-         static split meaningless *)
-      let pool = Atomic.make (max 0 ctx.quota) in
-      let busy = Atomic.make k in
-      let wall0 = Unix.gettimeofday () in
-      (* one profile shard per domain, created here and absorbed below in
-         array order — the merged accumulator is deterministic however the
-         work was stolen *)
-      let shards =
-        Array.init k (fun _ ->
-            Option.map
-              (fun p -> new_profile ~every:(Obs.Profile.every p) ())
-              profile)
-      in
-      let spawned =
-        Array.init k (fun d ->
-            Domain.spawn
-              (shared_worker ~paranoid ~store ~pool ~deques ~busy ~d
-                 ~por ~codec ~on_spin ~max_violations ~max_crashes
-                 ~max_aborts ~stop ~deadline ~est_cfg:estimator
-                 ~profile_shard:shards.(d)))
-      in
-      let parts = Array.map Domain.join spawned in
-      (match profile with
-      | Some p ->
-          Array.iter
-            (function
-              | Some shard -> Obs.Profile.absorb ~into:p shard
-              | None -> ())
-            shards
-      | None -> ());
-      let nodes =
-        Array.fold_left (fun a p -> a + p.o_nodes) ctx.nodes parts
-      in
-      let max_depth =
-        Array.fold_left (fun a p -> max a p.o_depth) ctx.max_depth parts
-      in
-      let exhausted = Array.for_all (fun p -> p.o_exhausted) parts in
-      let partial =
-        if exhausted then None
-        else
-          Array.fold_left
-            (fun acc p ->
-              match acc with Some _ -> acc | None -> p.o_stopped)
-            None parts
-      in
-      (* Deterministic merge: sort by (frontier index, schedule) — a key
-         intrinsic to the violation, not to the domain or instant that
-         found it — then drop duplicates (a store race may hand the same
-         subtree to two domains; dedup keeps the reported set stable). *)
-      let tagged =
-        Array.to_list parts
-        |> List.concat_map (fun p -> p.o_tagged)
-        |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
-      in
-      let merged = List.rev ctx.violations @ List.map snd tagged in
-      let violations = List.filteri (fun i _ -> i < max_violations) merged in
-      (* Merged search stats: coordinator (BFS seed) tallies plus every
-         domain's. A domain that finishes early idles until the slowest
-         one joins — that idle window, summed over domains, is the merge
-         stall. Store-level tallies (occupancy, drops, omission) are
-         global: read once from the shared store, not summed. *)
-      let last_finish =
-        Array.fold_left (fun a p -> max a p.o_t1) wall0 parts
-      in
-      let stats =
-        Array.fold_left
-          (fun acc p ->
-            let s = p.o_stats in
-            { acc with
-              dedup_hits = acc.dedup_hits + s.dedup_hits;
-              resleeps = acc.resleeps + s.resleeps;
-              sleep_prunes = acc.sleep_prunes + s.sleep_prunes;
-              ample_chains = acc.ample_chains + s.ample_chains;
-              ample_fused = acc.ample_fused + s.ample_fused;
-              crashes_applied = acc.crashes_applied + s.crashes_applied;
-              aborts_applied = acc.aborts_applied + s.aborts_applied;
-              domain_nodes = acc.domain_nodes @ s.domain_nodes;
-              merge_stall_us =
-                acc.merge_stall_us
-                + int_of_float (1e6 *. (last_finish -. p.o_t1));
-              journal_peak = max acc.journal_peak s.journal_peak;
-              undo_records = acc.undo_records + s.undo_records;
-              steals = acc.steals + s.steals;
-              est_nodes = acc.est_nodes +. s.est_nodes;
-              est_progress = acc.est_progress +. s.est_progress })
-          { (stats_of_ctx ctx) with domains_used = k; domain_nodes = [] }
-          parts
-      in
-      let stats =
-        { stats with
-          seen_entries = Fpstore.entries store;
-          store_drops = Fpstore.drops store;
-          omission_prob = Fpstore.omission_prob store }
-      in
-      (* parallel estimate: the BFS seed is exact (ctx.nodes), each worker
-         estimated the subtrees it actually ran; progress is the
-         unweighted mean over domains *)
-      let stats =
-        if Option.is_none estimator then stats
-        else
-          { stats with
-            est_nodes = float_of_int ctx.nodes +. stats.est_nodes;
-            est_progress =
-              (if k > 0 then stats.est_progress /. float_of_int k else 0.0)
-          }
-      in
-      (* Workers never touch the sinks (they are not thread-safe); the
-         coordinator replays their wall-clock windows as spans after the
-         join, one timeline lane (tid) per domain. *)
-      if Obs.Telemetry.enabled obs then begin
-        let base = Obs.Telemetry.now_us obs in
-        Array.iteri
-          (fun d p ->
-            let rel t = base - int_of_float (1e6 *. (last_finish -. t)) in
-            Obs.Telemetry.span_at obs ~tid:(d + 1) ~ts0:(rel p.o_t0)
-              ~ts1:(rel p.o_t1)
-              ~args:
-                [ ("nodes", Obs.Json.Int p.o_nodes);
-                  ("dedup_hits", Obs.Json.Int p.o_stats.dedup_hits);
-                  ("sleep_prunes", Obs.Json.Int p.o_stats.sleep_prunes);
-                  ("steals", Obs.Json.Int p.o_stats.steals) ]
-              (Printf.sprintf "explore.domain%d" d))
-          parts;
-        Obs.Telemetry.gauge obs "explore.merge_stall_us"
-          (float_of_int stats.merge_stall_us)
-      end;
-      {
-        nodes;
-        exhausted;
-        verified = exhausted && violations = [];
-        violations;
-        max_depth;
-        partial;
-        stats;
-      }
+  let rec hunt () =
+    match steal 1 with
+    | Some _ as it ->
+        Atomic.incr busy;
+        it
+    | None ->
+        if Atomic.get busy = 0 || Atomic.get ctx.halt then None
+        else begin
+          Domain.cpu_relax ();
+          hunt ()
+        end
+  in
+  let rec go = function
+    | None -> ()
+    | Some it ->
+        run_start ctx it;
+        go
+          (match Deque.pop deques.(d) with
+          | Some _ as it -> it
+          | None ->
+              Atomic.decr busy;
+              hunt ())
+  in
+  let t0 = Unix.gettimeofday () in
+  match go (if Option.is_some first then first else hunt ()) with
+  | () -> Ok (t0, Unix.gettimeofday ())
+  | exception Done ->
+      Atomic.decr busy;
+      Ok (t0, Unix.gettimeofday ())
+  | exception e ->
+      Atomic.set ctx.halt true;
+      Error e
+
+(* One result from the workers' ctxs and windows, in worker order: node
+   counts and tallies summed, the store's occupancy read once (workers
+   share it), and the violations — in discovery order from a lone
+   worker; sorted by schedule from several, a key intrinsic to the
+   violation rather than to the worker or instant that found it, then
+   cut to the global cap. A worker that finishes early idles until the
+   last one does; that window, summed over workers, is the merge stall.
+   The estimate sums the workers' (each estimated the subtrees it ran);
+   progress is the mean over the workers that ran any. *)
+let merge ~max_violations ~obs ctxs windows =
+  let add a s =
+    { a with
+      dedup_hits = a.dedup_hits + s.dedup_hits;
+      resleeps = a.resleeps + s.resleeps;
+      sleep_prunes = a.sleep_prunes + s.sleep_prunes;
+      ample_chains = a.ample_chains + s.ample_chains;
+      ample_fused = a.ample_fused + s.ample_fused;
+      crashes_applied = a.crashes_applied + s.crashes_applied;
+      aborts_applied = a.aborts_applied + s.aborts_applied;
+      domain_nodes = a.domain_nodes @ s.domain_nodes;
+      journal_peak = max a.journal_peak s.journal_peak;
+      undo_records = a.undo_records + s.undo_records;
+      steals = a.steals + s.steals;
+      est_nodes = a.est_nodes +. s.est_nodes;
+      est_progress = a.est_progress +. s.est_progress }
+  in
+  let stats =
+    match List.map stats_of_ctx ctxs with
+    | s :: rest -> List.fold_left add s rest
+    | [] -> zero_stats
+  in
+  let last = List.fold_left (fun a (_, t1) -> Float.max a t1) 0.0 windows in
+  let ran = List.length (List.filter (fun c -> c.nodes > 0) ctxs) in
+  let stats =
+    { stats with
+      domains_used = List.length ctxs;
+      merge_stall_us =
+        List.fold_left
+          (fun a (_, t1) -> a + int_of_float (1e6 *. (last -. t1)))
+          0 windows;
+      est_progress = stats.est_progress /. float_of_int (max 1 ran) }
+  in
+  (* sinks are not thread-safe, so helpers never touch the hub: their
+     windows are replayed here as spans, one timeline lane per worker *)
+  if Obs.Telemetry.enabled obs then begin
+    let now = Obs.Telemetry.now_us obs and wall = Unix.gettimeofday () in
+    let rel t = now - int_of_float (1e6 *. (wall -. t)) in
+    List.iteri
+      (fun d (c, (t0, t1)) ->
+        Obs.Telemetry.span_at obs ~tid:d ~ts0:(rel t0) ~ts1:(rel t1)
+          ~args:
+            [ ("nodes", Obs.Json.Int c.nodes);
+              ("dedup_hits", Obs.Json.Int c.c_dedup);
+              ("sleep_prunes", Obs.Json.Int c.c_sleep_prunes);
+              ("steals", Obs.Json.Int c.c_steals) ]
+          "explore.dfs")
+      (List.combine ctxs windows);
+    Obs.Telemetry.gauge obs "explore.merge_stall_us"
+      (float_of_int stats.merge_stall_us)
+  end;
+  let violations =
+    match ctxs with
+    | [ c ] -> List.rev c.violations
+    | _ ->
+        List.concat_map (fun c -> c.violations) ctxs
+        |> List.sort_uniq (fun a b -> compare a.schedule b.schedule)
+        |> List.filteri (fun i _ -> i < max_violations)
+  in
+  let partial = List.find_map (fun c -> c.stopped) ctxs in
+  {
+    nodes = List.fold_left (fun a c -> a + c.nodes) 0 ctxs;
+    exhausted = partial = None;
+    verified = partial = None && violations = [];
+    violations;
+    max_depth = List.fold_left (fun a c -> max a c.max_depth) 0 ctxs;
+    partial;
+    stats;
+  }
 
 (* --- public entry points ---------------------------------------------- *)
 
@@ -1637,59 +1431,101 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(on_spin = `Prune)
     ~finally:(fun () ->
       match profile with Some p -> Obs.Profile.stop p | None -> ())
   @@ fun () ->
-  let finish (r : result) =
-    if Obs.Telemetry.enabled obs then begin
-      publish_counters obs ~nodes:r.nodes
-        ~violations:(List.length r.violations) r.stats;
-      if r.stats.omission_prob > 0.0 then
-        Obs.Telemetry.gauge obs "explore.omission_prob" r.stats.omission_prob;
-      if Option.is_some estimator then begin
-        Obs.Telemetry.gauge obs "explore.progress" r.stats.est_progress;
-        Obs.Telemetry.gauge obs "explore.est_total" r.stats.est_nodes;
-        Obs.Telemetry.gauge obs "explore.eta_s" 0.0
-      end;
-      (* final repaint trigger for the progress sink — also reached on
-         partial (stopped / interrupted) verdicts *)
-      Obs.Telemetry.instant obs "explore.heartbeat"
-    end;
-    r
+  (* one domain with the exact store keeps the sequential table (no
+     synchronization to pay for); several domains, and bitstate at any
+     count, share the lock-free store, so bitstate semantics do not
+     depend on the domain count *)
+  let seen =
+    match cfg.Config.store with
+    | Config.Store_exact when domains = 1 -> Seen_tbl (Seenmap.create ())
+    | mode -> Seen_shared (Fpstore.create ~mode ~expected:max_nodes)
   in
-  if domains > 1 then
-    finish
-      (explore_parallel ~domains ~max_nodes ~max_violations ~por
-         ~codec ~on_spin ~max_crashes ~max_aborts ~stop ~deadline ~obs
-         ~paranoid:paranoid_fp ~estimator ~profile cfg)
-  else begin
-    (* one domain: the hash table serves the exact mode (no
-       synchronization to pay for); bitstate goes through the shared
-       store even sequentially, so its semantics do not depend on the
-       domain count *)
-    let seen =
-      match cfg.Config.store with
-      | Config.Store_exact -> Seen_tbl (Seenmap.create ())
-      | mode -> Seen_shared (Fpstore.create ~mode ~expected:max_nodes)
-    in
-    let est =
-      Option.map (fun c -> Obs.Estimator.create ~cfg:c ()) estimator
-    in
+  let pool = Atomic.make (max 0 max_nodes) and halt = Atomic.make false in
+  let deques = Array.init domains (fun _ -> Deque.create ()) in
+  (* worker 0 holds the root, so it holds the one [busy] token *)
+  let busy = Atomic.make 1 in
+  (* Worker 0 holds the caller's hub and profile; each helper gets its
+     own estimator seed (the probes must not be correlated across
+     workers) and its own profile shard, absorbed in worker order. Each
+     worker builds its ctx on its own domain, so the scratch it writes
+     on every node never shares a cache line with another worker's. *)
+  let run d first =
+    let lead = d = 0 in
     let ctx =
-      make_ctx ~seen ?on_fingerprint ~max_crashes ~max_aborts ?stop ?deadline
-        ~obs ~paranoid:paranoid_fp ~por ~codec ~on_spin ~max_nodes
-        ~max_violations ?est ?profile ()
+      make_ctx ~seen ~pool ~halt
+        ?deque:(if domains > 1 then Some deques.(d) else None)
+        ?on_fingerprint ~max_crashes ~max_aborts ?stop ?deadline
+        ~obs:(if lead then obs else Obs.Telemetry.null)
+        ~paranoid:paranoid_fp
+        ?est:
+          (Option.map
+             (fun (c : Obs.Estimator.cfg) ->
+               Obs.Estimator.create
+                 ~cfg:{ c with Obs.Estimator.seed = c.Obs.Estimator.seed + d }
+                 ())
+             estimator)
+        ?profile:
+          (if lead then profile
+           else
+             Option.map
+               (fun p -> new_profile ~every:(Obs.Profile.every p) ())
+               profile)
+        ~por ~codec ~on_spin ~max_violations ()
     in
-    let t0 = Obs.Telemetry.now_us obs in
-    let exhausted =
-      try
-        run_start ctx (search_machine cfg) [] 0 0;
-        true
-      with Done -> false
-    in
-    if Obs.Telemetry.enabled obs then
-      Obs.Telemetry.span_at obs ~ts0:t0 ~ts1:(Obs.Telemetry.now_us obs)
-        ~args:[ ("nodes", Obs.Json.Int ctx.nodes) ]
-        "explore.dfs";
-    finish (result_of_ctx ctx ~exhausted)
-  end
+    if not lead then Option.iter Obs.Profile.start ctx.prof;
+    let out = work ctx ~deques ~busy ~d first in
+    if not lead then Option.iter Obs.Profile.stop ctx.prof;
+    (ctx, out)
+  in
+  let root =
+    { w_m = search_machine cfg; w_sched = []; w_depth = 0; w_sleep = 0 }
+  in
+  (* helpers start one at a time; after a failed spawn none follows, and
+     [halt] stops worker 0 at its first poll *)
+  let failed_spawn = ref None in
+  let rec spawn d =
+    if d = domains then []
+    else
+      match Domain.spawn (fun () -> run d None) with
+      | h -> h :: spawn (d + 1)
+      | exception e ->
+          Atomic.set halt true;
+          failed_spawn := Some e;
+          []
+  in
+  let helpers = spawn 1 in
+  let lead = run 0 (Some root) in
+  let workers = lead :: List.map Domain.join helpers in
+  (* every started helper is joined before an exception is re-raised *)
+  Option.iter raise !failed_spawn;
+  let windows =
+    List.map (function _, Ok w -> w | _, Error e -> raise e) workers
+  in
+  let ctxs = List.map fst workers in
+  (match profile with
+  | Some p ->
+      List.iteri
+        (fun d c ->
+          if d > 0 then
+            Option.iter (fun shard -> Obs.Profile.absorb ~into:p shard) c.prof)
+        ctxs
+  | None -> ());
+  let r = merge ~max_violations ~obs ctxs windows in
+  if Obs.Telemetry.enabled obs then begin
+    publish_counters obs ~nodes:r.nodes
+      ~violations:(List.length r.violations) r.stats;
+    if r.stats.omission_prob > 0.0 then
+      Obs.Telemetry.gauge obs "explore.omission_prob" r.stats.omission_prob;
+    if Option.is_some estimator then begin
+      Obs.Telemetry.gauge obs "explore.progress" r.stats.est_progress;
+      Obs.Telemetry.gauge obs "explore.est_total" r.stats.est_nodes;
+      Obs.Telemetry.gauge obs "explore.eta_s" 0.0
+    end;
+    (* final repaint trigger for the progress sink — also reached on
+       partial (stopped / interrupted) verdicts *)
+    Obs.Telemetry.instant obs "explore.heartbeat"
+  end;
+  r
 
 (* --- replay ------------------------------------------------------------ *)
 

@@ -151,21 +151,21 @@ type stats = {
           this is a global count, not a per-domain sum *)
   crashes_applied : int;  (** crash moves executed (≠ distinct schedules) *)
   aborts_applied : int;  (** abort moves executed (≠ distinct schedules) *)
-  domains_used : int;
+  domains_used : int;  (** workers run: the [~domains] asked for *)
   domain_nodes : int list;
-      (** nodes expanded per domain, in domain order; singleton for the
-          sequential engine (coordinator BFS nodes excluded) *)
+      (** nodes expanded per worker, worker 0 (the calling domain) first;
+          they sum to [nodes] *)
   merge_stall_us : int;
-      (** summed idle time of early-finishing domains waiting for the
-          slowest one to join; 0 for the sequential engine *)
+      (** summed idle time of the workers that finished before the last
+          one did; 0 at one domain *)
   journal_peak : int;
-      (** high-water undo-log depth in records (max over domains) *)
+      (** high-water undo-log depth in records (max over workers) *)
   undo_records : int;
       (** total undo records pushed across the search (summed over
-          domains, BFS seed included) *)
+          workers) *)
   steals : int;
-      (** parallel mode: work items taken from another domain's deque
-          (load-balancing events); 0 for the sequential engine *)
+      (** work items a worker took from another worker's deque
+          (load-balancing events); 0 at one domain *)
   store_drops : int;
       (** shared store: states left unstored (a full probe window of the
           capped exact store) and therefore re-explored on every visit *)
@@ -177,14 +177,17 @@ type stats = {
   est_nodes : float;
       (** online Knuth estimate of the TOTAL (pruned) search-space size,
           live mid-search and final at the end; 0.0 when the estimator is
-          off ([?estimator] not passed to {!explore}). Parallel runs sum
-          exact BFS-seed nodes with per-subtree worker estimates *)
+          off ([?estimator] not passed to {!explore}). With several
+          workers, the sum of their estimates, each over the work items
+          it ran (a parked subtree counts where it runs, not where it
+          was parked) *)
   est_progress : float;
       (** estimated fraction of the space already explored, in [0, 1]:
           the probability mass of retired subtrees under the
           uniform-random-descent measure. Reaches exactly 1.0 on
-          exhausted sequential runs (a built-in self-test of the mass
-          accounting); 0.0 when the estimator is off *)
+          exhausted one-domain runs (a built-in self-test of the mass
+          accounting); with several workers, the mean over the workers
+          that ran any subtree; 0.0 when the estimator is off *)
 }
 
 val zero_stats : stats
@@ -242,8 +245,8 @@ val new_profile : ?every:int -> unit -> Obs.Profile.t
     [every] is {!Obs.Profile.create}'s sampling stride: 1 (default)
     attributes every node exactly; [k > 1] records one admitted node in
     [k] — node and RMR counts scale by [k] (totals accurate to within
-    one stride), tick and undo-record totals stay exact. The parallel
-    driver creates its per-domain shards with the same stride. *)
+    one stride), tick and undo-record totals stay exact. Helper workers
+    record into shards created with the same stride. *)
 
 val default_profile_every : int
 (** The sampling stride the front ends (CLI [verify --profile], bench
@@ -315,28 +318,39 @@ val explore :
     @raise Invalid_argument if [~on_fingerprint] is combined with
     [domains > 1] (and for [domains < 1] or [max_crashes < 0]).
 
-    [~domains:k] with [k > 1] expands the root breadth-first until at
-    least [8k] pending states exist, then parks that frontier on [k]
-    work-stealing deques ({!Deque}, round-robin) served by [k] OCaml
-    domains. All domains dedup against ONE shared lock-free fingerprint
-    store ({!Fpstore}) — every reachable state is claimed by exactly one
-    visitor, so [nodes] matches the sequential count when sleep masks
-    are trivial ([~por:false], or a non-encodable move space) and the
-    search is not cut by a cap. Domains load-balance by stealing parked
-    subtrees from each other and draw node budget from a shared pool in
-    chunks (the budget may overshoot by at most one chunk per domain).
+    [~domains:k] runs [k] workers of one loop: the calling domain is
+    worker 0 and starts at the root, and [k - 1] helper domains start by
+    stealing. Each worker owns a work-stealing deque ({!Deque}); with
+    fellow workers it parks an admitted subtree there (a clone of the
+    machine, with its sleep mask) when the deque runs low, at most once
+    per 64 nodes, pops its own deque depth-first and steals the oldest
+    items of the others' when it runs dry. All workers draw node budget
+    from one pool in 256-node chunks, so a lone worker spends exactly
+    [max_nodes] and several never more between them. At [k = 1] with
+    [Store_exact] the seen states live in an uncapped sequential
+    table; otherwise all workers dedup against ONE shared lock-free
+    fingerprint store ({!Fpstore}) — every reachable state is claimed by
+    exactly one visitor, so [nodes] matches the one-domain count when
+    sleep masks are trivial ([~por:false], or a non-encodable move
+    space) and the search is not cut by a cap.
+
+    An exception raised in any worker (a lock program's, say) or by a
+    failed [Domain.spawn] stops the other workers at their next poll
+    (every 1024 nodes); [explore] re-raises it once every started
+    helper has been joined.
 
     Determinism under [k > 1]: [verified], [exhausted] and the set of
-    violations are independent of scheduling — violations are merged in
-    (frontier index, schedule) order, a key intrinsic to the violation
-    — but [max_depth], [stats] tallies and (under nontrivial sleep
-    masks) [nodes] may vary run to run, because which visitor reaches a
-    state first changes re-exploration, not coverage. When violations
-    exist, each domain stops at its own [max_violations] cap before the
-    merge truncates to the global cap, so the surviving set is the
-    least-tagged violations found. Sleep masks attached to frontier
-    states travel with them, so the reduction composes with the parallel
-    driver unchanged (see DESIGN.md §5f for the soundness argument).
+    violations are independent of scheduling — the workers' violations
+    are merged in schedule order, a key intrinsic to the violation —
+    but [max_depth], [stats] tallies and (under nontrivial sleep masks)
+    [nodes] may vary run to run, because which visitor reaches a state
+    first changes re-exploration, not coverage. When violations exist,
+    each worker stops at its own [max_violations] cap before the merge
+    truncates to the global cap, so the surviving set is the least (by
+    schedule) of the violations found. At [k = 1] violations stay in
+    discovery order. Sleep masks travel with parked subtrees, so the
+    reduction composes with work stealing unchanged (see DESIGN.md §5f
+    for the soundness argument).
 
     The seen-state memory policy is selected by {!Config.t.store}:
     [Store_exact] (default), or the fixed-memory [Store_bitstate] mode,
@@ -349,13 +363,12 @@ val explore :
     then the {e only} omission channel, and it is the one
     [omission_prob] measures.
 
-    The explorer has one DFS loop: it steps one machine per domain in
+    The explorer has one DFS loop: it steps one machine per worker in
     place, running the continuation interpreter, and rolls back through
-    {!Machine.Journal} after each subtree. Subtrees handed to
-    another domain (the BFS seed's frontier, work-stealing delegation)
-    are cloned, so parked machines are independent. The test suite
-    checks this loop against a clone-per-child reference explorer with
-    no reduction and full fingerprint recomputes.
+    {!Machine.Journal} after each subtree. Parked subtrees are cloned,
+    so they are independent of the worker that parked them. The test
+    suite checks this loop against a clone-per-child reference explorer
+    with no reduction and full fingerprint recomputes.
 
     [~paranoid_fp:true] cross-checks the incrementally-maintained
     fingerprint against a full recompute at every node
@@ -368,10 +381,12 @@ val explore :
     costs one comparison) carrying counter snapshots, nodes/sec, current
     depth and — when the estimator is on — progress %, live
     estimated-total and ETA gauges, plus an ["explore.heartbeat"]
-    instant that progress sinks use as their repaint trigger. Phase
-    spans (BFS seeding, DFS, one lane per domain) and a final counter
-    flush follow. Workers never touch the hub — their wall-clock windows
-    are replayed by the coordinator after the join. Default
+    instant that progress sinks use as their repaint trigger. Worker 0
+    holds the hub, so heartbeats fire at every domain count; their node
+    count is every worker's (the budget drawn from the shared pool), the
+    other counters are worker 0's. After the search, one ["explore.dfs"]
+    span per worker (its wall-clock window, on lane [tid = worker]) and
+    a final counter flush follow; helpers never touch the hub. Default
     {!Obs.Telemetry.null}: every emission reduces to one [enabled]
     check, leaving the ns/node budget intact (BENCH_PR4).
 
@@ -380,16 +395,17 @@ val explore :
     woven through the DFS (deterministically seeded — the search itself
     is never perturbed), yielding the [est_nodes] / [est_progress]
     fields of {!stats} and the live heartbeat gauges above. Off by
-    default (zero cost). Parallel runs give each domain an independent
-    estimator (seed + domain + 1) and combine: exact BFS-seed count +
-    summed worker estimates; progress is the mean over domains.
+    default (zero cost). Worker [d] runs its own estimator seeded
+    [seed + d], treating each work item as a root; the results combine
+    as the {!stats} fields describe.
 
     [~profile] attaches a per-depth-band × move-class × section ×
     location profile accumulator (build it with {!new_profile}); every
     admitted node is attributed exactly once — at admission — with its
     wall-time share, undo-record and remote-reference (RMR) deltas.
-    Parallel runs shard per domain and merge deterministically (domain
-    order) after the join. Off by default (zero cost); the accumulator
+    Worker 0 records into the accumulator itself; each helper records
+    into its own shard, absorbed in worker order after the join. Off by
+    default (zero cost); the accumulator
     keeps summing across runs, so one profile can cover a sweep.
     @raise Invalid_argument if the accumulator's schema is not
     {!new_profile}'s. *)

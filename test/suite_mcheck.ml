@@ -246,6 +246,43 @@ let test_por_counts () =
        search ~max_nodes:200_000 "mcs" 4 ]
     @ grid)
 
+(* An exception in one worker stops them all before [explore] re-raises
+   it. Every step of tournament n=4's programs bumps a shared counter,
+   and the 50,000th raises; a worker left running after the raise would
+   keep the counter moving, and one left running to the end of the
+   955,284-state space would take it far past 100,000. *)
+let test_raise_stops_workers () =
+  let steps = Atomic.make 0 in
+  let rec counting : type a. a Prog.t -> a Prog.t = function
+    | Return _ as r -> r
+    | Bind (op, k) ->
+        Bind
+          ( op,
+            fun x ->
+              if Atomic.fetch_and_add steps 1 = 49_999 then
+                failwith "step 50000";
+              counting (k x) )
+  in
+  let n = 4 in
+  let lock =
+    (Option.get (Locks.Zoo.find "tournament")).Locks.Lock_intf.instantiate ~n
+  in
+  let cfg = Locks.Harness.config_of_lock ~model:Config.Cc_wb lock ~n in
+  let cfg =
+    { cfg with
+      Config.entry = (fun p -> counting (cfg.Config.entry p));
+      exit_section = (fun p -> counting (cfg.Config.exit_section p)) }
+  in
+  (match Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:2 cfg with
+  | _ -> Alcotest.fail "the search returned"
+  | exception Failure msg ->
+      Alcotest.(check string) "re-raised" "step 50000" msg);
+  let at_raise = Atomic.get steps in
+  if at_raise >= 100_000 then
+    Alcotest.failf "%d steps run before the raise returned" at_raise;
+  Unix.sleepf 0.1;
+  Alcotest.(check int) "no step after the raise" at_raise (Atomic.get steps)
+
 let suite =
   [
     Alcotest.test_case "MP litmus: exhaustive TSO vs PSO" `Quick
@@ -258,4 +295,6 @@ let suite =
     Alcotest.test_case "tas n=2: verified" `Quick test_tas_verified;
     Alcotest.test_case "flag lock: race found" `Quick test_flag_lock_broken;
     Alcotest.test_case "POR-on state counts pinned" `Quick test_por_counts;
+    Alcotest.test_case "a raising worker stops every worker" `Quick
+      test_raise_stops_workers;
   ]

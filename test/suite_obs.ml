@@ -369,12 +369,24 @@ let test_explorer_stats_parallel () =
   Alcotest.(check int) "two domains" 2 s.Mcheck.Explore.domains_used;
   Alcotest.(check int) "one node share per domain" 2
     (List.length s.Mcheck.Explore.domain_nodes);
-  (* coordinator BFS nodes + per-domain nodes account for the total *)
-  Alcotest.(check int) "node accounting" r.Mcheck.Explore.nodes
-    (List.fold_left ( + )
-       (r.Mcheck.Explore.nodes
-       - List.fold_left ( + ) 0 s.Mcheck.Explore.domain_nodes)
-       s.Mcheck.Explore.domain_nodes)
+  Alcotest.(check int) "nodes = sum of domain nodes" r.Mcheck.Explore.nodes
+    (List.fold_left ( + ) 0 s.Mcheck.Explore.domain_nodes);
+  (* a space worker 0 finishes alone still reports both workers *)
+  let tas =
+    (Locks.Zoo.find "tas" |> Option.get).Locks.Lock_intf.instantiate ~n:1
+  in
+  let r =
+    Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:2
+      (Locks.Harness.config_of_lock ~model:Config.Cc_wb tas ~n:1)
+  in
+  let s = r.Mcheck.Explore.stats in
+  Alcotest.(check bool) "tas n=1 verified" true r.Mcheck.Explore.verified;
+  Alcotest.(check int) "tas n=1: two domains" 2 s.Mcheck.Explore.domains_used;
+  Alcotest.(check int) "tas n=1: two node shares" 2
+    (List.length s.Mcheck.Explore.domain_nodes);
+  Alcotest.(check int) "tas n=1: nodes = sum of domain nodes"
+    r.Mcheck.Explore.nodes
+    (List.fold_left ( + ) 0 s.Mcheck.Explore.domain_nodes)
 
 (* The CLI bug this release fixes: partial results must not share exit
    code 0 with verification. *)
