@@ -45,22 +45,26 @@ let make ?(d0 = 4) ~n () : Lock_intf.t =
     Peterson_kit.tournament_over layout "arb" ~leaves:(m + 1)
   in
   let claims = Array.make n Slow in
+  (* a process walks the stages still ahead of it (index, grid and tree
+     entry), so its continuation captures those and not [grids] and
+     [stage_trees] (see the Lock_intf header) *)
+  let stages = List.init m (fun i -> (i, grids.(i), fst stage_trees.(i))) in
   let entry p =
-    let rec try_stage i =
-      if i >= m then
-        (* safety net; unreachable when the last side covers n *)
-        let* () = (fst slow_tree) p in
-        arb_entry m
-      else
-        let* name = Splitter.rename grids.(i) p in
-        match name with
-        | Some nm ->
-            claims.(p) <- Fast (i, nm);
-            let* () = (fst stage_trees.(i)) nm in
-            arb_entry i
-        | None -> try_stage (i + 1)
+    let rec try_stage = function
+      | [] ->
+          (* safety net; unreachable when the last side covers n *)
+          let* () = (fst slow_tree) p in
+          arb_entry m
+      | (i, grid, tree_entry) :: ahead -> (
+          let* name = Splitter.rename grid p in
+          match name with
+          | Some nm ->
+              claims.(p) <- Fast (i, nm);
+              let* () = tree_entry nm in
+              arb_entry i
+          | None -> try_stage ahead)
     in
-    try_stage 0
+    try_stage stages
   in
   let exit_section p =
     match claims.(p) with

@@ -37,6 +37,22 @@ let peterson_node layout tag =
   let node = Layout.block layout (var_name tag) 3 in
   (acquire node, release node)
 
+(* Climb a path of (node id, side) pairs acquiring each node, or descend
+   one releasing each: a continuation captures the ids still ahead, not
+   prebuilt programs, so it stays within the fingerprint's hash horizon
+   (see the Lock_intf header). *)
+let rec climb = function
+  | [] -> unit
+  | (node, side) :: ahead ->
+      let* () = acquire node side in
+      climb ahead
+
+let rec descend = function
+  | [] -> unit
+  | (node, side) :: ahead ->
+      let* () = release node side in
+      descend ahead
+
 (* A Peterson tournament over [leaves] anonymous slots: an entrant starts
    at the leaf matching its slot index and climbs to the root. At most one
    process may hold any slot at a time. Returns (entry, exit) by slot.
@@ -54,18 +70,12 @@ let tournament_over layout tag ~leaves =
       (fun k -> var_name (Printf.sprintf "%s.%d" tag ((k / 3) + 1)) (k mod 3))
       (3 * (l - 1))
   in
-  let node i = base + (3 * (i - 1)) in
+  (* the slot's (node id, side) pairs, leaf first *)
   let path slot =
-    let rec climb node_ acc =
-      if node_ <= 1 then List.rev acc
-      else climb (node_ / 2) ((node_ / 2, node_ mod 2) :: acc)
+    let rec up i acc =
+      if i <= 1 then List.rev acc
+      else up (i / 2) ((base + (3 * ((i / 2) - 1)), i mod 2) :: acc)
     in
-    climb (l + slot) []
+    up (l + slot) []
   in
-  let entry slot =
-    seq (List.map (fun (nd, side) -> acquire (node nd) side) (path slot))
-  in
-  let exit_ slot =
-    seq (List.map (fun (nd, side) -> release (node nd) side) (List.rev (path slot)))
-  in
-  (entry, exit_)
+  ((fun slot -> climb (path slot)), fun slot -> descend (List.rev (path slot)))

@@ -276,8 +276,7 @@ let hash_horizon (root : Obj.t) =
    states that differ past its horizon get one fingerprint. Random walks
    (with one crash and one abort where the lock has those sections) check
    every continuation of every zoo family at n=2 and n=3, and of the
-   tournament at n=4 and n=8. Cascade is left out: its closures capture
-   its stage trees and its claims array.
+   tournament at n=4 and n=8.
 
    First, the runtime agrees with the walker's model on lists: 127
    integers and the final [] are 128 meaningful values in 255 queued
@@ -298,7 +297,6 @@ let test_continuations_within_hash_horizon () =
     (Hashtbl.hash_param 1000 1000 long);
   let sizes (fam : Lock_intf.family) =
     match fam.Lock_intf.family_name with
-    | "cascade" -> []
     | "tournament" -> [ 2; 3; 4; 8 ]
     | _ when List.memq fam Zoo.two_process -> [ 2 ]
     | _ -> [ 2; 3 ]
