@@ -69,6 +69,22 @@ let find_lock name =
    (unknown lock names, malformed schedule files) on verify/replay. *)
 let die2 fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
+(* Workers beyond the host's cores only spin waiting for work, and past
+   the runtime's domain limit they cannot start at all, so [verify
+   --domains] and [campaign --jobs] run at most
+   [Domain.recommended_domain_count ()] workers and say so on stderr when
+   they cut the request. The clamp lives here rather than in
+   [Explore.explore] or [Driver.run]: the differential test suites run
+   more workers than cores on purpose, to exercise steals. *)
+let clamp_workers flag k =
+  let cap = Domain.recommended_domain_count () in
+  if k <= cap then k
+  else begin
+    Printf.eprintf "note: %s %d clamped to %d, the host's domain count\n%!"
+      flag k cap;
+    cap
+  end
+
 (* --- telemetry options (shared by verify and adversary) ----------------- *)
 
 let obs_term =
@@ -409,7 +425,8 @@ let verify_cmd =
       & info [ "domains" ]
           ~doc:
             "parallel search domains (one shared lock-free fingerprint \
-             store, work-stealing load balancing)")
+             store, work-stealing load balancing); at most the host's \
+             recommended domain count, with a note on stderr when cut")
   in
   let store =
     let store_conv =
@@ -526,6 +543,7 @@ let verify_cmd =
       max_aborts max_millis crash_semantics search_stats store store_bits
       store_hashes profile_out progress probes obs_opts =
     if domains < 1 then die2 "--domains must be >= 1";
+    let domains = clamp_workers "--domains" domains in
     if max_crashes < 0 then die2 "--max-crashes must be >= 0";
     if max_aborts < 0 then die2 "--max-aborts must be >= 0";
     let store_mode =
@@ -1028,7 +1046,9 @@ let campaign_cmd =
              and each search runs sequentially, so reports are identical \
              at any job count. Each distinct search runs once per run: \
              verify cells that differ only in model share one, and a probe \
-             that meets a grid search reuses it or waits for it")
+             that meets a grid search reuses it or waits for it. At most \
+             the host's recommended domain count, with a note on stderr \
+             when cut")
   in
   let max_nodes =
     Arg.(
@@ -1106,6 +1126,7 @@ let campaign_cmd =
             | Error m -> die2 "%s: %s" path m))
     | None -> ());
     if jobs < 1 then die2 "--jobs must be >= 1";
+    let jobs = clamp_workers "--jobs" jobs in
     if max_nodes < 1 then die2 "--max-nodes must be >= 1";
     if grids = [] && brackets = [] then
       die2 "nothing to do: give at least one --grid or --bracket";

@@ -1259,19 +1259,25 @@ let work ctx ~deques ~busy ~d first =
           hunt ()
         end
   in
+  (* A worker that takes an item after idling — setting up before its
+     first, hunting before any other — restarts its profile shard's tick
+     baseline, so the shard charges only the time spent running items.
+     Popping its own deque is not idling. *)
   let rec go = function
     | None -> ()
-    | Some it ->
+    | Some it -> (
         run_start ctx it;
-        go
-          (match Deque.pop deques.(d) with
-          | Some _ as it -> it
-          | None ->
-              Atomic.decr busy;
-              hunt ())
+        match Deque.pop deques.(d) with
+        | Some _ as next -> go next
+        | None ->
+            Atomic.decr busy;
+            resume (hunt ()))
+  and resume it =
+    Option.iter Obs.Profile.rebase ctx.prof;
+    go it
   in
   let t0 = Unix.gettimeofday () in
-  match go (if Option.is_some first then first else hunt ()) with
+  match resume (if Option.is_some first then first else hunt ()) with
   | () -> Ok (t0, Unix.gettimeofday ())
   | exception Done ->
       Atomic.decr busy;

@@ -169,6 +169,8 @@ let record t ~depth ~cls ~section ~loc ~rmr ~undo =
   t.vals.(b + 2) <- t.vals.(b + 2) + undo;
   t.vals.(b + 3) <- t.vals.(b + 3) + (rmr * t.every)
 
+let rebase t = t.last_ticks <- ticks ()
+
 let start t =
   t.t0_wall <- Unix.gettimeofday ();
   t.t0_ticks <- ticks ();

@@ -80,11 +80,12 @@ type proc_acct = {
 (* The machine's accounting: the paper's cost model (RMRs under the
    configured memory model, awareness, criticality, contention) and the
    trace. None of it enters the fingerprint, the footprints or a verdict
-   check. *)
+   check. The per-variable tables are paged ({!Paged}): they take memory
+   for the pages that commits and accesses write, not for the layout. *)
 type acct = {
-  writer : Pid.t option array;  (* writer(v, E) *)
-  writer_aw : Pidset.t array;  (* awareness of writer(v) at issue time *)
-  accessed : Pidset.t array;  (* Accessed(v, E) *)
+  writer : Pid.t option Paged.t;  (* writer(v, E) *)
+  writer_aw : Pidset.t Paged.t;  (* awareness of writer(v) at issue time *)
+  accessed : Pidset.t Paged.t;  (* Accessed(v, E) *)
   lines : Memmodel.t;  (* CC line directory *)
   trace : Event.t Vec.t;
   per_proc : proc_acct array;
@@ -213,9 +214,9 @@ let create (cfg : Config.t) =
   in
   let acct =
     {
-      writer = Array.make (max nvars 1) None;
-      writer_aw = Array.make (max nvars 1) Pidset.empty;
-      accessed = Array.make (max nvars 1) Pidset.empty;
+      writer = Paged.create ~size:nvars None;
+      writer_aw = Paged.create ~size:nvars Pidset.empty;
+      accessed = Paged.create ~size:nvars Pidset.empty;
       lines = Memmodel.create ~nvars;
       trace =
         Vec.create
@@ -243,9 +244,9 @@ let create (cfg : Config.t) =
 
 let copy_acct a =
   {
-    writer = Array.copy a.writer;
-    writer_aw = Array.copy a.writer_aw;
-    accessed = Array.copy a.accessed;
+    writer = Paged.copy a.writer;
+    writer_aw = Paged.copy a.writer_aw;
+    accessed = Paged.copy a.accessed;
     lines = Memmodel.copy a.lines;
     trace = Vec.copy a.trace;
     per_proc =
@@ -305,8 +306,8 @@ let trace m = (acct m "trace").trace
 let proc m p = m.procs.(p)
 let n_procs m = m.cfg.n
 let mem_value m v = m.mem.(v)
-let writer_of m v = (acct m "writer_of").writer.(v)
-let accessed_set m v = (acct m "accessed_set").accessed.(v)
+let writer_of m v = Paged.get (acct m "writer_of").writer v
+let accessed_set m v = Paged.get (acct m "accessed_set").accessed v
 let awareness m p = (proc_acct m "awareness" p).aw
 let section m p = m.procs.(p).sec
 let is_remote m p v = Layout.is_remote m.cfg.layout p v
@@ -792,11 +793,13 @@ let[@inline] emit_k m pr kind =
    becomes aware of the last writer and of everything that writer was aware
    of when it issued the write. *)
 let absorb_awareness a pa v =
-  match a.writer.(v) with
+  match Paged.get a.writer v with
   | None -> ()
-  | Some q -> pa.aw <- Pidset.add q (Pidset.union pa.aw a.writer_aw.(v))
+  | Some q ->
+      pa.aw <- Pidset.add q (Pidset.union pa.aw (Paged.get a.writer_aw v))
 
-let note_access a pid v = a.accessed.(v) <- Pidset.add pid a.accessed.(v)
+let note_access a pid v =
+  Paged.set a.accessed v (Pidset.add pid (Paged.get a.accessed v))
 
 (* A remote read is critical iff it is the process's first remote read of
    that variable (Definition 2). *)
@@ -814,10 +817,10 @@ let commit_entry m pr (entry : Wbuf.entry) =
     | None -> Event.dummy
     | Some a ->
         let remote = is_remote m pr.pid v in
-        let critical = remote && a.writer.(v) <> Some pr.pid in
+        let critical = remote && Paged.get a.writer v <> Some pr.pid in
         let rmr = Memmodel.write_rmr m.cfg.model a.lines pr.pid v ~remote in
-        a.writer.(v) <- Some pr.pid;
-        a.writer_aw.(v) <- entry.Wbuf.aw;
+        Paged.set a.writer v (Some pr.pid);
+        Paged.set a.writer_aw v entry.Wbuf.aw;
         note_access a pr.pid v;
         emit m a pr.pid
           (Event.Commit_write { var = v; value = x })
@@ -960,14 +963,14 @@ let account_rmw m a (pr : proc) v ~writes kind =
   let remote = is_remote m pr.pid v in
   let critical =
     read_criticality pa v ~remote
-    || (writes && remote && a.writer.(v) <> Some pr.pid)
+    || (writes && remote && Paged.get a.writer v <> Some pr.pid)
   in
   let rmr = Memmodel.write_rmr m.cfg.model a.lines pr.pid v ~remote in
   absorb_awareness a pa v;
   note_access a pr.pid v;
   if writes then begin
-    a.writer.(v) <- Some pr.pid;
-    a.writer_aw.(v) <- pa.aw
+    Paged.set a.writer v (Some pr.pid);
+    Paged.set a.writer_aw v pa.aw
   end;
   emit m a pr.pid kind ~remote ~rmr ~critical
 
@@ -1329,10 +1332,11 @@ let pending_is_special m p =
   | P_begin_fence | P_end_fence | P_rmw_fence -> true
   | P_issue_write _ | P_marker _ -> false
   | P_read v -> (not (Wbuf.mem m.procs.(p).buf v)) && first_remote_read v
-  | P_commit v -> is_remote m p v && a.writer.(v) <> Some p
+  | P_commit v -> is_remote m p v && Paged.get a.writer v <> Some p
   | P_cas (v, _, _) | P_faa (v, _) | P_swap (v, _) ->
       (* conservatively special: RMWs both read and write the variable *)
-      is_remote m p v && (a.writer.(v) <> Some p || first_remote_read v)
+      is_remote m p v
+      && (Paged.get a.writer v <> Some p || first_remote_read v)
 
 (* Run [p] while its pending event is neither special nor [P_done], up to
    [fuel] events. Returns the number of events executed and the reason for
@@ -1419,7 +1423,9 @@ let proc_acct_equal a b =
   && Vec.to_array a.passage_log = Vec.to_array b.passage_log
 
 let acct_equal a b =
-  a.writer = b.writer && a.writer_aw = b.writer_aw && a.accessed = b.accessed
+  Paged.equal a.writer b.writer
+  && Paged.equal a.writer_aw b.writer_aw
+  && Paged.equal a.accessed b.accessed
   && Memmodel.equal a.lines b.lines
   && Array.for_all2 proc_acct_equal a.per_proc b.per_proc
   && Vec.to_array a.trace = Vec.to_array b.trace

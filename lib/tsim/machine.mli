@@ -123,7 +123,11 @@ val pending_var : t -> Pid.t -> Var.t
 
 val create : Config.t -> t
 (** A fresh machine in the initial configuration (all processes in their
-    NCS, buffers empty, variables at their initial values). *)
+    NCS, buffers empty, variables at their initial values). Memory is one
+    flat array over the layout; the accounting tables (writers, access
+    sets, CC lines) are paged ({!Paged}), so a full machine's accounting
+    memory grows with the variables its events write, not with the
+    variables the layout declares. *)
 
 val clone : t -> t
 (** Deep copy for state-space exploration (continuations are immutable

@@ -10,11 +10,11 @@
 
    The simulator keeps one authoritative value per variable (coherence
    never serves stale data), so the CC models track only line states, in
-   a directory with one entry per variable, following the protocol the
-   paper quotes from Golab et al.: the line is held [Exclusive] by one
-   process, or [Shared] by a set of processes — the empty set meaning
-   invalid everywhere. An Exclusive copy excludes every other copy by
-   construction. Write-through never takes Exclusive.
+   a directory with one entry per variable (a {!Paged} table), following
+   the protocol the paper quotes from Golab et al.: the line is held
+   [Exclusive] by one process, or [Shared] by a set of processes — the
+   empty set meaning invalid everywhere. An Exclusive copy excludes every
+   other copy by construction. Write-through never takes Exclusive.
 
    The functions below both *decide* whether an access is an RMR and
    *update* the directory accordingly. In the CC models every variable is
@@ -23,14 +23,14 @@
 open Ids
 
 type line = Exclusive of Pid.t | Shared of Pidset.t
-type t = line array
+type t = line Paged.t
 
-let create ~nvars = Array.make (max nvars 1) (Shared Pidset.empty)
-let copy = Array.copy
+let create ~nvars = Paged.create ~size:nvars (Shared Pidset.empty)
+let copy = Paged.copy
 
 (* [Pidset] representations are canonical, so structural equality is
    line equality. *)
-let equal (a : t) b = a = b
+let equal : t -> t -> bool = Paged.equal
 
 (* A read miss joins the sharers, demoting an Exclusive holder to Shared
    (only write-back lines are ever Exclusive), so one branch serves both
@@ -40,14 +40,14 @@ let read_rmr (model : Config.mem_model) dir p v ~remote :
   match model with
   | Config.Dsm -> (remote, Event.From_memory)
   | Config.Cc_wt | Config.Cc_wb -> (
-      match dir.(v) with
+      match Paged.get dir v with
       | Exclusive q when Pid.equal q p -> (false, Event.From_cache)
       | Shared s when Pidset.mem p s -> (false, Event.From_cache)
       | Exclusive q ->
-          dir.(v) <- Shared (Pidset.add p (Pidset.singleton q));
+          Paged.set dir v (Shared (Pidset.add p (Pidset.singleton q)));
           (true, Event.From_memory)
       | Shared s ->
-          dir.(v) <- Shared (Pidset.add p s);
+          Paged.set dir v (Shared (Pidset.add p s));
           (true, Event.From_memory))
 
 (* Write commits and atomic RMWs alike: under write-through every one is
@@ -57,11 +57,11 @@ let write_rmr (model : Config.mem_model) dir p v ~remote : bool =
   match model with
   | Config.Dsm -> remote
   | Config.Cc_wt ->
-      dir.(v) <- Shared (Pidset.singleton p);
+      Paged.set dir v (Shared (Pidset.singleton p));
       true
   | Config.Cc_wb -> (
-      match dir.(v) with
+      match Paged.get dir v with
       | Exclusive q when Pid.equal q p -> false
       | Exclusive _ | Shared _ ->
-          dir.(v) <- Exclusive p;
+          Paged.set dir v (Exclusive p);
           true)

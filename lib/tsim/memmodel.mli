@@ -10,7 +10,9 @@
 
     The directory holds one line per variable: Exclusive to one process,
     or Shared by a set of processes (the empty set: invalid everywhere),
-    so an Exclusive copy excludes every other copy by construction. *)
+    so an Exclusive copy excludes every other copy by construction. It is
+    a {!Paged} table: a line reads invalid everywhere until an access
+    writes it, and only the pages that accesses touch take memory. *)
 
 open Ids
 
@@ -18,9 +20,11 @@ type t
 (** The line directory of the CC models (unused under DSM). *)
 
 val create : nvars:int -> t
-(** Every line invalid everywhere. *)
+(** Every line invalid everywhere; allocates the page directory only. *)
 
 val copy : t -> t
+(** Copies the pages that accesses have written. *)
+
 val equal : t -> t -> bool
 
 val read_rmr :

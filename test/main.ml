@@ -2,6 +2,7 @@ let () =
   Alcotest.run "price_adaptive"
     [
       ("vec", Suite_vec.suite);
+      ("paged", Suite_paged.suite);
       ("pidset", Suite_pidset.suite);
       ("layout", Suite_layout.suite);
       ("wbuf", Suite_wbuf.suite);

@@ -129,6 +129,21 @@ let test_cascade_n128_declares_in_blocks () =
     (Printf.sprintf "fewer than 100,000 words allocated (%.0f)" words)
     true (words < 100_000.)
 
+(* An accounting machine over the same layout pays for its flat memory
+   (one word per variable) and the page directories of its accounting
+   tables, not for four more per-variable tables of default values
+   (2,634,966 words when they were flat arrays). *)
+let test_cascade_n128_accounts_in_pages () =
+  let lock = Locks.Cascade.family.Locks.Lock_intf.instantiate ~n:128 in
+  let cfg = Locks.Harness.config_of_lock ~model:Config.Cc_wb lock ~n:128 in
+  let before = allocated_words () in
+  let m = Machine.create cfg in
+  let words = allocated_words () -. before in
+  Alcotest.(check (option int)) "no writer yet" None (Machine.writer_of m 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer than 700,000 words allocated (%.0f)" words)
+    true (words < 700_000.)
+
 let test_machine_initial_values () =
   let l = Layout.create () in
   let v = Layout.var l ~init:42 "v" in
@@ -233,6 +248,8 @@ let suite =
       test_zoo_layouts_unchanged;
     Alcotest.test_case "cascade n=128 declares in blocks" `Quick
       test_cascade_n128_declares_in_blocks;
+    Alcotest.test_case "cascade n=128 accounts in pages" `Quick
+      test_cascade_n128_accounts_in_pages;
     Alcotest.test_case "machine initial values" `Quick
       test_machine_initial_values;
     Alcotest.test_case "config rejects n=0" `Quick

@@ -424,6 +424,47 @@ let test_run_until_special () =
   Alcotest.(check bool) "pending is the critical read" true
     (Machine.pending m 0 = Machine.P_read 1)
 
+(* The accounting tables are paged: a clone must copy the pages its
+   source wrote and share no page it allocates later. x sits in the page
+   the source wrote (p0 committed it and holds its line Exclusive), y in
+   a page it never wrote. The clone's p1 reads and commits both; the
+   source's writers, access sets and the RMR decision of p0's next read
+   of x (a CC-WB hit) must not move. *)
+let test_clone_shares_no_accounting_page () =
+  let m, vars, _ =
+    Tutil.machine ~model:Config.Cc_wb ~n:2 ~nvars:600 (fun vars p ->
+        if p = 0 then
+          let* () = write vars.(5) 1 in
+          let* () = fence in
+          let* _ = read vars.(5) in
+          unit
+        else
+          let* _ = read vars.(5) in
+          let* _ = read vars.(520) in
+          let* () = write vars.(5) 2 in
+          let* () = write vars.(520) 3 in
+          fence)
+  in
+  let x = vars.(5) and y = vars.(520) in
+  while Machine.pending m 0 <> Machine.P_read x do
+    ignore (Machine.step m 0)
+  done;
+  let before = Machine.clone m and c = Machine.clone m in
+  Tutil.run_entry c 1;
+  Alcotest.(check (option int)) "clone wrote x" (Some 1)
+    (Machine.writer_of c x);
+  Alcotest.(check (option int)) "clone wrote y" (Some 1)
+    (Machine.writer_of c y);
+  Alcotest.(check bool) "source unchanged" true (Machine.equal m before);
+  Alcotest.(check (option int)) "writer of x" (Some 0) (Machine.writer_of m x);
+  Alcotest.(check (option int)) "writer of y" None (Machine.writer_of m y);
+  Alcotest.(check bool) "accessed x" true
+    (Pidset.equal (Pidset.singleton 0) (Machine.accessed_set m x));
+  Alcotest.(check bool) "accessed y" true
+    (Pidset.is_empty (Machine.accessed_set m y));
+  let e = Machine.step m 0 in
+  Alcotest.(check bool) "p0's read of x still hits" false e.Event.rmr
+
 let suite =
   [
     Alcotest.test_case "store buffering litmus" `Quick test_store_buffering;
@@ -457,4 +498,6 @@ let suite =
     Alcotest.test_case "criticality across passages" `Quick
       test_criticality_across_passages;
     Alcotest.test_case "run_until_special" `Quick test_run_until_special;
+    Alcotest.test_case "clone shares no accounting page" `Quick
+      test_clone_shares_no_accounting_page;
   ]
