@@ -424,8 +424,8 @@ let verify_cmd =
       value & opt int 1
       & info [ "domains" ]
           ~doc:
-            "parallel search domains (one shared lock-free fingerprint \
-             store, work-stealing load balancing); at most the host's \
+            "parallel search domains (one shared fingerprint store, \
+             work-stealing load balancing); at most the host's \
              recommended domain count, with a note on stderr when cut")
   in
   let store =
@@ -437,8 +437,10 @@ let verify_cmd =
       & info [ "store" ]
           ~doc:
             "seen-state memory policy: exact (every state stored, the \
-             default) or bitstate (SPIN-style supertrace hashing — bounded \
-             memory, verdicts carry a measured omission probability)")
+             default; the store starts at 4,096 slots and doubles as it \
+             fills, with no cap) or bitstate (SPIN-style supertrace \
+             hashing — fixed memory, verdicts carry a measured omission \
+             probability)")
   in
   let store_bits =
     Arg.(
@@ -504,8 +506,9 @@ let verify_cmd =
           ~doc:
             "print search-internals tallies (dedup hits, sleep-set and \
              ample-set prunes, fingerprint-store occupancy, per-domain \
-             nodes, steals, drops of the shared exact store, bitstate \
-             omission probability, journal depth)")
+             nodes, steals, the store's final size in slots (exact) or \
+             bits (bitstate), bitstate omission probability, journal \
+             depth)")
   in
   let profile_out =
     Arg.(
@@ -625,7 +628,7 @@ let verify_cmd =
               chains %d (+%d fused), seen entries %d, crashes applied %d, \
               aborts applied %d\n\
               domains: %d%s, merge stall %dus, steals %d\n\
-              store: %s, drops %d%s\n\
+              store: %s, %d %s%s\n\
               journal: peak %d records, %d undo records (%.1f/node)\n"
              s.Mcheck.Explore.dedup_hits s.Mcheck.Explore.resleeps
              s.Mcheck.Explore.sleep_prunes s.Mcheck.Explore.ample_chains
@@ -639,7 +642,10 @@ let verify_cmd =
                    (String.concat "/" (List.map string_of_int ns)))
              s.Mcheck.Explore.merge_stall_us s.Mcheck.Explore.steals
              (Tsim.Config.store_mode_name store_mode)
-             s.Mcheck.Explore.store_drops
+             s.Mcheck.Explore.store_capacity
+             (match store_mode with
+             | Tsim.Config.Store_exact -> "slots"
+             | Tsim.Config.Store_bitstate _ -> "bits")
              (if s.Mcheck.Explore.omission_prob > 0.0 then
                 Printf.sprintf ", omission probability %.2e"
                   s.Mcheck.Explore.omission_prob

@@ -14,13 +14,13 @@
 
    The hot path is tuned for throughput (see DESIGN.md "Exploration
    performance"): machines run with [record_trace = false] so clones are
-   O(state); states are fingerprinted by an allocation-free FNV-1a hash
-   over packed ints instead of a built string; and [~domains:k] runs k
-   workers of one loop — the calling domain is worker 0 and starts at
-   the root, k − 1 helper domains start by stealing — which share one
-   lock-free fingerprint store ({!Fpstore}) and one node-budget pool and
-   load-balance through Chase–Lev work-stealing deques ({!Deque}) — see
-   DESIGN.md §5f.
+   O(state); states are fingerprinted by an XOR fold of Zobrist terms
+   (one per shared variable, one per process) that the journal keeps up
+   to date incrementally; and [~domains:k] runs k workers of one loop —
+   the calling domain is worker 0 and starts at the root, k − 1 helper
+   domains start by stealing — which share one sharded fingerprint store
+   ({!Fpstore}) and one node-budget pool and load-balance through
+   Chase–Lev work-stealing deques ({!Deque}) — see DESIGN.md §5f.
 
    On top of that sits a dynamic partial-order reduction (on by default,
    [~por:false] to disable), combining three classic ingredients over the
@@ -38,8 +38,9 @@
      prefixes; [a] is put to sleep in each later sibling's subtree until
      a dependent move wakes it (drops it from the set).
 
-   - mask-aware state caching: the seen-table maps each fingerprint to
-     the sleep mask it was explored with. A revisit with sleep [z] against
+   - mask-aware state caching: the seen store keeps, per fingerprint,
+     the moves not yet explored from it — the sleep mask it was explored
+     with. A revisit with sleep [z] against
      a stored [z'] prunes when [z' ⊆ z] (everything the revisit would do
      was done), and otherwise re-explores only the missing moves (sleep
      [z ∪ ¬z']) while storing [z ∩ z']. With POR off (or a move space too
@@ -184,7 +185,7 @@ type stats = {
       (* high-water undo-log depth (max over workers) *)
   undo_records : int;  (* total undo records pushed *)
   steals : int;  (* work items taken from other workers *)
-  store_drops : int;  (* shared store: states left unstored (window full) *)
+  store_capacity : int;  (* seen store: slots (exact) or bits (bitstate) *)
   omission_prob : float;
       (* bitstate store: estimated probability that the next distinct
          state falsely aliases as seen — (ones/m)^k at final fill *)
@@ -201,7 +202,7 @@ let zero_stats =
     ample_fused = 0; seen_entries = 0; crashes_applied = 0;
     aborts_applied = 0; domains_used = 1;
     domain_nodes = []; merge_stall_us = 0; journal_peak = 0;
-    undo_records = 0; steals = 0; store_drops = 0;
+    undo_records = 0; steals = 0; store_capacity = 0;
     omission_prob = 0.0; est_nodes = 0.0; est_progress = 0.0 }
 
 type result = {
@@ -218,8 +219,7 @@ type result = {
 (* One-line verdict + exit code for front ends: 0 verified, 1 violations
    found, 3 partial (budget exhausted with nothing found — NOT a
    verification; conflating it with exit 0 was a CLI bug). A "verified"
-   whose coverage is qualified — bitstate aliasing, or an exact store
-   that saturated and fell back to re-exploration — carries the
+   whose coverage is qualified by bitstate aliasing carries the
    confession on the verdict line itself, not only in --search-stats. *)
 let render_verdict r =
   if r.verified then
@@ -230,15 +230,7 @@ let render_verdict r =
              " (bitstate: distinct states may have aliased, omission \
               probability %.2e)"
              r.stats.omission_prob
-         else "")
-      ^
-      (if r.stats.store_drops > 0 then
-         Printf.sprintf
-           " (seen store saturated: %d states never stored, re-explored \
-            on every visit — the --domains 1 table has no cap, or use \
-            --store bitstate)"
-           r.stats.store_drops
-       else ""),
+         else ""),
       0 )
   else if r.violations <> [] then
     let kind_name = function
@@ -413,71 +405,6 @@ let fingerprint = Machine.fingerprint
 
 exception Done
 
-(* Open-addressing fingerprint -> sleep-mask table for the sequential
-   seen store. Fingerprints are already finalizer-mixed 63-bit values
-   (always >= 0, see {!Machine.fingerprint}), so the raw low bits probe
-   well and -1 can mark empty slots. Replaces [Hashtbl]: no 4-word entry
-   allocation per insert, no bucket-list chasing per lookup — the
-   admission probe is one or two cache lines. *)
-module Seenmap = struct
-  type t = {
-    mutable keys : int array;  (* -1 = empty; fingerprints are >= 0 *)
-    mutable vals : int array;  (* sleep mask last explored under *)
-    mutable mask : int;  (* capacity - 1; capacity a power of two *)
-    mutable count : int;
-  }
-
-  let create () =
-    { keys = Array.make 1024 (-1); vals = Array.make 1024 0;
-      mask = 1023; count = 0 }
-
-  let length t = t.count
-
-  (* Slot holding [fp], or the empty slot where it belongs (linear
-     probing; load factor capped at 1/2 so the scan terminates fast). *)
-  let rec probe keys mask fp i =
-    let k = Array.unsafe_get keys i in
-    if k = fp || k < 0 then i else probe keys mask fp ((i + 1) land mask)
-
-  let[@inline] lookup t fp = probe t.keys t.mask fp (fp land t.mask)
-  let[@inline] key t i = Array.unsafe_get t.keys i
-  let[@inline] value t i = Array.unsafe_get t.vals i
-  let[@inline] set_value t i z = Array.unsafe_set t.vals i z
-
-  let grow t =
-    let ncap = 2 * (t.mask + 1) in
-    let keys = Array.make ncap (-1) and vals = Array.make ncap 0 in
-    let nmask = ncap - 1 in
-    let okeys = t.keys and ovals = t.vals in
-    for i = 0 to Array.length okeys - 1 do
-      let k = Array.unsafe_get okeys i in
-      if k >= 0 then begin
-        let j = probe keys nmask k (k land nmask) in
-        Array.unsafe_set keys j k;
-        Array.unsafe_set vals j (Array.unsafe_get ovals i)
-      end
-    done;
-    t.keys <- keys;
-    t.vals <- vals;
-    t.mask <- nmask
-
-  (* [i] must be the empty slot [lookup] returned for [fp]. *)
-  let insert t i fp z =
-    Array.unsafe_set t.keys i fp;
-    Array.unsafe_set t.vals i z;
-    t.count <- t.count + 1;
-    if 2 * t.count > t.mask then grow t
-end
-
-(* Seen-state memory. The one-domain default is the mask-aware hash
-   table (fingerprint -> sleep mask last explored under). Several
-   workers — and bitstate mode at any domain count — use the shared
-   lock-free store instead ({!Fpstore}), which expresses the same
-   rule as atomic claims on a per-state "remaining moves" word. *)
-type seen_store =
-  | Seen_tbl of Seenmap.t
-  | Seen_shared of Fpstore.t
-
 (* A parked subtree: an independent machine plus the search coordinates
    to resume it. Every parked item has already been admitted by the
    shared store (its state is claimed), so the worker that pops it
@@ -502,7 +429,7 @@ type work_item = {
    workers: a successor state just admitted by the seen store may be
    cloned and parked there for thieves instead of recursed into. *)
 type ctx = {
-  seen : seen_store;
+  seen : Fpstore.t;
   por : bool;
   codec : Footprint.codec;
   sleepable : bool;  (* por && codec.encodable *)
@@ -583,25 +510,16 @@ let make_ctx ~seen ~pool ~halt ?deque ?on_fingerprint ~max_crashes ~max_aborts
     t_start_us = Obs.Telemetry.now_us obs; est; prof = profile;
     prof_cls = cls_root; prof_rmr = 0; prof_jbase = 0 }
 
-let seen_len ctx =
-  match ctx.seen with
-  | Seen_tbl tbl -> Seenmap.length tbl
-  | Seen_shared st -> Fpstore.entries st
-
 let stats_of_ctx ctx =
-  let store_drops, omission_prob =
-    match ctx.seen with
-    | Seen_tbl _ -> (0, 0.0)
-    | Seen_shared st -> (Fpstore.drops st, Fpstore.omission_prob st)
-  in
   { zero_stats with
     dedup_hits = ctx.c_dedup; resleeps = ctx.c_resleeps;
     sleep_prunes = ctx.c_sleep_prunes; ample_chains = ctx.c_chains;
-    ample_fused = ctx.c_fused; seen_entries = seen_len ctx;
+    ample_fused = ctx.c_fused; seen_entries = Fpstore.entries ctx.seen;
     crashes_applied = ctx.c_crashes; aborts_applied = ctx.c_aborts;
     domain_nodes = [ ctx.nodes ];
     journal_peak = ctx.c_jpeak; undo_records = ctx.c_jrecords;
-    steals = ctx.c_steals; store_drops; omission_prob;
+    steals = ctx.c_steals; store_capacity = Fpstore.capacity ctx.seen;
+    omission_prob = Fpstore.omission_prob ctx.seen;
     est_nodes =
       (match ctx.est with Some e -> Obs.Estimator.estimate e | None -> 0.);
     est_progress =
@@ -644,7 +562,6 @@ let publish_counters obs ~nodes ~violations (s : stats) =
   set "explore.aborts_applied" s.aborts_applied;
   set "explore.violations" violations;
   set "explore.steals" s.steals;
-  set "explore.store_drops" s.store_drops;
   Obs.Telemetry.flush_counters obs
 
 (* Heartbeat: push counter snapshots, the instantaneous nodes/sec, the
@@ -867,70 +784,44 @@ let filter_sleep ctx m mv z =
    - otherwise re-explore only the moves slept before but wanted now
      (sleep z ∪ ¬z') and record the new coverage (store z ∩ z').
 
-   The shared store expresses the same rule as claims on the "remaining
-   moves" word: this visit's cover is ¬z (∩ full), the fetch-and hands
-   back exactly the not-yet-owed intersection [fresh], and the child
-   re-explores under sleep ¬fresh — for a fresh state (remaining was
-   all-ones) that is z itself, and coverage merging is the commutative
-   intersection the sequential rule computes in order. *)
+   The store expresses this rule as claims on a "remaining moves" word
+   (z' within the full move set): this visit's cover is ¬z (∩ full), the
+   claim hands back exactly the not-yet-owed intersection [fresh], and
+   the child re-explores under sleep ¬fresh — for a fresh state that is
+   z itself. Claims on one state are serialised by the store's shard
+   lock, so at any domain count a visit sees the coverage of every
+   earlier one, as at one domain. *)
 let admit_pruned = min_int
 (* [seen_admit] returns the child sleep mask, or [admit_pruned] when the
    revisit is covered — an int sentinel rather than an option so the
    per-edge admission allocates nothing (masks are always >= 0). *)
 
 let seen_admit ctx fp z =
-  match ctx.seen with
-  | Seen_tbl tbl ->
-      let i = Seenmap.lookup tbl fp in
-      if Seenmap.key tbl i < 0 then begin
-        Seenmap.insert tbl i fp z;
-        z
-      end
-      else begin
-        let z' = Seenmap.value tbl i in
-        if z' land lnot z = 0 then begin
-          ctx.c_dedup <- ctx.c_dedup + 1;
-          admit_pruned
-        end
-        else begin
-          ctx.c_resleeps <- ctx.c_resleeps + 1;
-          Seenmap.set_value tbl i (z' land z);
-          let full = Footprint.full_mask ctx.codec in
-          (z lor lnot z') land full
-        end
-      end
-  | Seen_shared st ->
-      if not (Fpstore.masks st) then (
-        (* Bitstate keeps one seen-bit per state, no mask: the FIRST
-           visit decides coverage forever, so it must cover the full
-           move set — admit with an empty sleep mask, sacrificing the
-           sleep-set reduction at this subtree root. A revisit then
-           prunes soundly up to hash aliasing, which is exactly what
-           omission_prob accounts for; admitting under a nonempty
-           sleep would instead lose slept interleavings with no
-           accounting at all. *)
-        match Fpstore.visit st ~fp ~cover:(-1) with
-        | Fpstore.New -> 0
-        | Fpstore.Covered | Fpstore.Partial _ ->
-            ctx.c_dedup <- ctx.c_dedup + 1;
-            admit_pruned)
-      else (
-        (* max_int, not -1: the store masks covers to their 63-bit
-           magnitude, so an already-positive all-moves cover keeps the
-           [fresh = cover] comparisons below exact *)
-        let cover =
-          if ctx.sleepable then lnot z land Footprint.full_mask ctx.codec
-          else max_int
-        in
-        match Fpstore.visit st ~fp ~cover with
-        | Fpstore.New -> z
-        | Fpstore.Covered ->
-            ctx.c_dedup <- ctx.c_dedup + 1;
-            admit_pruned
-        | Fpstore.Partial fresh ->
-            if fresh <> cover then ctx.c_resleeps <- ctx.c_resleeps + 1;
-            if ctx.sleepable then lnot fresh land Footprint.full_mask ctx.codec
-            else 0)
+  let st = ctx.seen in
+  if not (Fpstore.masks st) then (
+    (* Bitstate keeps one seen-bit per state, no mask: the FIRST visit
+       decides coverage forever, so it must cover the full move set —
+       admit with an empty sleep mask, sacrificing the sleep-set
+       reduction at this subtree root. A revisit then prunes soundly up
+       to hash aliasing, which is exactly what omission_prob accounts
+       for; admitting under a nonempty sleep would instead lose slept
+       interleavings with no accounting at all. *)
+    match Fpstore.visit st ~fp ~cover:(-1) with
+    | Fpstore.New -> 0
+    | Fpstore.Covered | Fpstore.Partial _ ->
+        ctx.c_dedup <- ctx.c_dedup + 1;
+        admit_pruned)
+  else
+    let full = Footprint.full_mask ctx.codec in
+    let cover = if ctx.sleepable then lnot z land full else -1 in
+    match Fpstore.visit st ~fp ~cover with
+    | Fpstore.New -> z
+    | Fpstore.Covered ->
+        ctx.c_dedup <- ctx.c_dedup + 1;
+        admit_pruned
+    | Fpstore.Partial fresh ->
+        ctx.c_resleeps <- ctx.c_resleeps + 1;
+        if ctx.sleepable then lnot fresh land full else 0
 
 (* --- the DFS engine ---------------------------------------------------- *)
 
@@ -1370,10 +1261,11 @@ let merge ~max_violations ~obs ctxs windows =
 (* The search prunes states with identical fingerprints. The fingerprint
    covers shared memory, every buffer, section / passage counts,
    cache-relevant pending state and a structural hash of each continuation
-   (which includes spin fuel counters), all folded into one 63-bit FNV-1a
-   value — pruning is exact up to hash collisions, so verification results
-   are "no violation in the full deduplicated space", a high-confidence
-   check rather than a proof.
+   (which includes spin fuel counters), all folded into one 63-bit value,
+   an XOR of per-variable and per-process Zobrist terms ({!Machine}) —
+   pruning is exact up to hash collisions, so verification results are
+   "no violation in the full deduplicated space", a high-confidence check
+   rather than a proof.
 
    [on_spin] decides what spin-fuel exhaustion means: [`Prune] (default)
    abandons the branch — sound for exclusion checking because spin
@@ -1437,15 +1329,9 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(on_spin = `Prune)
     ~finally:(fun () ->
       match profile with Some p -> Obs.Profile.stop p | None -> ())
   @@ fun () ->
-  (* one domain with the exact store keeps the sequential table (no
-     synchronization to pay for); several domains, and bitstate at any
-     count, share the lock-free store, so bitstate semantics do not
-     depend on the domain count *)
-  let seen =
-    match cfg.Config.store with
-    | Config.Store_exact when domains = 1 -> Seen_tbl (Seenmap.create ())
-    | mode -> Seen_shared (Fpstore.create ~mode ~expected:max_nodes)
-  in
+  (* one store at every domain count, starting small: it grows with the
+     states it stores *)
+  let seen = Fpstore.create ~mode:cfg.Config.store ~expected:0 in
   let pool = Atomic.make (max 0 max_nodes) and halt = Atomic.make false in
   let deques = Array.init domains (fun _ -> Deque.create ()) in
   (* worker 0 holds the root, so it holds the one [busy] token *)

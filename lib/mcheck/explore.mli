@@ -145,10 +145,9 @@ type stats = {
   ample_chains : int;  (** singleton-ample chases started *)
   ample_fused : int;  (** extra singleton moves fused into those chases *)
   seen_entries : int;
-      (** seen-store occupancy at the end. Sequential exact mode: hash
-          table size; shared store (parallel, or bitstate at any
-          domain count): the ONE global store's occupancy — domains share it, so
-          this is a global count, not a per-domain sum *)
+      (** seen-store occupancy at the end: the ONE store's distinct
+          states — workers share it, so this is a global count, not a
+          per-worker sum (bitstate: states that set a new bit) *)
   crashes_applied : int;  (** crash moves executed (≠ distinct schedules) *)
   aborts_applied : int;  (** abort moves executed (≠ distinct schedules) *)
   domains_used : int;  (** workers run: the [~domains] asked for *)
@@ -166,9 +165,10 @@ type stats = {
   steals : int;
       (** work items a worker took from another worker's deque
           (load-balancing events); 0 at one domain *)
-  store_drops : int;
-      (** shared store: states left unstored (a full probe window of the
-          capped exact store) and therefore re-explored on every visit *)
+  store_capacity : int;
+      (** the seen store's size at the end of the search
+          ({!Fpstore.capacity}): slots in exact mode, which grow with the
+          states stored (4,096 at the start), or bits in bitstate mode *)
   omission_prob : float;
       (** [Store_bitstate]: estimated probability that the next distinct
           state falsely aliases as already-seen at the final bit-array
@@ -209,10 +209,9 @@ val render_verdict : result -> string * int
     assigns it: [VERIFIED] → 0, [VIOLATION] → 1, [PARTIAL] (a cap or
     deadline stopped the search with no violation found) → 3. Exit code
     2 is reserved for bad input. A [VERIFIED] line confesses qualified
-    coverage inline: nonzero [omission_prob] (bitstate aliasing) and
-    nonzero [store_drops] (a saturated exact store that fell back to
-    re-exploration, with the remedy: the uncapped [--domains 1] table or
-    [--store bitstate]) are appended rather than hidden in the stats. *)
+    coverage inline: a nonzero [omission_prob] (bitstate aliasing) is
+    appended rather than hidden in the stats. The exact store has no cap,
+    so an exact search's [VERIFIED] line carries no suffix. *)
 
 val enabled_moves :
   ?max_crashes:int -> ?max_aborts:int -> Machine.t -> move list
@@ -326,13 +325,15 @@ val explore :
     per 64 nodes, pops its own deque depth-first and steals the oldest
     items of the others' when it runs dry. All workers draw node budget
     from one pool in 256-node chunks, so a lone worker spends exactly
-    [max_nodes] and several never more between them. At [k = 1] with
-    [Store_exact] the seen states live in an uncapped sequential
-    table; otherwise all workers dedup against ONE shared lock-free
-    fingerprint store ({!Fpstore}) — every reachable state is claimed by
-    exactly one visitor, so [nodes] matches the one-domain count when
-    sleep masks are trivial ([~por:false], or a non-encodable move
-    space) and the search is not cut by a cap.
+    [max_nodes] and several never more between them. At every [k] the
+    workers dedup against ONE fingerprint store ({!Fpstore}): 64 shards,
+    each a table under its own lock that starts small and doubles as it
+    fills, with no cap — every reachable state is claimed by exactly one
+    visitor, so [nodes] matches the one-domain count when sleep masks are
+    trivial ([~por:false], or a non-encodable move space) and the search
+    is not cut by a cap. At [k = 1] the store applies the sequential
+    mask-aware rule in visit order, so counts and stats do not depend on
+    the store's layout.
 
     An exception raised in any worker (a lock program's, say) or by a
     failed [Domain.spawn] stops the other workers at their next poll
@@ -353,9 +354,8 @@ val explore :
     for the soundness argument).
 
     The seen-state memory policy is selected by {!Config.t.store}:
-    [Store_exact] (default), or the fixed-memory [Store_bitstate] mode,
-    which runs through the shared store at every domain count — its
-    verdicts of [verified] carry the [omission_prob] caveat. Under
+    [Store_exact] (default), or the fixed-memory [Store_bitstate] mode —
+    its verdicts of [verified] carry the [omission_prob] caveat. Under
     bitstate the sleep-set
     reduction is suspended at each newly-admitted state (the one-bit
     store cannot remember which moves were slept, so first-visit

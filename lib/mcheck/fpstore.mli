@@ -1,64 +1,65 @@
-(** Shared lock-free fingerprint store for parallel exploration.
+(** The explorer's seen-state store, shared by every exploration domain.
 
-    One store is shared by every exploration domain. It answers a single
+    One store serves a search at every domain count. It answers a single
     question on the hot path — "has this state been explored, and if only
-    partially, which moves are still owed?" — with the same mask-aware
-    semantics as the sequential seen table in {!Explore}, but safe (and
-    cheap) under concurrent visitors.
+    partially, which moves are still owed?" — safely under concurrent
+    visitors.
 
     {2 Layout}
 
-    The store is a flat [Bigarray] of untagged native ints, accessed
-    through C stubs wrapping [__atomic] builtins (fpstore_stubs.c). In
-    exact mode each slot is a pair of words:
+    The exact mode is 64 shards, picked by bits of a remix of the
+    fingerprint. Each shard is an open-addressing (linear-probing) table
+    of word pairs in its own off-heap [Bigarray] of untagged native ints:
 
     - the {b fingerprint word}: 0 = empty, otherwise the packed 63-bit
       Zobrist fingerprint (a real fingerprint of 0 is remapped to a fixed
       nonzero constant);
     - the {b remaining word}: the set of move codes {e not yet explored}
-      from that state, initialized to all-ones.
+      from that state.
 
-    Slots are fingerprint-partitioned into shards (high fingerprint bits
-    select the shard; probing is linear within the shard), which keeps a
-    probe sequence inside one small cache region and spreads unrelated
-    fingerprints across regions. Statistics counters are striped across
-    cache lines for the same reason.
+    Each shard owns one 64-byte line holding its lock word and its
+    counters (entries, slots), so visitors of different shards never
+    write the same cache line.
 
     {2 Protocol}
 
     A visitor arrives with its [cover] — the move set it is prepared to
-    explore ([lnot sleep land full] under POR, all moves otherwise;
-    covers are masked to their 63-bit nonnegative magnitude, the word's
-    sign bit being reserved as an initialized marker):
+    explore ([lnot sleep land full] under POR, all moves otherwise). It
+    takes its shard's lock (a CAS on the lock word, spinning with
+    [Domain.cpu_relax]), probes, and applies the sequential rule:
 
-    - {b empty slot}: CAS the remaining word from its pristine 0 to
-      all-ones (a one-shot initialization — fully-claimed words keep the
-      sign bit, so 0 never recurs and no racer can resurrect granted
-      bits), then CAS the fingerprint word from 0. The winner owns the
-      state and claims its cover through the same fetch_and as everyone
-      else, so racing same-fingerprint visitors partition the cover
-      ([New]/[Partial]/[Covered]) rather than double-explore it.
-    - {b found}: [fetch_and remaining (lnot cover)] atomically claims the
-      intersection. If the returned prior value shares no bits with
-      [cover] the state is fully covered ([Covered]); otherwise the
-      visitor owes exactly the [Partial] fresh bits it claimed.
+    - {b empty slot}: store the fingerprint with remaining = [lnot cover]
+      and answer [New]: the visitor explores its whole cover;
+    - {b found}: fresh = remaining ∧ cover, then remaining ∧= ¬cover.
+      [Covered] when fresh is empty, otherwise [Partial fresh]: the
+      visitor owes exactly those moves.
 
-    Masks only ever shrink and slots are never recycled, so every move
-    bit is granted to exactly one visitor — which is what makes the
-    explored node count independent of domain timing under trivial
-    masks. See DESIGN.md §5f for the full argument.
+    The lock is released with an atomic store. Every claim is serialised
+    by the lock, so the moves handed out for a state partition the union
+    of the covers requested: each move bit is granted exactly once, which
+    is what makes the explored node count independent of domain timing
+    under trivial masks. See DESIGN.md §5f for the full argument.
+
+    {2 Growth}
+
+    A shard doubles its table, under its lock, once more than half its
+    slots are taken. The old table is left to the GC; the Bigarray's
+    external-memory accounting makes the GC free it promptly. There is
+    no cap: memory follows the states stored, and since a search
+    stores at most one entry per node it expands, its node budget bounds
+    the store. An exception raised while growing (say [Out_of_memory])
+    releases the lock before it propagates, and leaves the store valid.
 
     {2 Modes}
 
-    - [Store_exact]: sized from the node budget; on (rare, counted)
-      shard-window overflow a state is simply left unstored and explored.
+    - [Store_exact]: the sharded tables above.
     - [Store_bitstate]: SPIN-style supertrace — k hash bits per state in
-      a fixed bit array; {!masks} is [false], a revisit always prunes,
-      and the FIRST visit decides coverage forever, so the caller must
-      explore the full move set when told [New] (ignore any sleep mask;
-      {!Explore} does exactly that). Distinct states may alias;
-      {!omission_prob} reports the fill-dependent false-positive
-      estimate [(ones/m)^k]. *)
+      a fixed bit array, each set with an atomic [fetch_or] (no lock);
+      {!masks} is [false], a revisit always prunes, and the FIRST visit
+      decides coverage forever, so the caller must explore the full move
+      set when told [New] (ignore any sleep mask; {!Explore} does exactly
+      that). Distinct states may alias; {!omission_prob} reports the
+      fill-dependent false-positive estimate [(ones/m)^k]. *)
 
 type t
 
@@ -68,32 +69,23 @@ type t
 type visit = New | Covered | Partial of int
 
 val create : mode:Tsim.Config.store_mode -> expected:int -> t
-(** [create ~mode ~expected] allocates a store. [expected] (the node
-    budget) sizes the exact mode: the slot count is the next power of two
-    above 1.4 × [expected], clamped to [2^12, 2^23] slots (128 MiB).
-    Beyond the cap the exact mode degrades gracefully but measurably —
-    overflowing states are left unstored and re-explored on every visit
-    (counted in {!drops}, surfaced in the verdict line) — which diverges
-    from the uncapped sequential table the explorer uses at
-    [domains = 1] with [Store_exact]; for spaces past ~8M states run at
-    one domain, or use [Store_bitstate]. Bitstate mode takes its fixed
+(** [create ~mode ~expected] allocates a store. In exact mode [expected]
+    is the room it starts with: each shard starts with enough slots to
+    hold its share of [expected] states at load 1/2, and at least 64, so
+    [~expected:0] gives 4,096 slots (64 KiB). The store grows past it as
+    states arrive; the explorer passes 0. Bitstate mode takes its fixed
     size from the mode itself. *)
 
 val visit : t -> fp:int -> cover:int -> visit
 (** Visit a state. Safe to call from any number of domains
     concurrently. [cover] is the move set this visitor will explore when
-    told [New] or granted a [Partial] superset; use [-1] (all moves)
-    when sleep-set masking is off. *)
+    told [New] or granted a [Partial] subset; use [-1] (all moves) when
+    sleep-set masking is off. *)
 
 val entries : t -> int
-(** Distinct states currently claimed (bitstate: states that set at
-    least one new bit). Approximate only while visitors are concurrently
-    inserting; exact once they have joined. *)
-
-val drops : t -> int
-(** States left unstored because an exact-mode shard's probe window
-    filled up. Each visit of such a state re-explores it (answered
-    [Partial] with the full cover). Always 0 in bitstate mode. *)
+(** Distinct states stored (bitstate: states that set at least one new
+    bit). Approximate only while visitors are concurrently inserting;
+    exact once they have joined. *)
 
 val omission_prob : t -> float
 (** Bitstate mode: the probability that the {e next} distinct state
@@ -113,4 +105,6 @@ val masks : t -> bool
     omission estimate accounts for. *)
 
 val capacity : t -> int
-(** Slots (exact) or usable bits (bitstate). *)
+(** Slots (exact: the sum over the shards' current tables) or usable
+    bits (bitstate). Like {!entries}, approximate while visitors are
+    concurrently growing the store. *)

@@ -53,13 +53,10 @@ type engine = [ `Journal ]
 
 (* How the explorer remembers visited states:
 
-   - [Store_exact]: every distinct fingerprint is kept (a hash table at
-     one domain, the shared lock-free store in parallel mode). Exact
-     dedup; memory grows with the reachable space. The default. The
-     shared store caps at 2^23 slots: past ~8M states parallel exact
-     mode drops (counts, confesses in the verdict) overflowing states
-     and re-explores them, where the sequential hash table just grows —
-     for spaces that big run at one domain or use [Store_bitstate].
+   - [Store_exact]: every distinct fingerprint is kept, in one store at
+     every domain count: 64 hash-table shards that start at 64 slots
+     each and double once half full. Exact dedup, no cap; memory grows
+     with the states stored. The default.
    - [Store_bitstate]: SPIN-style bitstate/supertrace hashing — [hashes]
      hash functions into a bit array of 2^[log2_bits] bits. Memory is
      fixed; distinct states may alias (the search then under-approximates

@@ -51,11 +51,11 @@ type engine = [ `Journal ]
       under this mode (a one-bit store cannot remember slept moves), so
       aliasing is the only omission source the estimate must cover.
 
-    The parallel explorer's exact store caps at 2^23 slots; past that it
-    leaves overflowing states unstored and re-explores them on every
-    visit (counted, and confessed on the verdict line). The sequential
-    table at one domain has no cap; [Store_bitstate] is the
-    fixed-memory alternative. *)
+    The explorer keeps exact mode's states in one store at every domain
+    count ({!Mcheck.Fpstore} in lib/mcheck): 64 shards that start at 64
+    slots each and double once half full, with no cap, so its memory
+    follows the states stored. [Store_bitstate] is the fixed-memory
+    alternative. *)
 type store_mode =
   | Store_exact
   | Store_bitstate of { log2_bits : int; hashes : int }

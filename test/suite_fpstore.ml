@@ -1,20 +1,20 @@
 (* The shared fingerprint store (Fpstore) and the work-stealing deque
-   (Deque) — the two lock-free structures under the parallel explorer.
+   (Deque) — the two structures under the parallel explorer.
 
    Sequential tests pin the visit protocol (claim, mask-aware cover
-   accounting, the fp=0 remap); concurrent tests hammer the structures
-   from real domains and assert the invariants the explorer's soundness
-   rests on: per-fingerprint granted covers union to the requested
-   covers (no interleaving is ever lost — grants may overlap, that is
-   re-exploration, which is sound), occupancy counts distinct
+   accounting, the fp=0 remap) and the exact store's growth: from its
+   smallest size it doubles its shards past any load, keeping every
+   entry and every state's remaining moves. Concurrent tests hammer the
+   structures from real domains and assert the invariants the
+   explorer's soundness rests on: per-fingerprint granted covers union
+   to the requested covers (no interleaving is ever lost), also while
+   the shards grow under the claims, occupancy counts distinct
    fingerprints, and the deque neither duplicates nor loses items.
 
-   Saturation of the exact store is pinned sequentially: past its probe
-   windows it drops states, which are then re-explored on every visit,
-   never reported covered, and confessed on the verdict line. Bitstate
-   is exercised end to end: a search over a space larger than its bit
-   array must still verify and must confess a nonzero omission
-   probability. *)
+   An exact search's verdict line carries no suffix at one or two
+   domains. Bitstate is exercised end to end: a search over a space
+   larger than its bit array must still verify and must confess a
+   nonzero omission probability. *)
 
 open Tsim
 open Tsim.Prog
@@ -34,7 +34,8 @@ let test_exact_claim () =
   | F.Covered -> ()
   | _ -> Alcotest.fail "revisit with same cover must be Covered");
   Alcotest.(check int) "one entry" 1 (F.entries s);
-  Alcotest.(check int) "no drops" 0 (F.drops s)
+  Alcotest.(check bool) "room for expected at load 1/2" true
+    (F.capacity s >= 2 * 10_000)
 
 let test_exact_mask_widening () =
   let s = exact () in
@@ -86,12 +87,18 @@ let test_exact_distinct_fps () =
    granted move sets (New grants the full cover; Partial grants the
    fresh bits) must equal the union of all requested covers: every move
    some visitor offered to explore was handed to someone. Overlapping
-   grants are legal (races resurrect bits — re-exploration), lost bits
-   are not. *)
+   grants would be legal (re-exploration), lost bits are not.
 
-let test_concurrent_no_lost_cover () =
-  let n_domains = 4 and n_fps = 512 and rounds = 50 in
-  let s = F.create ~mode:Config.Store_exact ~expected:(4 * n_fps) in
+   Two inputs: a store pre-sized for its 512 fingerprints, and one that
+   starts at its smallest size ([~expected:0], 64 slots a shard) with
+   131,072 fingerprints, about 2,048 a shard, so every shard doubles six
+   or seven times (64 → 4,096 or 8,192 slots) while the four domains
+   claim. *)
+
+let test_concurrent_no_lost_cover ~expected ~n_fps ~rounds () =
+  let n_domains = 4 in
+  let s = F.create ~mode:Config.Store_exact ~expected in
+  let initial = F.capacity s in
   let fp_of i = ((i + 1) * 0x2545F4914F6CDD1D) land max_int in
   (* per-domain grant log: grants.(d).(i) accumulates the move bits domain
      d was told to explore for fingerprint i *)
@@ -124,49 +131,58 @@ let test_concurrent_no_lost_cover () =
         want
   done;
   Alcotest.(check int) "entries = distinct fingerprints" n_fps (F.entries s);
-  Alcotest.(check int) "no drops at this load" 0 (F.drops s)
+  Alcotest.(check bool)
+    (Printf.sprintf "capacity %d >= 2 x entries" (F.capacity s))
+    true
+    (F.capacity s >= 2 * n_fps);
+  if expected = 0 then
+    Alcotest.(check bool)
+      (Printf.sprintf "grew %d -> %d slots, at least 8x" initial
+         (F.capacity s))
+      true
+      (F.capacity s >= 8 * initial)
 
-(* Saturation, the exact store's only overflow path: [~expected:0]
-   sizes it at the 4,096-slot floor (64 shards of 64, one probe window
-   per shard), so 5,000 distinct fingerprints must overflow. A state
-   whose window is full is left unstored and answered [Partial] with the
-   visitor's whole cover — on its first visit and on every revisit — and
-   is never reported [Covered]: dropping costs re-exploration, never
-   coverage. *)
-let test_exact_saturation () =
+let test_concurrent_inputs () =
+  test_concurrent_no_lost_cover ~expected:2048 ~n_fps:512 ~rounds:50 ();
+  test_concurrent_no_lost_cover ~expected:0 ~n_fps:131_072 ~rounds:2 ()
+
+(* Growth, from the store's smallest size ([~expected:0]: 64 shards of
+   64 slots). 100,000 distinct fingerprints each read [New] exactly once
+   and are all kept; after every insert the capacity is at least twice
+   the entries (the shards double to stay at or below load 1/2); every
+   revisit reads [Covered]. A state claimed under a narrow cover
+   before the growth keeps its remaining moves through the rehash: a
+   widened revisit is owed exactly the new bits. *)
+let test_exact_growth () =
   let s = F.create ~mode:Config.Store_exact ~expected:0 in
-  Alcotest.(check int) "floor capacity" 4096 (F.capacity s);
-  let n_fps = 5000 in
+  Alcotest.(check int) "initial capacity" 4096 (F.capacity s);
+  let narrow = 0x5EED in
+  (match F.visit s ~fp:narrow ~cover:0b0011 with
+  | F.New -> ()
+  | _ -> Alcotest.fail "narrow claim must be New");
+  let n_fps = 100_000 in
   let fp_of i = ((i + 1) * 0x2545F4914F6CDD1D) land max_int in
-  let dropped =
-    Array.init n_fps (fun i ->
-        match F.visit s ~fp:(fp_of i) ~cover:(-1) with
-        | F.New -> false
-        | F.Partial fresh when fresh = max_int -> true
-        | F.Partial _ -> Alcotest.failf "fp %d: partial first visit" i
-        | F.Covered -> Alcotest.failf "fp %d: first visit covered" i)
-  in
-  let n_dropped = Array.fold_left (fun n d -> if d then n + 1 else n) 0 dropped in
-  Alcotest.(check bool)
-    (Printf.sprintf "entries %d <= 4096" (F.entries s))
-    true (F.entries s <= 4096);
-  Alcotest.(check bool)
-    (Printf.sprintf "drops %d >= 904" (F.drops s))
-    true (F.drops s >= 904);
-  Alcotest.(check int) "every fingerprint stored or dropped" n_fps
-    (F.entries s + F.drops s);
-  Alcotest.(check int) "dropped answers = drops" n_dropped (F.drops s);
-  Array.iteri
-    (fun i d ->
-      let fp = fp_of i in
-      match (d, F.visit s ~fp ~cover:(-1), F.visit s ~fp ~cover:0b101) with
-      | true, F.Partial a, F.Partial b ->
-          Alcotest.(check int) "full cover again" max_int a;
-          Alcotest.(check int) "narrow cover again" 0b101 b
-      | true, _, _ -> Alcotest.failf "fp %d: dropped state revisit not Partial" i
-      | false, F.Covered, F.Covered -> ()
-      | false, _, _ -> Alcotest.failf "fp %d: stored state not Covered" i)
-    dropped
+  for i = 0 to n_fps - 1 do
+    (match F.visit s ~fp:(fp_of i) ~cover:(-1) with
+    | F.New -> ()
+    | _ -> Alcotest.failf "fp %d: first visit not New" i);
+    if F.capacity s < 2 * F.entries s then
+      Alcotest.failf "after %d inserts: capacity %d < 2 x entries %d" (i + 2)
+        (F.capacity s) (F.entries s)
+  done;
+  Alcotest.(check int) "entries" (n_fps + 1) (F.entries s);
+  for i = 0 to n_fps - 1 do
+    match F.visit s ~fp:(fp_of i) ~cover:(-1) with
+    | F.Covered -> ()
+    | _ -> Alcotest.failf "fp %d: revisit not Covered" i
+  done;
+  Alcotest.(check int) "revisits store nothing" (n_fps + 1) (F.entries s);
+  (match F.visit s ~fp:narrow ~cover:0b1111 with
+  | F.Partial fresh -> Alcotest.(check int) "widened bits" 0b1100 fresh
+  | _ -> Alcotest.fail "widened revisit after growth must be Partial");
+  match F.visit s ~fp:narrow ~cover:0b1111 with
+  | F.Covered -> ()
+  | _ -> Alcotest.fail "re-revisit after growth must be Covered"
 
 (* --- deque ------------------------------------------------------------- *)
 
@@ -253,7 +269,7 @@ let test_deque_concurrent () =
       Alcotest.failf "item %d seen %d times (want exactly 1)" i hits.(i)
   done
 
-(* --- exact saturation and bitstate, end to end ------------------------- *)
+(* --- exact verdicts and bitstate, end to end ---------------------------- *)
 
 let peterson ~passages () =
   let layout = Layout.create () in
@@ -309,32 +325,24 @@ let test_bitstate_exceeds_bound () =
   Alcotest.(check bool) "fewer nodes than the exact space" true
     (r.Mcheck.Explore.nodes < 3022)
 
-(* A saturated exact store confesses on the verdict line and points at
-   what exists: the uncapped sequential table or bitstate. No test-sized
-   search fills 2^23 slots, so the drop count of a real verified result
-   is overwritten. *)
-let test_saturation_verdict () =
-  let r =
-    Mcheck.Explore.explore ~max_nodes:2_000_000 (peterson ~passages:1 ())
-  in
-  let line, code = Mcheck.Explore.render_verdict r in
-  Alcotest.(check int) "verified exit code" 0 code;
-  Alcotest.(check string) "no confession without drops"
-    "VERIFIED: no exclusion violation or deadlock in the full \
-     (deduplicated) schedule space"
-    line;
-  let saturated =
-    { r with
-      Mcheck.Explore.stats =
-        { r.Mcheck.Explore.stats with Mcheck.Explore.store_drops = 7 } }
-  in
-  let line', code' = Mcheck.Explore.render_verdict saturated in
-  Alcotest.(check int) "still verified" 0 code';
-  Alcotest.(check string) "saturation suffix"
-    (line
-    ^ " (seen store saturated: 7 states never stored, re-explored on every \
-       visit — the --domains 1 table has no cap, or use --store bitstate)")
-    line'
+(* An exact search's VERIFIED line is the plain one at one and at two
+   domains: the store has no cap, so there is no saturation to confess
+   and nothing appended. *)
+let test_exact_verdict () =
+  List.iter
+    (fun domains ->
+      let r =
+        Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains
+          (peterson ~passages:1 ())
+      in
+      let line, code = Mcheck.Explore.render_verdict r in
+      let at = Printf.sprintf " (domains %d)" domains in
+      Alcotest.(check int) ("verified exit code" ^ at) 0 code;
+      Alcotest.(check string) ("plain verdict line" ^ at)
+        "VERIFIED: no exclusion violation or deadlock in the full \
+         (deduplicated) schedule space"
+        line)
+    [ 1; 2 ]
 
 (* Bitstate under domains > 1: the same shared bit array serves all
    visitors; the search must still complete and confess. *)
@@ -431,9 +439,9 @@ let suite =
     Alcotest.test_case "exact: 1000 distinct fps" `Quick
       test_exact_distinct_fps;
     Alcotest.test_case "concurrent: no cover bit lost across 4 domains"
-      `Quick test_concurrent_no_lost_cover;
-    Alcotest.test_case "exact: saturation drops, never covers" `Quick
-      test_exact_saturation;
+      `Quick test_concurrent_inputs;
+    Alcotest.test_case "exact: grows past its initial size" `Quick
+      test_exact_growth;
     Alcotest.test_case "deque: owner pops LIFO" `Quick test_deque_owner_lifo;
     Alcotest.test_case "deque: thief steals FIFO" `Quick
       test_deque_thief_fifo;
@@ -442,8 +450,8 @@ let suite =
       test_deque_concurrent;
     Alcotest.test_case "bitstate: verifies past the memory bound" `Quick
       test_bitstate_exceeds_bound;
-    Alcotest.test_case "exact: saturation confessed on the verdict line"
-      `Quick test_saturation_verdict;
+    Alcotest.test_case "exact: plain VERIFIED at one and two domains"
+      `Quick test_exact_verdict;
     Alcotest.test_case "bitstate: parallel domains share the bit array"
       `Quick test_bitstate_parallel;
     Alcotest.test_case "bitstate: violations survive aliasing" `Quick
