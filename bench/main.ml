@@ -3,9 +3,7 @@
      dune exec bench/main.exe                 every experiment, then overhead
      dune exec bench/main.exe -- e3 e6        selected experiments
      dune exec bench/main.exe -- overhead     sampled-profiling overhead
-                                              (asserted <= 5%) and the
-                                              progress estimator's cost and
-                                              accuracy
+                                              (asserted <= 5%)
 
    Experiment ids map to the paper's artefacts (DESIGN.md §3):
      e1 Figure 1 · e2 Theorems 1/3 · e3 Corollary 1 · e4 Corollary 2 ·

@@ -1,7 +1,6 @@
-(* The search profiler's pay-for-use contract (DESIGN.md §5i) and the
-   progress estimator's cost and accuracy, on Peterson's 2-process
-   algorithm: a 290-node exhaustive space, small enough to explore
-   thousands of times a second.
+(* The search profiler's pay-for-use contract (DESIGN.md §5i), on
+   Peterson's 2-process algorithm: a 290-node exhaustive space, small
+   enough to explore thousands of times a second.
 
    End-to-end timing lives in benchmark/; these rows compare two variants
    of the same search within one process, which is what a few-percent
@@ -67,8 +66,7 @@ let per_node_min_pair f g =
    ({!Mcheck.Explore.default_profile_every}: strided statistical
    attribution — a disarmed node costs one counter decrement, an armed
    one a tick read and an open-addressing bump). This is the ≤5%
-   pay-for-use contract of DESIGN.md §5i, asserted here; the progress
-   estimator is priced in its own unasserted row. *)
+   pay-for-use contract of DESIGN.md §5i, asserted here. *)
 let profile_overhead_rows () =
   let cfg = peterson_cfg () in
   let bare () =
@@ -85,19 +83,8 @@ let profile_overhead_rows () =
     assert r.Mcheck.Explore.verified;
     r.Mcheck.Explore.nodes
   in
-  let estimated () =
-    let r =
-      Mcheck.Explore.explore ~max_nodes:100_000
-        ~estimator:{ Obs.Estimator.probes = 64; seed = 0 }
-        cfg
-    in
-    assert r.Mcheck.Explore.verified;
-    r.Mcheck.Explore.nodes
-  in
-  let b1, prof = per_node_min_pair bare profiled in
-  let b2, est = per_node_min_pair bare estimated in
-  let prof_pct = (prof -. b1) /. b1 *. 100. in
-  let est_pct = (est -. b2) /. b2 *. 100. in
+  let base, prof = per_node_min_pair bare profiled in
+  let prof_pct = (prof -. base) /. base *. 100. in
   (* the pay-for-use contract: sampled profiling within 5% of bare *)
   assert (prof_pct <= 5.0);
   [
@@ -105,48 +92,13 @@ let profile_overhead_rows () =
       prof;
     row "price_adaptive mcheck/peterson n=2 profiling overhead" prof_pct
       "percent";
-    per_node_row
-      "price_adaptive mcheck/peterson n=2 per-node (progress estimator)" est;
-    row "price_adaptive mcheck/peterson n=2 estimator overhead" est_pct
-      "percent";
-  ]
-
-(* Estimator accuracy on the reference workload: mean probe estimate
-   over a fixed seed set against the exhaustively-counted space, plus
-   its relative error — the bench-side echo of the unbiasedness test
-   (suite_profile). *)
-let estimator_rows () =
-  let cfg = peterson_cfg () in
-  let truth =
-    float_of_int
-      (Mcheck.Explore.explore ~max_nodes:100_000 cfg).Mcheck.Explore.nodes
-  in
-  let seeds = 10 in
-  let sum = ref 0.0 in
-  for seed = 0 to seeds - 1 do
-    let r =
-      Mcheck.Explore.explore ~max_nodes:100_000
-        ~estimator:{ Obs.Estimator.probes = 64; seed }
-        cfg
-    in
-    assert (r.Mcheck.Explore.nodes = int_of_float truth);
-    sum := !sum +. r.Mcheck.Explore.stats.Mcheck.Explore.est_nodes
-  done;
-  let mean = !sum /. float_of_int seeds in
-  [
-    row "price_adaptive mcheck/peterson n=2 nodes (true)" truth "nodes";
-    row "price_adaptive mcheck/peterson n=2 estimated nodes (mean, 10 seeds)"
-      mean "nodes";
-    row "price_adaptive mcheck/peterson n=2 estimator rel error"
-      (Float.abs (mean -. truth) /. truth *. 100.)
-      "percent";
   ]
 
 let run () =
-  Printf.printf "\nSearch-profiler overhead and estimator accuracy\n";
-  Printf.printf "===============================================\n";
+  Printf.printf "\nSearch-profiler overhead\n";
+  Printf.printf "========================\n";
   Printf.printf "%-70s %12s\n" "row" "value";
   List.iter
     (fun (name, value, unit_) ->
       Printf.printf "%-70s %12.1f %s\n" name value unit_)
-    (profile_overhead_rows () @ estimator_rows ())
+    (profile_overhead_rows ())

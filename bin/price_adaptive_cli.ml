@@ -23,7 +23,7 @@
    Telemetry: verify and adversary accept --obs FILE.ndjson (stream
    events), --chrome-trace FILE.json (chrome://tracing / Perfetto) and
    --obs-console (summary table on stderr). verify additionally takes
-   --progress (live one-line progress with estimated total and ETA) and
+   --progress (a live line of the nodes searched and the rate) and
    --profile FILE.json (node/time attribution per depth band, move
    class, section and program location; diffable). *)
 
@@ -84,6 +84,21 @@ let clamp_workers flag k =
       flag k cap;
     cap
   end
+
+(* --spin-fuel, shared by verify, replay, stats and campaign: an integer
+   of at least 1. At fuel 0 every spin raises before its first read, so a
+   search would prune each branch at its first spin and report VERIFIED
+   for a space it never explored. *)
+let spin_fuel ?(doc = "busy-wait bound, at least 1") () =
+  let positive =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some k when k >= 1 -> Ok k
+          | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= 1" s))),
+        Format.pp_print_int )
+  in
+  Arg.(value & opt positive 6 & info [ "spin-fuel" ] ~docv:"N" ~doc)
 
 (* --- telemetry options (shared by verify and adversary) ----------------- *)
 
@@ -416,9 +431,6 @@ let verify_cmd =
   let max_nodes =
     Arg.(value & opt int 2_000_000 & info [ "max-nodes" ] ~doc:"node budget")
   in
-  let spin_fuel =
-    Arg.(value & opt int 6 & info [ "spin-fuel" ] ~doc:"busy-wait bound")
-  in
   let domains =
     Arg.(
       value & opt int 1
@@ -508,7 +520,10 @@ let verify_cmd =
              ample-set prunes, fingerprint-store occupancy, per-domain \
              nodes, steals, the store's final size in slots (exact) or \
              bits (bitstate), bitstate omission probability, journal \
-             depth)")
+             depth). The exact store's size can differ between two runs \
+             of one binary on one search: fingerprints mix in closure \
+             code addresses, which move from run to run, so the states \
+             fill the store's shards differently")
   in
   let profile_out =
     Arg.(
@@ -528,23 +543,14 @@ let verify_cmd =
       value & flag
       & info [ "progress" ]
           ~doc:
-            "print a live progress line (~1 Hz): nodes, rate, and — via \
-             the online tree-size estimator — progress %, estimated \
-             total and ETA. Rewrites in place when stdout is a TTY, \
-             appends log lines otherwise")
-  in
-  let probes =
-    Arg.(
-      value & opt int 64
-      & info [ "probes" ]
-          ~doc:
-            "probes for the tree-size estimator behind --progress (more \
-             probes, tighter estimate; the cost fades to zero once all \
-             probes are spent along a path)")
+            "print a live progress line (~1 Hz): `search: N nodes | R \
+             nodes/s', the nodes searched so far and the current rate; \
+             the last line's N is the final state count. Rewrites in \
+             place when stdout is a TTY, appends log lines otherwise")
   in
   let run name n max_nodes spin_fuel domains no_por save_schedule max_crashes
       max_aborts max_millis crash_semantics search_stats store store_bits
-      store_hashes profile_out progress probes obs_opts =
+      store_hashes profile_out progress obs_opts =
     if domains < 1 then die2 "--domains must be >= 1";
     let domains = clamp_workers "--domains" domains in
     if max_crashes < 0 then die2 "--max-crashes must be >= 0";
@@ -582,17 +588,12 @@ let verify_cmd =
            returns normally with a typed `Aborts partial verdict, so the
            stats below still print, the obs sinks still flush, and a
            requested --profile file is still written (carrying the
-           partial reason and the estimator's last sample). *)
+           partial reason). *)
         let stop = Atomic.make false in
         Sys.set_signal Sys.sigint
           (Sys.Signal_handle (fun _ -> Atomic.set stop true));
-        if probes < 1 then die2 "--probes must be >= 1";
-        (* the estimator serves --progress; --profile attaches only the
-           (strided) attribution accumulator, keeping the asserted ≤5%
-           pay-for-use overhead — combine the flags to get both *)
-        let estimator =
-          if progress then Some { Obs.Estimator.probes; seed = 0 } else None
-        in
+        (* --profile attaches the strided attribution accumulator, keeping
+           the asserted ≤5% pay-for-use overhead *)
         let prof =
           Option.map
             (fun _ ->
@@ -609,7 +610,7 @@ let verify_cmd =
           with_obs ~extra obs_opts (fun obs ->
               Mcheck.Explore.explore ~max_nodes ~spin_fuel ~domains
                 ~por:(not no_por) ~max_crashes ~max_aborts ?max_millis ~stop
-                ?estimator ?profile:prof ~obs cfg)
+                ?profile:prof ~obs cfg)
         in
         Printf.printf "%s n=%d%s%s%s: %d states, max depth %d\n"
           lock.Locks.Lock_intf.name n
@@ -671,20 +672,11 @@ let verify_cmd =
             Printf.printf "schedule saved to %s\n" file
         | Some _, [] -> ()
         | None, _ -> ());
-        (if estimator <> None then
-           let s = r.Mcheck.Explore.stats in
-           let est = s.Mcheck.Explore.est_nodes in
-           if est > 0.0 then
-             Printf.printf
-               "estimated state space: ~%.0f states (probe progress %.1f%%)\n"
-               est
-               (100.0 *. s.Mcheck.Explore.est_progress));
         (* one-line verdict; its exit code is the verify contract
            (0 verified / 1 violation / 3 partial) *)
         let verdict, code = Mcheck.Explore.render_verdict r in
         (match (profile_out, prof) with
         | Some path, Some p ->
-            let s = r.Mcheck.Explore.stats in
             let meta =
               [
                 ("tool", Obs.Json.String "price_adaptive verify --profile");
@@ -694,13 +686,6 @@ let verify_cmd =
                 ("nodes", Obs.Json.Int r.Mcheck.Explore.nodes);
                 ("sampled_every", Obs.Json.Int (Obs.Profile.every p));
               ]
-              @ (if estimator <> None then
-                   [
-                     ("est_nodes", Obs.Json.Float s.Mcheck.Explore.est_nodes);
-                     ( "est_progress",
-                       Obs.Json.Float s.Mcheck.Explore.est_progress );
-                   ]
-                 else [])
               @
               match r.Mcheck.Explore.partial with
               | Some reason ->
@@ -720,10 +705,10 @@ let verify_cmd =
   in
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(
-      const run $ lock_arg $ n $ max_nodes $ spin_fuel $ domains $ no_por
+      const run $ lock_arg $ n $ max_nodes $ spin_fuel () $ domains $ no_por
       $ save_schedule $ max_crashes $ max_aborts $ max_millis
       $ crash_semantics $ search_stats $ store $ store_bits
-      $ store_hashes $ profile_out $ progress $ probes $ obs_term)
+      $ store_hashes $ profile_out $ progress $ obs_term)
 
 (* --- replay -------------------------------------------------------------- *)
 
@@ -775,9 +760,6 @@ let replay_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE")
   in
   let n = Arg.(value & opt int 2 & info [ "n" ] ~doc:"number of processes") in
-  let spin_fuel =
-    Arg.(value & opt int 6 & info [ "spin-fuel" ] ~doc:"busy-wait bound")
-  in
   let crash_semantics =
     Arg.(
       value & opt crash_semantics_conv Tsim.Config.Drop_buffer
@@ -808,7 +790,7 @@ let replay_cmd =
     | _ -> print_endline "schedule completed without violation"
   in
   Cmd.v (Cmd.info "replay" ~doc)
-    Term.(const run $ lock_arg $ file $ n $ spin_fuel $ crash_semantics)
+    Term.(const run $ lock_arg $ file $ n $ spin_fuel () $ crash_semantics)
 
 (* --- stats --------------------------------------------------------------- *)
 
@@ -826,9 +808,6 @@ let stats_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE")
   in
   let n = Arg.(value & opt int 2 & info [ "n" ] ~doc:"number of processes") in
-  let spin_fuel =
-    Arg.(value & opt int 6 & info [ "spin-fuel" ] ~doc:"busy-wait bound")
-  in
   let crash_semantics =
     Arg.(
       value & opt crash_semantics_conv Tsim.Config.Drop_buffer
@@ -912,7 +891,8 @@ let stats_cmd =
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(
-      const run $ lock_arg $ file $ n $ spin_fuel $ crash_semantics $ chrome)
+      const run $ lock_arg $ file $ n $ spin_fuel () $ crash_semantics
+      $ chrome)
 
 (* --- profile ------------------------------------------------------------- *)
 
@@ -1074,13 +1054,12 @@ let campaign_cmd =
              cached)")
   in
   let spin_fuel =
-    Arg.(
-      value & opt int 6
-      & info [ "spin-fuel" ]
-          ~doc:
-            "busy-wait bound, one value for the whole campaign (cells \
-             share the simulator's spin-fuel setting); cached outcomes \
-             are only reused at the fuel they were found at")
+    spin_fuel
+      ~doc:
+        "busy-wait bound, at least 1, one value for the whole campaign \
+         (cells share the simulator's spin-fuel setting); cached \
+         outcomes are only reused at the fuel they were found at"
+      ()
   in
   let report =
     Arg.(

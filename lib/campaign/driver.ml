@@ -270,6 +270,7 @@ type slot = Searching | Found of Cell.outcome | Raised of exn
 
 let run ?(jobs = 1) ?(max_nodes = 200_000) ?max_millis ?(spin_fuel = 6)
     ?stop ?(obs = Obs.Telemetry.null) ~cache plan =
+  if spin_fuel < 1 then invalid_arg "Driver.run: spin_fuel must be >= 1";
   let stop =
     match stop with Some s -> s | None -> Atomic.make false
   in

@@ -126,7 +126,10 @@ val run :
     exactly [x]. [spin_fuel] (default 6) bounds busy-wait iterations
     in every search; it is pinned process-globally for the duration of
     the run — which is exactly what makes concurrent explores safe — so
-    it is a campaign parameter, not a cell axis.
+    it is a campaign parameter, not a cell axis. It must be at least 1
+    (at 0 every search would prune each branch at its first spin and
+    cache a verdict for a space it never explored): [run] raises
+    [Invalid_argument] before it looks anything up.
 
     The calling domain is worker 0; when the first search starts, it
     spawns up to [jobs - 1] helper domains (never more than the tasks

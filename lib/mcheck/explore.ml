@@ -189,12 +189,6 @@ type stats = {
   omission_prob : float;
       (* bitstate store: estimated probability that the next distinct
          state falsely aliases as seen — (ones/m)^k at final fill *)
-  est_nodes : float;
-      (* Knuth-probe estimate of the explored tree's node count; 0 when
-         the estimator was off. Several workers: the sum of theirs. *)
-  est_progress : float;
-      (* fraction of the tree fully explored, by probe probability mass
-         (reaches ~1.0 on exhaustion); 0 when the estimator was off *)
 }
 
 let zero_stats =
@@ -203,7 +197,7 @@ let zero_stats =
     aborts_applied = 0; domains_used = 1;
     domain_nodes = []; merge_stall_us = 0; journal_peak = 0;
     undo_records = 0; steals = 0; store_capacity = 0;
-    omission_prob = 0.0; est_nodes = 0.0; est_progress = 0.0 }
+    omission_prob = 0.0 }
 
 type result = {
   nodes : int;  (* states expanded *)
@@ -478,10 +472,8 @@ type ctx = {
   mutable hb_nodes : int;
   mutable hb_us : int;
   mutable hb_due_us : int;  (* next time-based heartbeat (us, hub clock) *)
-  mutable t_start_us : int;  (* search start (us, hub clock), for ETA *)
-  (* profiling (pay-for-use: both [None] by default, and every hook is a
+  (* profiling (pay-for-use: [None] by default, and every hook is a
      single [match] away from the unprofiled path) *)
-  est : Obs.Estimator.t option;
   prof : Obs.Profile.t option;
   mutable prof_cls : int;  (* move class of the child about to be admitted *)
   mutable prof_rmr : int;  (* its RMR charge, computed in the pre-state *)
@@ -489,7 +481,7 @@ type ctx = {
 }
 
 let make_ctx ~seen ~pool ~halt ?deque ?on_fingerprint ~max_crashes ~max_aborts
-    ?stop ?deadline ~obs ~paranoid ?est ?profile ~por ~codec ~on_spin
+    ?stop ?deadline ~obs ~paranoid ?profile ~por ~codec ~on_spin
     ~max_violations () =
   let sleepable = por && codec.Footprint.encodable in
   let decoded =
@@ -506,8 +498,7 @@ let make_ctx ~seen ~pool ~halt ?deque ?on_fingerprint ~max_crashes ~max_aborts
     nodes = 0; max_depth = 0; nviol = 0; violations = []; stopped = None;
     c_dedup = 0; c_resleeps = 0; c_sleep_prunes = 0; c_chains = 0;
     c_fused = 0; c_crashes = 0; c_aborts = 0; c_jpeak = 0; c_jrecords = 0;
-    c_steals = 0; hb_nodes = 0; hb_us = 0; hb_due_us = 0;
-    t_start_us = Obs.Telemetry.now_us obs; est; prof = profile;
+    c_steals = 0; hb_nodes = 0; hb_us = 0; hb_due_us = 0; prof = profile;
     prof_cls = cls_root; prof_rmr = 0; prof_jbase = 0 }
 
 let stats_of_ctx ctx =
@@ -519,11 +510,7 @@ let stats_of_ctx ctx =
     domain_nodes = [ ctx.nodes ];
     journal_peak = ctx.c_jpeak; undo_records = ctx.c_jrecords;
     steals = ctx.c_steals; store_capacity = Fpstore.capacity ctx.seen;
-    omission_prob = Fpstore.omission_prob ctx.seen;
-    est_nodes =
-      (match ctx.est with Some e -> Obs.Estimator.estimate e | None -> 0.);
-    est_progress =
-      (match ctx.est with Some e -> Obs.Estimator.progress e | None -> 0.) }
+    omission_prob = Fpstore.omission_prob ctx.seen }
 
 (* Charge the node budget for one expansion: burn local quota, then
    claim another chunk from the shared pool. Chunked claims (256 nodes)
@@ -564,9 +551,8 @@ let publish_counters obs ~nodes ~violations (s : stats) =
   set "explore.steals" s.steals;
   Obs.Telemetry.flush_counters obs
 
-(* Heartbeat: push counter snapshots, the instantaneous nodes/sec, the
-   current DFS depth and — when the estimator is running — progress %,
-   ETA and the live total estimate to the sinks. Cadence is time-based
+(* Heartbeat: push counter snapshots, the instantaneous nodes/sec and
+   the current DFS depth to the sinks. Cadence is time-based
    (~1 Hz): the deadline/stop poll still runs every 1024 expansions, and
    a heartbeat is emitted from it only once [hb_due_us] has passed — so
    a fast search pays one [now_us] read per 1024 nodes and one sink
@@ -587,19 +573,6 @@ let heartbeat ctx depth now =
       (1e6 *. float_of_int dn /. float_of_int dt);
   ctx.hb_nodes <- nodes;
   ctx.hb_us <- now;
-  (match ctx.est with
-  | Some e ->
-      let pr = Obs.Estimator.progress e in
-      Obs.Telemetry.gauge obs "explore.progress" pr;
-      if pr > 1e-9 then begin
-        Obs.Telemetry.gauge obs "explore.est_total"
-          (float_of_int nodes /. pr);
-        let elapsed = now - ctx.t_start_us in
-        if elapsed > 0 then
-          Obs.Telemetry.gauge obs "explore.eta_s"
-            (1e-6 *. float_of_int elapsed *. (1. -. pr) /. pr)
-      end
-  | None -> ());
   Obs.Telemetry.instant ctx.obs "explore.heartbeat"
 
 (* The ~1 Hz gate around [heartbeat], called from the DFS loop's poll
@@ -619,33 +592,6 @@ let record_violation ctx schedule kind =
     ctx.stopped <- Some `Violations;
     raise Done
   end
-
-(* Estimator weaving (see Obs.Estimator): each expanded node [enter]s
-   with its declared child-slot count, each slot is either consumed by
-   the child's own expansion or retired as a [leaf] (asleep, pruned,
-   delegated, asleep-abandoned chase, or raised), and [leave] closes the
-   node. The slot count must equal the number of terminal events under
-   the node — full expansions declare every enabled move (the loop
-   retires the sleepers), ample chains declare a single slot for the
-   whole chain. All no-ops when the estimator is off. *)
-let[@inline] est_enter ctx k =
-  match ctx.est with
-  | Some e -> Obs.Estimator.enter e ~children:k
-  | None -> ()
-
-let[@inline] est_leaf ctx =
-  match ctx.est with Some e -> Obs.Estimator.leaf e | None -> ()
-
-let[@inline] est_leave ctx =
-  match ctx.est with Some e -> Obs.Estimator.leave e | None -> ()
-
-(* Child slots a full expansion will offer: one per enabled move. A
-   sleeping move's slot is retired with [est_leaf] by the expansion loop
-   when it skips the move — cheaper than pre-counting the awake moves,
-   which would re-encode every move's footprint just to subtract the
-   sleepers (the loop encodes them again anyway), and identical in
-   expectation: a retired slot's probe/mass share stays with the parent
-   either way. *)
 
 (* Profile hook: charge the just-admitted node to its cell. Runs at
    admission (after the seen store said yes, before parking), which
@@ -937,34 +883,27 @@ let rec dfs_journal ctx m schedule depth sleep =
     enabled_moves ~max_crashes:ctx.max_crashes ~max_aborts:ctx.max_aborts m
   in
   if moves = [] then begin
-    est_enter ctx 0;
     let n = Machine.n_procs m in
     let unfinished = ref false in
     for p = 0 to n - 1 do
       if Machine.pending_class m p <> Machine.K_done then unfinished := true
     done;
-    est_leave ctx;
     if !unfinished then record_violation ctx schedule `Deadlock
   end
   else begin
     let mark0 = Machine.Journal.mark m in
-    (match singleton_ample_journal ctx m sleep moves with
+    match singleton_ample_journal ctx m sleep moves with
     | Some (mv0, z0) ->
         (* the machine is in mv0's successor state; the chase walks the
            singleton chain in place and [undo_to mark0] unwinds the whole
-           chain in one sweep when it bottoms out (or is asleep). The
-           whole chain is ONE estimator child slot. *)
+           chain in one sweep when it bottoms out (or is asleep) *)
         ctx.c_chains <- ctx.c_chains + 1;
-        est_enter ctx 1;
         (* chase moves are purely-local Steps by construction *)
         ctx.prof_cls <- cls_step;
         ctx.prof_rmr <- 0;
         chase_journal ctx m ~chain_mark:mark0 mv0 ~z_in:sleep ~z_out:z0
           schedule depth 4096
-    | None ->
-        est_enter ctx (List.length moves);
-        dfs_journal_moves ctx m schedule depth sleep 0 moves);
-    est_leave ctx
+    | None -> dfs_journal_moves ctx m schedule depth sleep 0 moves
   end
 
 (* The per-move expansion loop, a (closure-free) recursion over the
@@ -978,7 +917,6 @@ and dfs_journal_moves ctx m schedule depth sleep explored = function
       in
       if sleep land bit <> 0 then begin
         ctx.c_sleep_prunes <- ctx.c_sleep_prunes + 1;
-        est_leaf ctx;
         dfs_journal_moves ctx m schedule depth sleep explored rest
       end
       else begin
@@ -1000,12 +938,10 @@ and dfs_journal_moves ctx m schedule depth sleep explored = function
             Machine.Journal.undo_to m mark
         | exception Machine.Exclusion_violation { holder; intruder } ->
             Machine.Journal.undo_to m mark;
-            est_leaf ctx;
             record_violation ctx (mv :: schedule)
               (`Exclusion (holder, intruder))
         | exception Prog.Spin_exhausted _ -> (
             Machine.Journal.undo_to m mark;
-            est_leaf ctx;
             match ctx.on_spin with
             | `Prune -> ()
             | `Violation ->
@@ -1028,7 +964,6 @@ and chase_journal ctx m ~chain_mark mv ~z_in ~z_out schedule depth fuel =
   if z_in land bit <> 0 then begin
     ctx.c_sleep_prunes <- ctx.c_sleep_prunes + 1;
     (* asleep: covered elsewhere — abandon the whole chain *)
-    est_leaf ctx;
     Machine.Journal.undo_to m chain_mark
   end
   else begin
@@ -1077,11 +1012,9 @@ and visit_child_journal ctx m schedule depth z =
     | Some own
       when ctx.nodes land park_period_mask = 0
            && Deque.size own < deque_low_water ->
-        park own m schedule depth z;
-        est_leaf ctx (* parked: the subtree is someone else's estimate *)
+        park own m schedule depth z
     | _ -> dfs_journal ctx m schedule depth z
   end
-  else est_leaf ctx
 
 (* Root machine for a search. Search machines run lean
    ({!Machine.set_lean}), which the journal requires: no search consumer
@@ -1183,9 +1116,7 @@ let work ctx ~deques ~busy ~d first =
    worker; sorted by schedule from several, a key intrinsic to the
    violation rather than to the worker or instant that found it, then
    cut to the global cap. A worker that finishes early idles until the
-   last one does; that window, summed over workers, is the merge stall.
-   The estimate sums the workers' (each estimated the subtrees it ran);
-   progress is the mean over the workers that ran any. *)
+   last one does; that window, summed over workers, is the merge stall. *)
 let merge ~max_violations ~obs ctxs windows =
   let add a s =
     { a with
@@ -1199,9 +1130,7 @@ let merge ~max_violations ~obs ctxs windows =
       domain_nodes = a.domain_nodes @ s.domain_nodes;
       journal_peak = max a.journal_peak s.journal_peak;
       undo_records = a.undo_records + s.undo_records;
-      steals = a.steals + s.steals;
-      est_nodes = a.est_nodes +. s.est_nodes;
-      est_progress = a.est_progress +. s.est_progress }
+      steals = a.steals + s.steals }
   in
   let stats =
     match List.map stats_of_ctx ctxs with
@@ -1209,15 +1138,13 @@ let merge ~max_violations ~obs ctxs windows =
     | [] -> zero_stats
   in
   let last = List.fold_left (fun a (_, t1) -> Float.max a t1) 0.0 windows in
-  let ran = List.length (List.filter (fun c -> c.nodes > 0) ctxs) in
   let stats =
     { stats with
       domains_used = List.length ctxs;
       merge_stall_us =
         List.fold_left
           (fun a (_, t1) -> a + int_of_float (1e6 *. (last -. t1)))
-          0 windows;
-      est_progress = stats.est_progress /. float_of_int (max 1 ran) }
+          0 windows }
   in
   (* sinks are not thread-safe, so helpers never touch the hub: their
      windows are replayed here as spans, one timeline lane per worker *)
@@ -1276,9 +1203,13 @@ let merge ~max_violations ~obs ctxs windows =
 let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(on_spin = `Prune)
     ?(spin_fuel = 6) ?(domains = 1) ?(por = true) ?(max_crashes = 0)
     ?(max_aborts = 0) ?stop ?max_millis ?on_fingerprint
-    ?(obs = Obs.Telemetry.null) ?(paranoid_fp = false) ?estimator ?profile
+    ?(obs = Obs.Telemetry.null) ?(paranoid_fp = false) ?profile
     (cfg : Config.t) : result =
   if domains < 1 then invalid_arg "Explore.explore: domains must be >= 1";
+  (* at fuel 0 every spin raises before its first read, so the search
+     would prune each branch at its first spin and verify what it never
+     explored *)
+  if spin_fuel < 1 then invalid_arg "Explore.explore: spin_fuel must be >= 1";
   if domains > 1 && Option.is_some on_fingerprint then
     invalid_arg "Explore.explore: on_fingerprint requires domains = 1";
   (match profile with
@@ -1337,10 +1268,9 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(on_spin = `Prune)
   (* worker 0 holds the root, so it holds the one [busy] token *)
   let busy = Atomic.make 1 in
   (* Worker 0 holds the caller's hub and profile; each helper gets its
-     own estimator seed (the probes must not be correlated across
-     workers) and its own profile shard, absorbed in worker order. Each
-     worker builds its ctx on its own domain, so the scratch it writes
-     on every node never shares a cache line with another worker's. *)
+     own profile shard, absorbed in worker order. Each worker builds its
+     ctx on its own domain, so the scratch it writes on every node never
+     shares a cache line with another worker's. *)
   let run d first =
     let lead = d = 0 in
     let ctx =
@@ -1349,13 +1279,6 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(on_spin = `Prune)
         ?on_fingerprint ~max_crashes ~max_aborts ?stop ?deadline
         ~obs:(if lead then obs else Obs.Telemetry.null)
         ~paranoid:paranoid_fp
-        ?est:
-          (Option.map
-             (fun (c : Obs.Estimator.cfg) ->
-               Obs.Estimator.create
-                 ~cfg:{ c with Obs.Estimator.seed = c.Obs.Estimator.seed + d }
-                 ())
-             estimator)
         ?profile:
           (if lead then profile
            else
@@ -1408,11 +1331,6 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(on_spin = `Prune)
       ~violations:(List.length r.violations) r.stats;
     if r.stats.omission_prob > 0.0 then
       Obs.Telemetry.gauge obs "explore.omission_prob" r.stats.omission_prob;
-    if Option.is_some estimator then begin
-      Obs.Telemetry.gauge obs "explore.progress" r.stats.est_progress;
-      Obs.Telemetry.gauge obs "explore.est_total" r.stats.est_nodes;
-      Obs.Telemetry.gauge obs "explore.eta_s" 0.0
-    end;
     (* final repaint trigger for the progress sink — also reached on
        partial (stopped / interrupted) verdicts *)
     Obs.Telemetry.instant obs "explore.heartbeat"

@@ -168,26 +168,19 @@ type stats = {
   store_capacity : int;
       (** the seen store's size at the end of the search
           ({!Fpstore.capacity}): slots in exact mode, which grow with the
-          states stored (4,096 at the start), or bits in bitstate mode *)
+          states stored (4,096 at the start), or bits in bitstate mode.
+          In exact mode it can differ between two runs of one binary on
+          one configuration, even at one domain where every other field
+          repeats: fingerprints mix in closure code addresses
+          ([Machine.hash_cont]), which move from run to run, so the
+          states fall into the 64 shards differently and a different
+          set of shards doubles: abortable-tas n=2 with one abort ends
+          anywhere from 4,096 to 4,352 slots. *)
   omission_prob : float;
       (** [Store_bitstate]: estimated probability that the next distinct
           state falsely aliases as already-seen at the final bit-array
           fill — [(ones/m)^k] ({!Fpstore.omission_prob}); 0.0 in exact
           mode *)
-  est_nodes : float;
-      (** online Knuth estimate of the TOTAL (pruned) search-space size,
-          live mid-search and final at the end; 0.0 when the estimator is
-          off ([?estimator] not passed to {!explore}). With several
-          workers, the sum of their estimates, each over the work items
-          it ran (a parked subtree counts where it runs, not where it
-          was parked) *)
-  est_progress : float;
-      (** estimated fraction of the space already explored, in [0, 1]:
-          the probability mass of retired subtrees under the
-          uniform-random-descent measure. Reaches exactly 1.0 on
-          exhausted one-domain runs (a built-in self-test of the mass
-          accounting); with several workers, the mean over the workers
-          that ran any subtree; 0.0 when the estimator is off *)
 }
 
 val zero_stats : stats
@@ -248,10 +241,10 @@ val new_profile : ?every:int -> unit -> Obs.Profile.t
     record into shards created with the same stride. *)
 
 val default_profile_every : int
-(** The sampling stride the front ends (CLI [verify --profile], bench
-    [--profile]) use: strided statistical attribution cheap enough to
-    leave on — the ≤5% pay-for-use overhead contract is asserted
-    against this configuration in the bench. *)
+(** The sampling stride [verify --profile] uses: strided statistical
+    attribution cheap enough to leave on — [bench/main.exe overhead]
+    asserts the ≤5% pay-for-use overhead contract against this
+    configuration. *)
 
 val explore :
   ?max_nodes:int ->
@@ -267,7 +260,6 @@ val explore :
   ?on_fingerprint:(int -> unit) ->
   ?obs:Obs.Telemetry.t ->
   ?paranoid_fp:bool ->
-  ?estimator:Obs.Estimator.cfg ->
   ?profile:Obs.Profile.t ->
   Config.t ->
   result
@@ -276,7 +268,9 @@ val explore :
     not change shared state), busy-wait fuel 6, one domain,
     partial-order reduction on, no crash faults, no wall-clock bound.
     The configuration's [record_trace] is ignored: the search runs with
-    it off.
+    it off. [~spin_fuel] must be at least 1: at 0 every spin would
+    raise before its first read, and pruning each branch at its first
+    spin would verify a space the search never explored.
 
     [~max_crashes:k] lets the adversary inject up to [k] crash faults
     across the whole run ({!Machine.crash}, per the configuration's
@@ -315,7 +309,8 @@ val explore :
     {b Restriction:} the hook is a single closure that cannot be invoked
     from concurrent domains, so it requires [domains = 1].
     @raise Invalid_argument if [~on_fingerprint] is combined with
-    [domains > 1] (and for [domains < 1] or [max_crashes < 0]).
+    [domains > 1] (and for [domains < 1], [spin_fuel < 1] or
+    [max_crashes < 0]).
 
     [~domains:k] runs [k] workers of one loop: the calling domain is
     worker 0 and starts at the root, and [k - 1] helper domains start by
@@ -378,26 +373,19 @@ val explore :
     [~obs] attaches a telemetry hub ({!Obs.Telemetry}): the search emits
     a time-based heartbeat (~1 Hz, re-armed from a deadline checked
     inside the every-1024-expansions stop/deadline poll, so an idle hub
-    costs one comparison) carrying counter snapshots, nodes/sec, current
-    depth and — when the estimator is on — progress %, live
-    estimated-total and ETA gauges, plus an ["explore.heartbeat"]
-    instant that progress sinks use as their repaint trigger. Worker 0
+    costs one comparison) carrying counter snapshots, nodes/sec and
+    current depth, plus an ["explore.heartbeat"] instant that progress
+    sinks ({!Obs.Sink.progress}) use as their repaint trigger. Worker 0
     holds the hub, so heartbeats fire at every domain count; their node
     count is every worker's (the budget drawn from the shared pool), the
     other counters are worker 0's. After the search, one ["explore.dfs"]
-    span per worker (its wall-clock window, on lane [tid = worker]) and
-    a final counter flush follow; helpers never touch the hub. Default
+    span per worker (its wall-clock window, on lane [tid = worker]), a
+    final counter flush carrying the result's [nodes] and a last
+    ["explore.heartbeat"] follow; helpers never touch the hub. Default
     {!Obs.Telemetry.null}: every emission reduces to one [enabled]
-    check, leaving the ns/node budget intact (BENCH_PR4).
-
-    [~estimator] attaches an online Knuth tree-size estimator
-    ({!Obs.Estimator}): [cfg.probes] random root-to-leaf descents are
-    woven through the DFS (deterministically seeded — the search itself
-    is never perturbed), yielding the [est_nodes] / [est_progress]
-    fields of {!stats} and the live heartbeat gauges above. Off by
-    default (zero cost). Worker [d] runs its own estimator seeded
-    [seed + d], treating each work item as a root; the results combine
-    as the {!stats} fields describe.
+    check, leaving the ns/node budget intact (the bare search that
+    [bench/main.exe overhead] times the profiler against runs with the
+    null hub).
 
     [~profile] attaches a per-depth-band × move-class × section ×
     location profile accumulator (build it with {!new_profile}); every

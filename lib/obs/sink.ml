@@ -98,27 +98,14 @@ let console ?(oc = stderr) () =
 let progress ?(oc = stdout) ?(tty = true) () =
   let nodes = ref 0 in
   let nps = ref nan in
-  let pct = ref nan in
-  let eta = ref nan in
-  let est = ref nan in
   let painted = ref false in
   let render () =
-    let b = Buffer.create 96 in
-    Buffer.add_string b (Printf.sprintf "search: %d nodes" !nodes);
-    if not (Float.is_nan !nps) then
-      Buffer.add_string b
-        (if !nps >= 1e6 then Printf.sprintf " | %.1fM nodes/s" (!nps /. 1e6)
-         else Printf.sprintf " | %.0f nodes/s" !nps);
-    if not (Float.is_nan !pct) then
-      Buffer.add_string b (Printf.sprintf " | %5.1f%%" (100. *. !pct));
-    if not (Float.is_nan !eta) then
-      Buffer.add_string b
-        (if !eta >= 3600. then Printf.sprintf " | eta %.1fh" (!eta /. 3600.)
-         else if !eta >= 60. then Printf.sprintf " | eta %.1fm" (!eta /. 60.)
-         else Printf.sprintf " | eta %.0fs" !eta);
-    if not (Float.is_nan !est) then
-      Buffer.add_string b (Printf.sprintf " | ~%.0f states" !est);
-    Buffer.contents b
+    let rate =
+      if Float.is_nan !nps then ""
+      else if !nps >= 1e6 then Printf.sprintf " | %.1fM nodes/s" (!nps /. 1e6)
+      else Printf.sprintf " | %.0f nodes/s" !nps
+    in
+    Printf.sprintf "search: %d nodes%s" !nodes rate
   in
   let repaint () =
     let line = render () in
@@ -139,9 +126,6 @@ let progress ?(oc = stdout) ?(tty = true) () =
     match e.Event.payload with
     | Event.Counter ("explore.nodes", v) -> nodes := v
     | Event.Gauge ("explore.nodes_per_sec", v) -> nps := v
-    | Event.Gauge ("explore.progress", v) -> pct := v
-    | Event.Gauge ("explore.eta_s", v) -> eta := v
-    | Event.Gauge ("explore.est_total", v) -> est := v
     | Event.Instant ("explore.heartbeat", _) -> repaint ()
     | _ -> ()
   in

@@ -30,14 +30,15 @@ val console : ?oc:out_channel -> unit -> t
     commands that print results on stdout. *)
 
 val progress : ?oc:out_channel -> ?tty:bool -> unit -> t
-(** Live one-line search progress. Consumes the explorer's heartbeat
-    telemetry — the [explore.nodes] counter, the [explore.nodes_per_sec]
-    / [explore.progress] / [explore.eta_s] / [explore.est_total] gauges
-    — and repaints on each [explore.heartbeat] instant. With [tty]
-    (default) the line is rewritten in place with ['\r'] and the final
-    [close] emits the newline; without, each heartbeat appends a plain
-    line (log-friendly). Progress/ETA fields appear only when the
-    estimator is running. Default channel: [stdout]. *)
+(** Live one-line search progress, [search: N nodes | R nodes/s]: two
+    counts the explorer keeps, the [explore.nodes] counter and the
+    [explore.nodes_per_sec] gauge (the rate is left out until the first
+    gauge arrives). Repaints on each [explore.heartbeat] instant; the
+    explorer's last one follows its final counter flush, so the last
+    line's [N] is the result's node count. With [tty] (default) the
+    line is rewritten in place with ['\r'] and the final [close] emits
+    the newline; without, each heartbeat appends a plain line
+    (log-friendly). Default channel: [stdout]. *)
 
 val chrome_event :
   name:string ->

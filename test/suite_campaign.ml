@@ -479,6 +479,23 @@ let test_cache_keyed_by_fuel () =
   Alcotest.(check string) "fuel 6 again: the violation" "violation:exclusion"
     (verdict r6')
 
+(* At fuel 0 every search would prune each branch at its first spin and
+   cache its cell as verified (recoverable-tas-naive with one crash, a
+   violation at fuel 6). [run] refuses the fuel before it looks anything
+   up or caches anything. *)
+let test_fuel_below_one_rejected () =
+  let cache = Cache.in_memory () in
+  let plan =
+    {
+      Driver.grid = parse_grid_exn "lock=recoverable-tas-naive n=2 crashes=1";
+      brackets = [];
+    }
+  in
+  Alcotest.check_raises "fuel 0 rejected"
+    (Invalid_argument "Driver.run: spin_fuel must be >= 1") (fun () ->
+      ignore (Driver.run ~spin_fuel:0 ~cache plan));
+  Alcotest.(check int) "nothing cached" 0 (Cache.entries cache)
+
 let test_millis_partial_never_cached () =
   let cache = Cache.in_memory () in
   let plan = { Driver.grid = parse_grid_exn "lock=ticket n=4"; brackets = [] } in
@@ -901,6 +918,8 @@ let suite =
       test_partial_at_cap_cached_and_reused;
     Alcotest.test_case "cache entries keyed by spin fuel" `Quick
       test_cache_keyed_by_fuel;
+    Alcotest.test_case "spin fuel below 1 rejected" `Quick
+      test_fuel_below_one_rejected;
     Alcotest.test_case "time-limited partials never cached" `Quick
       test_millis_partial_never_cached;
     Alcotest.test_case "adversary cells honour the wall-clock budget" `Quick

@@ -283,6 +283,25 @@ let test_raise_stops_workers () =
   Unix.sleepf 0.1;
   Alcotest.(check int) "no step after the raise" at_raise (Atomic.get steps)
 
+(* At fuel 0 every spin raises before its first read, so a search would
+   prune each branch at its first spin: recoverable-tas-naive n=2 with
+   one crash, a violation at fuel 1 and at the default 6, verified that
+   way in 9 states. The explorer refuses the fuel instead, and fuel 1
+   still finds the violation. *)
+let test_spin_fuel_below_one () =
+  let n = 2 in
+  let lock =
+    (Option.get (Locks.Zoo.find "recoverable-tas-naive"))
+      .Locks.Lock_intf.instantiate ~n
+  in
+  let cfg = Locks.Harness.config_of_lock ~model:Config.Cc_wb lock ~n in
+  Alcotest.check_raises "fuel 0 rejected"
+    (Invalid_argument "Explore.explore: spin_fuel must be >= 1") (fun () ->
+      ignore (Mcheck.Explore.explore ~spin_fuel:0 ~max_crashes:1 cfg));
+  let r = Mcheck.Explore.explore ~spin_fuel:1 ~max_crashes:1 cfg in
+  Alcotest.(check int) "fuel 1 finds the violation" 1
+    (List.length r.Mcheck.Explore.violations)
+
 let suite =
   [
     Alcotest.test_case "MP litmus: exhaustive TSO vs PSO" `Quick
@@ -297,4 +316,6 @@ let suite =
     Alcotest.test_case "POR-on state counts pinned" `Quick test_por_counts;
     Alcotest.test_case "a raising worker stops every worker" `Quick
       test_raise_stops_workers;
+    Alcotest.test_case "spin fuel below 1 rejected" `Quick
+      test_spin_fuel_below_one;
   ]

@@ -451,6 +451,88 @@ let test_explorer_telemetry_agrees () =
     (Some instrumented.Mcheck.Explore.stats.Mcheck.Explore.dedup_hits)
     (final "explore.dedup_hits")
 
+(* The N of a [--progress] line. The line must read [search: N nodes],
+   optionally followed by [ | R nodes/s] with R a whole number or a count
+   of millions to one decimal ("1.2M"), and nothing else. *)
+let progress_count line =
+  let digits s =
+    s <> "" && String.for_all (fun c -> '0' <= c && c <= '9') s
+  in
+  let rate_ok r =
+    match String.split_on_char '.' r with
+    | [ whole ] -> digits whole
+    | [ whole; tenth ] ->
+        digits whole
+        && String.length tenth = 2
+        && digits (String.sub tenth 0 1)
+        && tenth.[1] = 'M'
+    | _ -> false
+  in
+  match String.split_on_char ' ' line with
+  | [ "search:"; n; "nodes" ] when digits n -> Some (int_of_string n)
+  | [ "search:"; n; "nodes"; "|"; r; "nodes/s" ] when digits n && rate_ok r ->
+      Some (int_of_string n)
+  | _ -> None
+
+(* The progress sink prints only counts the explorer keeps, at one domain
+   and at two: every line is [search: N nodes], with the rate once there
+   is one, and the last N is the result's node count. The hub's clock
+   moves one second per read, so every 1024-node poll beats and the
+   one-domain search prints a line with a rate at each. *)
+let test_progress_line () =
+  let n = 3 in
+  let lock =
+    (Locks.Zoo.find "tournament" |> Option.get).Locks.Lock_intf.instantiate ~n
+  in
+  let cfg = Locks.Harness.config_of_lock ~model:Config.Cc_wb lock ~n in
+  List.iter
+    (fun domains ->
+      let path = Filename.temp_file "progress" ".txt" in
+      let oc = open_out path in
+      let now = ref 0 in
+      let clock () =
+        now := !now + 1_000_000;
+        !now
+      in
+      let obs =
+        Obs.Telemetry.create ~clock
+          ~sinks:[ Obs.Sink.progress ~oc ~tty:false () ]
+          ()
+      in
+      let r = Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains ~obs cfg in
+      Obs.Telemetry.close obs;
+      close_out oc;
+      let lines =
+        In_channel.with_open_text path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+      in
+      Sys.remove path;
+      let counts =
+        List.map
+          (fun l ->
+            match progress_count l with
+            | Some k -> k
+            | None -> Alcotest.failf "d=%d: bad progress line %S" domains l)
+          lines
+      in
+      Alcotest.(check bool) (Printf.sprintf "d=%d: verified" domains) true
+        r.Mcheck.Explore.verified;
+      (match List.rev counts with
+      | last :: _ ->
+          Alcotest.(check int)
+            (Printf.sprintf "d=%d: last count = nodes" domains)
+            r.Mcheck.Explore.nodes last
+      | [] -> Alcotest.failf "d=%d: no progress line" domains);
+      if domains = 1 then begin
+        if List.length lines < 10 then
+          Alcotest.failf "d=1: %d progress lines for %d nodes"
+            (List.length lines) r.Mcheck.Explore.nodes;
+        Alcotest.(check bool) "d=1: rates printed" true
+          (List.exists (fun l -> String.ends_with ~suffix:"nodes/s" l) lines)
+      end)
+    [ 1; 2 ]
+
 (* --- adversary telemetry ------------------------------------------------ *)
 
 let test_adversary_telemetry () =
@@ -555,6 +637,8 @@ let suite =
       test_verdict_mapping;
     Alcotest.test_case "telemetry does not perturb the search" `Quick
       test_explorer_telemetry_agrees;
+    Alcotest.test_case "progress line: counts only" `Quick
+      test_progress_line;
     Alcotest.test_case "adversary telemetry" `Quick
       test_adversary_telemetry;
     QCheck_alcotest.to_alcotest prop_metrics_cross_check;

@@ -1,87 +1,14 @@
-(* The profiling layer (PR9): the Knuth online tree-size estimator
-   (exactness on perfect trees, unbiasedness against exhaustively-counted
-   spaces under both POR settings, progress mass accounting),
-   the per-depth/class/section/location profile accumulator (exactly-once
-   node attribution, deterministic shard merge laws, folded-stack export,
-   JSON round-trip) and the profile diff (pinned fixture verdict). The
-   load-bearing property throughout: profiling must never perturb the
-   search — verdict, node count and fingerprint multiset are compared
-   with instrumentation on and off. *)
+(* The profiling layer: the per-depth/class/section/location profile
+   accumulator (exactly-once node attribution, deterministic shard merge
+   laws, folded-stack export, JSON round-trip) and the profile diff
+   (pinned fixture verdict). The load-bearing property throughout:
+   profiling must never perturb the search — verdict, node count and
+   fingerprint multiset are compared with instrumentation on and off. *)
 
 open Tsim
 open Tsim.Prog
 
-(* --- estimator core math ------------------------------------------------ *)
-
-(* On a perfect b-ary tree every probe path contributes exactly
-   (b^{d+1}-1)/(b-1): the estimate is exact for EVERY seed, not just in
-   expectation — a deterministic check of the weight accounting. *)
-let test_estimator_perfect_tree () =
-  List.iter
-    (fun (b, depth, seed) ->
-      let e =
-        Obs.Estimator.create ~cfg:{ Obs.Estimator.probes = 8; seed } ()
-      in
-      let rec walk d =
-        if d = depth then begin
-          Obs.Estimator.enter e ~children:0;
-          Obs.Estimator.leave e
-        end
-        else begin
-          Obs.Estimator.enter e ~children:b;
-          for _ = 1 to b do
-            walk (d + 1)
-          done;
-          Obs.Estimator.leave e
-        end
-      in
-      walk 0;
-      let truth =
-        let rec go d acc = if d > depth then acc else go (d + 1) (acc + (int_of_float (float_of_int b ** float_of_int d))) in
-        go 0 0
-      in
-      Alcotest.(check (float 1e-6))
-        (Printf.sprintf "b=%d depth=%d seed=%d exact" b depth seed)
-        (float_of_int truth)
-        (Obs.Estimator.estimate e);
-      Alcotest.(check (float 1e-9)) "progress 1.0" 1.0
-        (Obs.Estimator.progress e))
-    [ (2, 4, 0); (2, 6, 7); (3, 3, 1); (4, 2, 42) ]
-
-(* Unbalanced tree: the estimate varies per seed but its mean over many
-   seeds converges to the true node count (Knuth 1975). Deterministic:
-   fixed seed set. *)
-let test_estimator_unbalanced_mean () =
-  (* root -> [chain of 4] and [leaf]: 6 nodes *)
-  let walk e =
-    let open Obs.Estimator in
-    enter e ~children:2;
-    enter e ~children:1;
-    enter e ~children:1;
-    enter e ~children:1;
-    enter e ~children:0;
-    leave e;
-    leave e;
-    leave e;
-    leave e;
-    enter e ~children:0;
-    leave e;
-    leave e
-  in
-  let n = 400 in
-  let sum = ref 0.0 in
-  for seed = 0 to n - 1 do
-    let e = Obs.Estimator.create ~cfg:{ Obs.Estimator.probes = 4; seed } () in
-    walk e;
-    Alcotest.(check (float 1e-9)) "progress 1.0" 1.0
-      (Obs.Estimator.progress e);
-    sum := !sum +. Obs.Estimator.estimate e
-  done;
-  let mean = !sum /. float_of_int n in
-  if Float.abs (mean -. 6.0) > 0.5 then
-    Alcotest.failf "mean estimate %.3f too far from 6.0" mean
-
-(* --- estimator woven into the explorer --------------------------------- *)
+(* --- reference workloads ------------------------------------------------ *)
 
 let peterson () =
   let layout = Layout.create () in
@@ -123,59 +50,14 @@ let ticket_dsm () =
       fence)
     ()
 
-(* The estimator's mean over >= 100 fixed seeds must land within
-   tolerance of the exhaustively-counted node total, under both POR
-   settings; every run must report progress exactly 1.0
-   (the mass accounting retires the whole space) and an unchanged node
-   count (the probes never perturb the search).
-
-   With POR off the full-interleaving space is heavily dedup-pruned and
-   the probe-weight distribution is heavy-tailed (Knuth's classic
-   caveat), so the sample mean needs deeper probes and more seeds to
-   concentrate; the ample-chain space under POR is benign. The budgets
-   below keep the slow combination around a second while giving the
-   mean comfortable margin against its measured sampling noise. *)
-let test_estimator_unbiased_in_search () =
-  List.iter
-    (fun por ->
-      let cfg = peterson () in
-      let truth =
-        (Mcheck.Explore.explore ~max_nodes:2_000_000 ~por cfg)
-          .Mcheck.Explore.nodes
-      in
-      let probes, nseeds, tol =
-        if por then (16, 100, 0.10) else (256, 400, 0.15)
-      in
-      let sum = ref 0.0 in
-      for seed = 0 to nseeds - 1 do
-        let r =
-          Mcheck.Explore.explore ~max_nodes:2_000_000 ~por
-            ~estimator:{ Obs.Estimator.probes; seed }
-            cfg
-        in
-        Alcotest.(check int)
-          (Printf.sprintf "por=%b seed=%d nodes unperturbed" por seed)
-          truth r.Mcheck.Explore.nodes;
-        Alcotest.(check bool) "exhausted" true r.Mcheck.Explore.exhausted;
-        Alcotest.(check (float 1e-9)) "progress 1.0" 1.0
-          r.Mcheck.Explore.stats.Mcheck.Explore.est_progress;
-        sum := !sum +. r.Mcheck.Explore.stats.Mcheck.Explore.est_nodes
-      done;
-      let mean = !sum /. float_of_int nseeds in
-      let rel = Float.abs (mean -. float_of_int truth) /. float_of_int truth in
-      if rel > tol then
-        Alcotest.failf "por=%b: mean estimate %.1f vs true %d (%.1f%% off)"
-          por mean truth (100. *. rel))
-    [ true; false ]
-
 (* --- profiling does not perturb the search ------------------------------ *)
 
 let test_profile_no_perturbation () =
   let cfg = ticket_dsm () in
-  let fps_of ?estimator ?profile () =
+  let fps_of ?profile () =
     let acc = ref [] in
     let r =
-      Mcheck.Explore.explore ~max_nodes:2_000_000 ?estimator ?profile
+      Mcheck.Explore.explore ~max_nodes:2_000_000 ?profile
         ~on_fingerprint:(fun fp -> acc := fp :: !acc)
         cfg
     in
@@ -183,9 +65,7 @@ let test_profile_no_perturbation () =
   in
   let r0, fp0 = fps_of () in
   let p = Mcheck.Explore.new_profile () in
-  let r1, fp1 =
-    fps_of ~estimator:{ Obs.Estimator.probes = 32; seed = 3 } ~profile:p ()
-  in
+  let r1, fp1 = fps_of ~profile:p () in
   Alcotest.(check bool) "verdict" r0.Mcheck.Explore.verified
     r1.Mcheck.Explore.verified;
   Alcotest.(check int) "nodes" r0.Mcheck.Explore.nodes
@@ -246,18 +126,11 @@ let test_profile_totals_match_nodes_parallel () =
   let cfg = peterson () in
   let p = Mcheck.Explore.new_profile () in
   let r =
-    Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:2 ~profile:p
-      ~estimator:{ Obs.Estimator.probes = 16; seed = 0 }
-      cfg
+    Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:2 ~profile:p cfg
   in
   Alcotest.(check bool) "exhausted" true r.Mcheck.Explore.exhausted;
   Alcotest.(check int) "profile nodes = search nodes" r.Mcheck.Explore.nodes
-    (Obs.Profile.total_nodes p);
-  let est = r.Mcheck.Explore.stats.Mcheck.Explore.est_nodes in
-  if est <= 0.0 then Alcotest.failf "parallel estimate %.1f not positive" est;
-  let pr = r.Mcheck.Explore.stats.Mcheck.Explore.est_progress in
-  if pr <= 0.0 || pr > 1.0 +. 1e-9 then
-    Alcotest.failf "parallel progress %.3f outside (0,1]" pr
+    (Obs.Profile.total_nodes p)
 
 (* A helper hunting for work is idle, and its profile shard must not
    charge the hunt. Worker 0 (the calling domain) sleeps 200 ms in its
@@ -528,13 +401,6 @@ let test_json_tables () =
 
 let suite =
   [
-    Alcotest.test_case "estimator exact on perfect trees" `Quick
-      test_estimator_perfect_tree;
-    Alcotest.test_case "estimator mean on an unbalanced tree" `Quick
-      test_estimator_unbalanced_mean;
-    Alcotest.test_case
-      "estimator unbiased in-search (por on/off)" `Slow
-      test_estimator_unbiased_in_search;
     Alcotest.test_case "profiling does not perturb the search" `Quick
       test_profile_no_perturbation;
     Alcotest.test_case "profile totals = node count (sequential)" `Quick
