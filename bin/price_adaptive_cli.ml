@@ -14,7 +14,6 @@
      stats <name> FILE [...]       replay a schedule, print the cost breakdown
      trace <name> -o FILE [...]    save an execution trace artifact
      analyze FILE                  metrics + IN-set verdict of a saved trace
-     profile diff A B              compare two saved search profiles
      litmus [--pso]                store-buffering litmus
 
    Exit codes for verify: 0 verified, 1 violation found, 2 bad input,
@@ -23,9 +22,7 @@
    Telemetry: verify and adversary accept --obs FILE.ndjson (stream
    events), --chrome-trace FILE.json (chrome://tracing / Perfetto) and
    --obs-console (summary table on stderr). verify additionally takes
-   --progress (a live line of the nodes searched and the rate) and
-   --profile FILE.json (node/time attribution per depth band, move
-   class, section and program location; diffable). *)
+   --progress (a live line of the nodes searched and the rate). *)
 
 open Cmdliner
 
@@ -85,20 +82,22 @@ let clamp_workers flag k =
     cap
   end
 
-(* --spin-fuel, shared by verify, replay, stats and campaign: an integer
-   of at least 1. At fuel 0 every spin raises before its first read, so a
-   search would prune each branch at its first spin and report VERIFIED
-   for a space it never explored. *)
+(* Budgets and worker counts: an integer of at least 1, or exit 2. A
+   node or time budget of 0 stops a search before its first state and
+   reports it PARTIAL; a spin fuel of 0 raises at every spin before its
+   first read, so a search would prune each branch there and report
+   VERIFIED for a space it never explored. *)
+let positive_int =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some k when k >= 1 -> Ok k
+        | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= 1" s))),
+      Format.pp_print_int )
+
+(* --spin-fuel, shared by verify, replay, stats and campaign *)
 let spin_fuel ?(doc = "busy-wait bound, at least 1") () =
-  let positive =
-    Arg.conv
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some k when k >= 1 -> Ok k
-          | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= 1" s))),
-        Format.pp_print_int )
-  in
-  Arg.(value & opt positive 6 & info [ "spin-fuel" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 6 & info [ "spin-fuel" ] ~docv:"N" ~doc)
 
 (* --- telemetry options (shared by verify and adversary) ----------------- *)
 
@@ -429,11 +428,13 @@ let verify_cmd =
   in
   let n = Arg.(value & opt int 2 & info [ "n" ] ~doc:"number of processes") in
   let max_nodes =
-    Arg.(value & opt int 2_000_000 & info [ "max-nodes" ] ~doc:"node budget")
+    Arg.(
+      value & opt positive_int 2_000_000
+      & info [ "max-nodes" ] ~doc:"node budget, at least 1")
   in
   let domains =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "domains" ]
           ~doc:
             "parallel search domains (one shared fingerprint store, \
@@ -500,8 +501,9 @@ let verify_cmd =
   in
   let max_millis =
     Arg.(
-      value & opt (some int) None
-      & info [ "max-millis" ] ~doc:"wall-clock budget in milliseconds")
+      value & opt (some positive_int) None
+      & info [ "max-millis" ]
+          ~doc:"wall-clock budget in milliseconds, at least 1")
   in
   let crash_semantics =
     Arg.(
@@ -525,19 +527,6 @@ let verify_cmd =
              code addresses, which move from run to run, so the states \
              fill the store's shards differently")
   in
-  let profile_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "profile" ] ~docv:"FILE"
-          ~doc:
-            "profile the search and write the result to $(docv) as JSON: \
-             nodes, wall time, undo records and RMR events attributed per \
-             depth band, move class, lock section and program location \
-             (compare two files with the profile diff command). \
-             Attribution is sampled (one node in 16): node and RMR \
-             counts are scaled estimates, time and undo totals are \
-             exact. Written even on partial verdicts (ctrl-C, budget)")
-  in
   let progress =
     Arg.(
       value & flag
@@ -550,8 +539,7 @@ let verify_cmd =
   in
   let run name n max_nodes spin_fuel domains no_por save_schedule max_crashes
       max_aborts max_millis crash_semantics search_stats store store_bits
-      store_hashes profile_out progress obs_opts =
-    if domains < 1 then die2 "--domains must be >= 1";
+      store_hashes progress obs_opts =
     let domains = clamp_workers "--domains" domains in
     if max_crashes < 0 then die2 "--max-crashes must be >= 0";
     if max_aborts < 0 then die2 "--max-aborts must be >= 0";
@@ -586,21 +574,10 @@ let verify_cmd =
         let cfg = { cfg with Tsim.Config.store = store_mode } in
         (* ctrl-C stops the search at the next budget poll: the explorer
            returns normally with a typed `Aborts partial verdict, so the
-           stats below still print, the obs sinks still flush, and a
-           requested --profile file is still written (carrying the
-           partial reason). *)
+           stats below still print and the obs sinks still flush. *)
         let stop = Atomic.make false in
         Sys.set_signal Sys.sigint
           (Sys.Signal_handle (fun _ -> Atomic.set stop true));
-        (* --profile attaches the strided attribution accumulator, keeping
-           the asserted ≤5% pay-for-use overhead *)
-        let prof =
-          Option.map
-            (fun _ ->
-              Mcheck.Explore.new_profile
-                ~every:Mcheck.Explore.default_profile_every ())
-            profile_out
-        in
         let extra =
           if progress then
             [ Obs.Sink.progress ~tty:(Unix.isatty Unix.stdout) () ]
@@ -610,7 +587,7 @@ let verify_cmd =
           with_obs ~extra obs_opts (fun obs ->
               Mcheck.Explore.explore ~max_nodes ~spin_fuel ~domains
                 ~por:(not no_por) ~max_crashes ~max_aborts ?max_millis ~stop
-                ?profile:prof ~obs cfg)
+                ~obs cfg)
         in
         Printf.printf "%s n=%d%s%s%s: %d states, max depth %d\n"
           lock.Locks.Lock_intf.name n
@@ -675,31 +652,6 @@ let verify_cmd =
         (* one-line verdict; its exit code is the verify contract
            (0 verified / 1 violation / 3 partial) *)
         let verdict, code = Mcheck.Explore.render_verdict r in
-        (match (profile_out, prof) with
-        | Some path, Some p ->
-            let meta =
-              [
-                ("tool", Obs.Json.String "price_adaptive verify --profile");
-                ("lock", Obs.Json.String lock.Locks.Lock_intf.name);
-                ("config", Obs.Json.String (Tsim.Config.summary cfg));
-                ("verdict", Obs.Json.String verdict);
-                ("nodes", Obs.Json.Int r.Mcheck.Explore.nodes);
-                ("sampled_every", Obs.Json.Int (Obs.Profile.every p));
-              ]
-              @
-              match r.Mcheck.Explore.partial with
-              | Some reason ->
-                  [ ( "partial",
-                      Obs.Json.String
-                        (Mcheck.Explore.partial_reason_name reason) ) ]
-              | None -> []
-            in
-            let oc = open_out path in
-            output_string oc (Obs.Json.to_string (Obs.Profile.to_json ~meta p));
-            output_char oc '\n';
-            close_out oc;
-            Printf.printf "profile -> %s\n" path
-        | _ -> ());
         print_endline verdict;
         exit code
   in
@@ -708,7 +660,7 @@ let verify_cmd =
       const run $ lock_arg $ n $ max_nodes $ spin_fuel () $ domains $ no_por
       $ save_schedule $ max_crashes $ max_aborts $ max_millis
       $ crash_semantics $ search_stats $ store $ store_bits
-      $ store_hashes $ profile_out $ progress $ obs_term)
+      $ store_hashes $ progress $ obs_term)
 
 (* --- replay -------------------------------------------------------------- *)
 
@@ -894,82 +846,6 @@ let stats_cmd =
       const run $ lock_arg $ file $ n $ spin_fuel () $ crash_semantics
       $ chrome)
 
-(* --- profile ------------------------------------------------------------- *)
-
-let load_profile path =
-  let contents =
-    try
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error msg -> die2 "%s" msg
-  in
-  match Obs.Json.parse contents with
-  | Error e -> die2 "%s: not JSON: %s" path e
-  | Ok j -> (
-      match Obs.Profile.of_json j with
-      | Error e -> die2 "%s: not a profile: %s" path e
-      | Ok p -> p)
-
-let profile_diff_cmd =
-  let doc =
-    "Compare two profile JSON files (as written by verify --profile): \
-     per-node cost delta, attributed to the (section, move class) groups \
-     that moved."
-  in
-  let a = Arg.(required & pos 0 (some string) None & info [] ~docv:"BASELINE") in
-  let b = Arg.(required & pos 1 (some string) None & info [] ~docv:"CURRENT") in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"print the structured report as JSON instead")
-  in
-  let run a b json =
-    let pa = load_profile a and pb = load_profile b in
-    let report, verdict =
-      try Obs.Profile.diff pa pb
-      with Invalid_argument msg -> die2 "%s" msg
-    in
-    if json then print_endline (Obs.Json.to_string report)
-    else begin
-      let rows =
-        match Obs.Json.member "groups" report with
-        | Some (Obs.Json.List gs) ->
-            List.filter_map
-              (function
-                | Obs.Json.Obj kvs ->
-                    (* re-key for the human table; values pass through *)
-                    let pick k k' =
-                      Option.map (fun v -> (k', v)) (List.assoc_opt k kvs)
-                    in
-                    Some
-                      (List.filter_map Fun.id
-                         [
-                           pick "group" "group";
-                           pick "a_ns_per_node" "a ns/node";
-                           pick "b_ns_per_node" "b ns/node";
-                           pick "delta_ns_per_node" "delta";
-                           pick "a_node_share" "a share";
-                           pick "b_node_share" "b share";
-                         ])
-                | _ -> None)
-              gs
-        | _ -> []
-      in
-      print_string (Obs.Json.pp_rows rows);
-      print_endline verdict
-    end;
-    (* exit code mirrors the verdict: 0 unchanged/improved, 1 regressed *)
-    if String.length verdict >= 9 && String.sub verdict 0 9 = "regressed" then
-      exit 1
-  in
-  Cmd.v (Cmd.info "diff" ~doc) Term.(const run $ a $ b $ json)
-
-let profile_cmd =
-  let doc = "Operations on saved search profiles." in
-  Cmd.group (Cmd.info "profile" ~doc) [ profile_diff_cmd ]
-
 (* --- campaign ------------------------------------------------------------ *)
 
 let campaign_cmd =
@@ -1022,7 +898,7 @@ let campaign_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
             "workers, the calling domain among them; the other N-1 \
@@ -1038,20 +914,20 @@ let campaign_cmd =
   in
   let max_nodes =
     Arg.(
-      value & opt int 200_000
+      value & opt positive_int 200_000
       & info [ "max-nodes" ]
           ~doc:
-            "per-cell node budget; each distinct search runs once with \
-             this budget")
+            "per-cell node budget, at least 1; each distinct search runs \
+             once with this budget")
   in
   let max_millis =
     Arg.(
-      value & opt (some int) None
+      value & opt (some positive_int) None
       & info [ "max-millis" ]
           ~doc:
-            "per-cell wall-clock budget in milliseconds, for the cell's \
-             one search (outcomes cut by it are reported but never \
-             cached)")
+            "per-cell wall-clock budget in milliseconds, at least 1, for \
+             the cell's one search (outcomes cut by it are reported but \
+             never cached)")
   in
   let spin_fuel =
     spin_fuel
@@ -1110,9 +986,7 @@ let campaign_cmd =
                 exit 0
             | Error m -> die2 "%s: %s" path m))
     | None -> ());
-    if jobs < 1 then die2 "--jobs must be >= 1";
     let jobs = clamp_workers "--jobs" jobs in
-    if max_nodes < 1 then die2 "--max-nodes must be >= 1";
     if grids = [] && brackets = [] then
       die2 "nothing to do: give at least one --grid or --bracket";
     let grid =
@@ -1290,7 +1164,7 @@ let () =
           (Cmd.group info
              [ list_cmd; lock_cmd; adversary_cmd; bounds_cmd; verify_cmd;
                campaign_cmd; replay_cmd; stats_cmd; trace_cmd; analyze_cmd;
-               show_cmd; profile_cmd; litmus_cmd ])
+               show_cmd; litmus_cmd ])
       with
       | Ok (`Ok () | `Help | `Version) -> Cmd.Exit.ok
       | Error (`Parse | `Term) -> 2

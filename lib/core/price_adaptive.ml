@@ -40,7 +40,6 @@ module Obs = struct
   module Event = Obs.Event
   module Sink = Obs.Sink
   module Telemetry = Obs.Telemetry
-  module Profile = Obs.Profile
 end
 
 module Analysis = struct

@@ -324,67 +324,6 @@ let apply m = function
              (Pid.to_string p));
       ignore (Machine.step m p)
 
-(* --- profiling axes ---------------------------------------------------- *)
-
-(* The profiler's move-class axis: one dense code per transition kind
-   plus a synthetic class for the root node. Order is frozen — profile
-   JSONs and the folded-stack export name cells by it. *)
-let cls_step = 0
-let cls_root = 5
-
-let move_class = function
-  | Step _ -> cls_step
-  | Commit _ | Commit_var _ -> 1
-  | Crash _ -> 2
-  | Recover _ -> 3
-  | Abort _ -> 4
-
-let profile_classes =
-  [| "step"; "commit"; "crash"; "recover"; "abort"; "root" |]
-
-let profile_sections =
-  [| Machine.section_name Machine.Ncs;
-     Machine.section_name Machine.Entry;
-     Machine.section_name Machine.Exiting;
-     Machine.section_name Machine.Finished;
-     Machine.section_name Machine.Crashed;
-     Machine.section_name Machine.Aborting |]
-
-let new_profile ?every () =
-  Obs.Profile.create ?every ~classes:profile_classes
-    ~sections:profile_sections ()
-
-(* The sampling stride front ends (CLI verify --profile, bench
-   --profile) attach profiles with: strided statistical attribution,
-   cheap enough to leave on (the ≤5% overhead contract is asserted
-   against this configuration in the bench). Exact attribution stays
-   available with [new_profile ~every:1]. *)
-let default_profile_every = 16
-
-(* RMR classification of a move, read in the PRE-state (the footprint of
-   what the move is about to touch). Search machines run lean, without
-   the cache-state RMR accounting — but [Machine.is_remote] is
-   purely layout-based (DSM-style home cells), so remoteness stays
-   computable: this is DSM-model RMR attribution, one event when the
-   touched variable's home is not the mover's segment. Commits charge
-   the committed write's destination; crash/recover/abort moves touch no
-   shared variable themselves. *)
-let move_rmr m = function
-  | Step p ->
-      let fp = Machine.step_footprint_packed m p in
-      let tag = fp land 7 in
-      (* 2 = read, 3 = write, 4 = rmw carry a variable *)
-      if tag >= 2 && tag <= 4 && Machine.is_remote m p (Var.of_int (fp lsr 3))
-      then 1
-      else 0
-  | Commit p ->
-      let buf = (Machine.proc m p).Machine.buf in
-      if (not (Wbuf.is_empty buf)) && Machine.is_remote m p (Wbuf.peek_var buf)
-      then 1
-      else 0
-  | Commit_var (p, v) -> if Machine.is_remote m p v then 1 else 0
-  | Crash _ | Recover _ | Abort _ -> 0
-
 (* --- fingerprinting --------------------------------------------------- *)
 
 (* The fingerprint lives in {!Machine} since PR 5: a packed 63-bit XOR
@@ -472,16 +411,10 @@ type ctx = {
   mutable hb_nodes : int;
   mutable hb_us : int;
   mutable hb_due_us : int;  (* next time-based heartbeat (us, hub clock) *)
-  (* profiling (pay-for-use: [None] by default, and every hook is a
-     single [match] away from the unprofiled path) *)
-  prof : Obs.Profile.t option;
-  mutable prof_cls : int;  (* move class of the child about to be admitted *)
-  mutable prof_rmr : int;  (* its RMR charge, computed in the pre-state *)
-  mutable prof_jbase : int;  (* Journal.records at the previous record *)
 }
 
 let make_ctx ~seen ~pool ~halt ?deque ?on_fingerprint ~max_crashes ~max_aborts
-    ?stop ?deadline ~obs ~paranoid ?profile ~por ~codec ~on_spin
+    ?stop ?deadline ~obs ~paranoid ~por ~codec ~on_spin
     ~max_violations () =
   let sleepable = por && codec.Footprint.encodable in
   let decoded =
@@ -498,8 +431,7 @@ let make_ctx ~seen ~pool ~halt ?deque ?on_fingerprint ~max_crashes ~max_aborts
     nodes = 0; max_depth = 0; nviol = 0; violations = []; stopped = None;
     c_dedup = 0; c_resleeps = 0; c_sleep_prunes = 0; c_chains = 0;
     c_fused = 0; c_crashes = 0; c_aborts = 0; c_jpeak = 0; c_jrecords = 0;
-    c_steals = 0; hb_nodes = 0; hb_us = 0; hb_due_us = 0; prof = profile;
-    prof_cls = cls_root; prof_rmr = 0; prof_jbase = 0 }
+    c_steals = 0; hb_nodes = 0; hb_us = 0; hb_due_us = 0 }
 
 let stats_of_ctx ctx =
   { zero_stats with
@@ -592,43 +524,6 @@ let record_violation ctx schedule kind =
     ctx.stopped <- Some `Violations;
     raise Done
   end
-
-(* Profile hook: charge the just-admitted node to its cell. Runs at
-   admission (after the seen store said yes, before parking), which
-   gives exactly-once semantics per counted node across workers. The
-   move class and RMR charge were stashed in the ctx
-   by the expansion loop (they must be read in the pre-state); section
-   and location are read from the post-state of the process that moved.
-   Undo records are attributed as the delta of the machine's monotone
-   [Journal.records] counter. *)
-let prof_record ctx prof m schedule depth =
-  let cls, pid =
-    match schedule with
-    | mv :: _ -> (ctx.prof_cls, Footprint.move_pid mv)
-    | [] -> (cls_root, 0)
-  in
-  let pr = Machine.proc m pid in
-  let section = Machine.section_code pr.Machine.sec in
-  let loc = Machine.loc_key m pid in
-  let jr = Machine.Journal.records m in
-  let undo = jr - ctx.prof_jbase in
-  let undo = if undo < 0 then 0 else undo in
-  ctx.prof_jbase <- jr;
-  Obs.Profile.record prof ~depth ~cls ~section ~loc ~rmr:ctx.prof_rmr ~undo
-
-(* Stash class + RMR charge for the child [mv] is about to produce;
-   [move_rmr] reads footprints, so this is gated on the sampling gate:
-   only a child whose admission record will fire pays for the pre-state
-   reads. (A stash wasted on a child the seen store then prunes leaves
-   the gate untouched — the next candidate re-stashes.) *)
-let[@inline] prof_stash ctx m mv =
-  match ctx.prof with
-  | Some p ->
-      if Obs.Profile.next_armed p then begin
-        ctx.prof_cls <- move_class mv;
-        ctx.prof_rmr <- move_rmr m mv
-      end
-  | None -> ()
 
 (* Singleton ample set: a [Step p] with a purely-local footprint (no
    shared access, no CS check) is independent of every move of every
@@ -898,9 +793,6 @@ let rec dfs_journal ctx m schedule depth sleep =
            singleton chain in place and [undo_to mark0] unwinds the whole
            chain in one sweep when it bottoms out (or is asleep) *)
         ctx.c_chains <- ctx.c_chains + 1;
-        (* chase moves are purely-local Steps by construction *)
-        ctx.prof_cls <- cls_step;
-        ctx.prof_rmr <- 0;
         chase_journal ctx m ~chain_mark:mark0 mv0 ~z_in:sleep ~z_out:z0
           schedule depth 4096
     | None -> dfs_journal_moves ctx m schedule depth sleep 0 moves
@@ -927,7 +819,6 @@ and dfs_journal_moves ctx m schedule depth sleep explored = function
           else 0
         in
         let mark = Machine.Journal.mark m in
-        prof_stash ctx m mv;
         (match apply m mv with
         | () ->
             (match mv with
@@ -1005,9 +896,6 @@ and visit_child_journal ctx m schedule depth z =
   let admitted = seen_admit ctx fp z in
   if admitted <> admit_pruned then begin
     let z = admitted in
-    (match ctx.prof with
-    | Some p -> if Obs.Profile.armed p then prof_record ctx p m schedule depth
-    | None -> ());
     match ctx.deque with
     | Some own
       when ctx.nodes land park_period_mask = 0
@@ -1032,9 +920,6 @@ let search_machine cfg =
 let run_start ctx it =
   let m = it.w_m in
   Machine.Journal.enable m;
-  (* [enable] zeroes the machine's record counter; re-base the profiler's
-     per-node undo attribution on the fresh counter *)
-  ctx.prof_jbase <- Machine.Journal.records m;
   Fun.protect
     ~finally:(fun () ->
       ctx.c_jpeak <- max ctx.c_jpeak (Machine.Journal.peak m);
@@ -1083,25 +968,19 @@ let work ctx ~deques ~busy ~d first =
           hunt ()
         end
   in
-  (* A worker that takes an item after idling — setting up before its
-     first, hunting before any other — restarts its profile shard's tick
-     baseline, so the shard charges only the time spent running items.
-     Popping its own deque is not idling. *)
   let rec go = function
     | None -> ()
-    | Some it -> (
+    | Some it ->
         run_start ctx it;
-        match Deque.pop deques.(d) with
-        | Some _ as next -> go next
-        | None ->
-            Atomic.decr busy;
-            resume (hunt ()))
-  and resume it =
-    Option.iter Obs.Profile.rebase ctx.prof;
-    go it
+        go
+          (match Deque.pop deques.(d) with
+          | Some _ as it -> it
+          | None ->
+              Atomic.decr busy;
+              hunt ())
   in
   let t0 = Unix.gettimeofday () in
-  match resume (if Option.is_some first then first else hunt ()) with
+  match go (if Option.is_some first then first else hunt ()) with
   | () -> Ok (t0, Unix.gettimeofday ())
   | exception Done ->
       Atomic.decr busy;
@@ -1203,8 +1082,8 @@ let merge ~max_violations ~obs ctxs windows =
 let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(on_spin = `Prune)
     ?(spin_fuel = 6) ?(domains = 1) ?(por = true) ?(max_crashes = 0)
     ?(max_aborts = 0) ?stop ?max_millis ?on_fingerprint
-    ?(obs = Obs.Telemetry.null) ?(paranoid_fp = false) ?profile
-    (cfg : Config.t) : result =
+    ?(obs = Obs.Telemetry.null) ?(paranoid_fp = false) (cfg : Config.t) :
+    result =
   if domains < 1 then invalid_arg "Explore.explore: domains must be >= 1";
   (* at fuel 0 every spin raises before its first read, so the search
      would prune each branch at its first spin and verify what it never
@@ -1212,16 +1091,6 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(on_spin = `Prune)
   if spin_fuel < 1 then invalid_arg "Explore.explore: spin_fuel must be >= 1";
   if domains > 1 && Option.is_some on_fingerprint then
     invalid_arg "Explore.explore: on_fingerprint requires domains = 1";
-  (match profile with
-  | Some p ->
-      if
-        Obs.Profile.classes p <> profile_classes
-        || Obs.Profile.sections p <> profile_sections
-      then
-        invalid_arg
-          "Explore.explore: profile accumulator has a foreign schema — \
-           create it with Explore.new_profile"
-  | None -> ());
   if max_crashes < 0 then
     invalid_arg "Explore.explore: max_crashes must be >= 0";
   if max_aborts < 0 then
@@ -1245,21 +1114,6 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(on_spin = `Prune)
   Prog.default_spin_fuel := spin_fuel;
   Fun.protect ~finally:(fun () -> Prog.default_spin_fuel := saved_fuel)
   @@ fun () ->
-  (* The root node never passes through [visit_child_journal]; attribute
-     it here so [total_nodes] matches [nodes] exactly on exhausted runs.
-     The accumulator's clock starts now and keeps running through the
-     whole search (partial runs flush whatever accrued). *)
-  (match profile with
-  | Some p ->
-      Obs.Profile.start p;
-      if Obs.Profile.armed p then
-        Obs.Profile.record p ~depth:0 ~cls:cls_root ~section:0 ~loc:0
-          ~rmr:0 ~undo:0
-  | None -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      match profile with Some p -> Obs.Profile.stop p | None -> ())
-  @@ fun () ->
   (* one store at every domain count, starting small: it grows with the
      states it stores *)
   let seen = Fpstore.create ~mode:cfg.Config.store ~expected:0 in
@@ -1267,30 +1121,18 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(on_spin = `Prune)
   let deques = Array.init domains (fun _ -> Deque.create ()) in
   (* worker 0 holds the root, so it holds the one [busy] token *)
   let busy = Atomic.make 1 in
-  (* Worker 0 holds the caller's hub and profile; each helper gets its
-     own profile shard, absorbed in worker order. Each worker builds its
-     ctx on its own domain, so the scratch it writes on every node never
-     shares a cache line with another worker's. *)
+  (* Worker 0 holds the caller's hub. Each worker builds its ctx on its
+     own domain, so the scratch it writes on every node never shares a
+     cache line with another worker's. *)
   let run d first =
-    let lead = d = 0 in
     let ctx =
       make_ctx ~seen ~pool ~halt
         ?deque:(if domains > 1 then Some deques.(d) else None)
         ?on_fingerprint ~max_crashes ~max_aborts ?stop ?deadline
-        ~obs:(if lead then obs else Obs.Telemetry.null)
-        ~paranoid:paranoid_fp
-        ?profile:
-          (if lead then profile
-           else
-             Option.map
-               (fun p -> new_profile ~every:(Obs.Profile.every p) ())
-               profile)
-        ~por ~codec ~on_spin ~max_violations ()
+        ~obs:(if d = 0 then obs else Obs.Telemetry.null)
+        ~paranoid:paranoid_fp ~por ~codec ~on_spin ~max_violations ()
     in
-    if not lead then Option.iter Obs.Profile.start ctx.prof;
-    let out = work ctx ~deques ~busy ~d first in
-    if not lead then Option.iter Obs.Profile.stop ctx.prof;
-    (ctx, out)
+    (ctx, work ctx ~deques ~busy ~d first)
   in
   let root =
     { w_m = search_machine cfg; w_sched = []; w_depth = 0; w_sleep = 0 }
@@ -1316,16 +1158,7 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(on_spin = `Prune)
   let windows =
     List.map (function _, Ok w -> w | _, Error e -> raise e) workers
   in
-  let ctxs = List.map fst workers in
-  (match profile with
-  | Some p ->
-      List.iteri
-        (fun d c ->
-          if d > 0 then
-            Option.iter (fun shard -> Obs.Profile.absorb ~into:p shard) c.prof)
-        ctxs
-  | None -> ());
-  let r = merge ~max_violations ~obs ctxs windows in
+  let r = merge ~max_violations ~obs (List.map fst workers) windows in
   if Obs.Telemetry.enabled obs then begin
     publish_counters obs ~nodes:r.nodes
       ~violations:(List.length r.violations) r.stats;

@@ -227,25 +227,6 @@ val fingerprint : Machine.t -> int
     {!Machine.fingerprint} (allocation-free full recompute; see the
     module comment for the soundness caveat). *)
 
-val new_profile : ?every:int -> unit -> Obs.Profile.t
-(** A fresh profile accumulator with the explorer's schema: move classes
-    [step commit crash recover abort root] and process sections in
-    {!Machine.section_code} order. Pass it to {!explore} as [?profile];
-    the same accumulator may be reused across several runs (profiles
-    sum). {!explore} rejects accumulators built with any other schema.
-
-    [every] is {!Obs.Profile.create}'s sampling stride: 1 (default)
-    attributes every node exactly; [k > 1] records one admitted node in
-    [k] — node and RMR counts scale by [k] (totals accurate to within
-    one stride), tick and undo-record totals stay exact. Helper workers
-    record into shards created with the same stride. *)
-
-val default_profile_every : int
-(** The sampling stride [verify --profile] uses: strided statistical
-    attribution cheap enough to leave on — [bench/main.exe overhead]
-    asserts the ≤5% pay-for-use overhead contract against this
-    configuration. *)
-
 val explore :
   ?max_nodes:int ->
   ?max_violations:int ->
@@ -260,7 +241,6 @@ val explore :
   ?on_fingerprint:(int -> unit) ->
   ?obs:Obs.Telemetry.t ->
   ?paranoid_fp:bool ->
-  ?profile:Obs.Profile.t ->
   Config.t ->
   result
 (** Defaults: 500k nodes, stop at the first violation, spin exhaustion
@@ -383,20 +363,7 @@ val explore :
     final counter flush carrying the result's [nodes] and a last
     ["explore.heartbeat"] follow; helpers never touch the hub. Default
     {!Obs.Telemetry.null}: every emission reduces to one [enabled]
-    check, leaving the ns/node budget intact (the bare search that
-    [bench/main.exe overhead] times the profiler against runs with the
-    null hub).
-
-    [~profile] attaches a per-depth-band × move-class × section ×
-    location profile accumulator (build it with {!new_profile}); every
-    admitted node is attributed exactly once — at admission — with its
-    wall-time share, undo-record and remote-reference (RMR) deltas.
-    Worker 0 records into the accumulator itself; each helper records
-    into its own shard, absorbed in worker order after the join. Off by
-    default (zero cost); the accumulator
-    keeps summing across runs, so one profile can cover a sweep.
-    @raise Invalid_argument if the accumulator's schema is not
-    {!new_profile}'s. *)
+    check, leaving the ns/node budget intact. *)
 
 (** {1 Replay} *)
 

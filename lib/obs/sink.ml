@@ -33,6 +33,8 @@ let ndjson oc =
 let console ?(oc = stderr) () =
   let counters : (string, int) Hashtbl.t = Hashtbl.create 32 in
   let counter_order = ref [] in
+  let gauges : (string, float) Hashtbl.t = Hashtbl.create 8 in
+  let gauge_order = ref [] in
   (* span aggregation: per name, (count, total_us, max_us); open spans
      per (pid, tid) as a stack *)
   let spans : (string, int * int * int) Hashtbl.t = Hashtbl.create 32 in
@@ -49,8 +51,8 @@ let console ?(oc = stderr) () =
         remember counter_order n counters;
         Hashtbl.replace counters n v
     | Event.Gauge (n, v) ->
-        remember counter_order n counters;
-        Hashtbl.replace counters n (int_of_float v)
+        remember gauge_order n gauges;
+        Hashtbl.replace gauges n v
     | Event.Span_begin (n, _) ->
         let key = (e.Event.pid, e.Event.tid) in
         let stack =
@@ -78,6 +80,12 @@ let console ?(oc = stderr) () =
       List.iter
         (fun n -> pr "  %-40s %12d\n" n (Hashtbl.find counters n))
         (List.rev !counter_order)
+    end;
+    if Hashtbl.length gauges > 0 then begin
+      pr "-- telemetry: gauges --\n";
+      List.iter
+        (fun n -> pr "  %-40s %12g\n" n (Hashtbl.find gauges n))
+        (List.rev !gauge_order)
     end;
     if Hashtbl.length spans > 0 then begin
       pr "-- telemetry: spans (count / total / max) --\n";

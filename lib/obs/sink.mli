@@ -24,10 +24,10 @@ val ndjson : out_channel -> t
     {!Event.to_ndjson_line}. *)
 
 val console : ?oc:out_channel -> unit -> t
-(** Pretty reporter: accumulates final counter values and span
-    durations (by name: count / total / max), and prints a table on
-    [close]. Default channel: [stderr], so it composes with
-    commands that print results on stdout. *)
+(** Pretty reporter: accumulates final counter and gauge values and
+    span durations (by name: count / total / max), and prints a table on
+    [close], gauges as floats ([%g]). Default channel: [stderr], so it
+    composes with commands that print results on stdout. *)
 
 val progress : ?oc:out_channel -> ?tty:bool -> unit -> t
 (** Live one-line search progress, [search: N nodes | R nodes/s]: two

@@ -116,12 +116,3 @@ let make ?(model = Cc_wb) ?(ordering = Tso) ?(max_passages = 1)
   { n; model; ordering; layout; entry; exit_section; max_passages;
     check_exclusion; record_trace; crash_semantics; recovery;
     abort_section; engine = `Journal; store }
-
-let summary c =
-  Printf.sprintf
-    "n=%d model=%s ordering=%s passages=%d engine=journal store=%s crash=%s%s%s"
-    c.n (mem_model_name c.model) (ordering_name c.ordering) c.max_passages
-    (store_mode_name c.store)
-    (crash_semantics_name c.crash_semantics)
-    (if c.recovery = None then "" else " recovery")
-    (if c.abort_section = None then "" else " abortable")

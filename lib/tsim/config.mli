@@ -114,10 +114,3 @@ val make :
     [Store_exact] seen-state store.
     @raise Invalid_argument if [n <= 0] or a [store] parameter is out of
     range ([log2_bits] outside [10, 36], [hashes] outside [1, 8]). *)
-
-val summary : t -> string
-(** One-line human identity of a configuration
-    (["n=2 model=CC-WB ordering=TSO passages=1 engine=journal ..."]):
-    what a profile or report should record so two artifacts can be
-    checked for comparability. Programs and layout are not rendered —
-    two configs with equal summaries may still differ in code. *)

@@ -487,8 +487,7 @@ let[@inline] zmix v x = zfin (mix (mix fnv_basis (v + 1)) x)
    because code addresses move between runs. Fingerprints are therefore
    per-process values: nothing may persist them or compare them across
    processes. The campaign cache keys by rendered cell fields
-   ([Campaign.Cell.search_key]), and profiles key by [loc_key], which
-   hashes no closure. *)
+   ([Campaign.Cell.search_key]), which hash no closure. *)
 let hash_cont (c : unit Prog.t) = Hashtbl.hash_param 128 256 c
 
 let sec_code = function
@@ -506,8 +505,6 @@ let sec_of_code = function
   | 3 -> Finished
   | 4 -> Crashed
   | _ -> Aborting
-
-let section_code = sec_code
 
 (* Pending-event term of the fingerprint. Folds one code per event shape
    (Enter=1, CS=2, Exit=3, done=4, read=5·v, issue=6·v·x, begin-fence=7,
@@ -548,17 +545,6 @@ let pending_hash m p h =
               if rmw_needs_fence then mix h 10
               else mix (mix (mix h 13) v) x
           | Prog.Abortable b -> mix (mix h 16) (if b then 1 else 0)))
-
-(* Profiling location digest of the {e pending operation} (op kind,
-   variable, static operands — exactly [pending_hash]'s classification)
-   rather than a structural hash of the continuation: a handful of
-   integer mixes instead of a heap traversal, which matters on a hook
-   that runs once per search node (the structural hash alone measured
-   ~25% of the whole search). The granularity is that of a sampling
-   profiler — "about to read flag[1] in entry" — so distinct program
-   points issuing the identical operation share a cell, which costs
-   label resolution, never correctness. *)
-let loc_key m p = zfin (pending_hash m p fnv_basis)
 
 (* Non-capturing buffer fold (a closure over [Wbuf.iter] would allocate
    per call). *)

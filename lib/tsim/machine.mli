@@ -29,10 +29,6 @@ type section =
 
 val section_name : section -> string
 
-val section_code : section -> int
-(** Dense code in the order of the constructors above ([Ncs] = 0 ...
-    [Aborting] = 5); the fingerprint and the profiler share it. *)
-
 (** Per-passage cost summary, logged at each Exit. *)
 type passage_stats = {
   p_rmrs : int;
@@ -182,14 +178,6 @@ val accessed_set : t -> Var.t -> Pidset.t
 
 val awareness : t -> Pid.t -> Pidset.t
 val section : t -> Pid.t -> section
-val is_remote : t -> Pid.t -> Var.t -> bool
-
-val loc_key : t -> Pid.t -> int
-(** Program-location key of the process: a digest of its {e pending
-    operation} (op kind, variable and static operands — the
-    classification of {!pending}), not of the continuation structure.
-    Distinct program points issuing the identical operation share a key.
-    The profiler's location axis. *)
 
 val passages : t -> Pid.t -> int
 val fences_completed : t -> Pid.t -> int

@@ -30,7 +30,6 @@ let () =
       ("abort", Suite_abort.suite);
       ("corpus", Suite_corpus.suite);
       ("obs", Suite_obs.suite);
-      ("profile", Suite_profile.suite);
       ("twoproc", Suite_twoproc.suite);
       ("campaign", Suite_campaign.suite);
     ]

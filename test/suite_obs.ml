@@ -168,16 +168,67 @@ let test_span_ends_on_exception () =
   | [ Obs.Event.Span_begin ("boom", _); Obs.Event.Span_end "boom" ] -> ()
   | _ -> Alcotest.fail "span not closed on exception"
 
+(* The console table, read back word by word: a counter, a gauge (the
+   last value set, printed as a float, not truncated to an int) and a
+   span timed on a manual clock. *)
 let test_console_sink_smoke () =
-  let oc = open_out Filename.null in
+  let path = Filename.temp_file "console" ".txt" in
+  let oc = open_out path in
+  let clock, advance = Obs.Telemetry.manual_clock () in
   let t =
-    Obs.Telemetry.create ~sinks:[ Obs.Sink.console ~oc () ] ()
+    Obs.Telemetry.create ~clock ~sinks:[ Obs.Sink.console ~oc () ] ()
   in
   let c = Obs.Telemetry.counter t "n" in
   Obs.Telemetry.add c 3;
-  Obs.Telemetry.span t "s" (fun () -> ());
+  Obs.Telemetry.gauge t "explore.omission_prob" 0.5;
+  Obs.Telemetry.gauge t "explore.omission_prob" 0.255;
+  Obs.Telemetry.span t "s" (fun () -> advance 2500);
   Obs.Telemetry.close t;
-  close_out oc
+  close_out oc;
+  let words =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.map (fun l ->
+           List.filter (( <> ) "") (String.split_on_char ' ' l))
+    |> List.filter (( <> ) [])
+  in
+  Sys.remove path;
+  Alcotest.(check (list (list string)))
+    "table"
+    [ [ "--"; "telemetry:"; "counters"; "--" ];
+      [ "n"; "3" ];
+      [ "--"; "telemetry:"; "gauges"; "--" ];
+      [ "explore.omission_prob"; "0.255" ];
+      [ "--"; "telemetry:"; "spans"; "(count"; "/"; "total"; "/"; "max)"; "--" ];
+      [ "s"; "1x"; "2.500ms"; "2.500ms" ] ]
+    words
+
+let test_json_tables () =
+  let kv =
+    Obs.Json.pp_kv_table
+      [ ("nodes", Obs.Json.Int 1500);
+        ("verified", Obs.Json.Bool true);
+        ("ns_per_node", Obs.Json.Float 411.25) ]
+  in
+  List.iter
+    (fun needle ->
+      if not (List.exists (fun l ->
+          String.length l >= String.length needle
+          && String.sub (String.trim l) 0 (min (String.length (String.trim l)) (String.length needle)) = needle)
+          (String.split_on_char '\n' kv))
+      then Alcotest.failf "kv table missing %S in %s" needle kv)
+    [ "nodes"; "verified"; "ns_per_node" ];
+  let rows =
+    Obs.Json.pp_rows
+      [ [ ("name", Obs.Json.String "a"); ("v", Obs.Json.Int 1) ];
+        [ ("name", Obs.Json.String "b"); ("v", Obs.Json.Int 22) ];
+      ]
+  in
+  let lines =
+    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' rows)
+  in
+  (* header + 2 rows *)
+  Alcotest.(check int) "row count" 3 (List.length lines)
 
 let test_chrome_sink_valid_json () =
   let buf = Filename.temp_file "obs" ".json" in
@@ -625,6 +676,7 @@ let suite =
     Alcotest.test_case "span closes on exception" `Quick
       test_span_ends_on_exception;
     Alcotest.test_case "console sink smoke" `Quick test_console_sink_smoke;
+    Alcotest.test_case "shared JSON table renderers" `Quick test_json_tables;
     Alcotest.test_case "chrome sink emits valid JSON" `Quick
       test_chrome_sink_valid_json;
     Alcotest.test_case "chrome export golden file" `Quick test_chrome_golden;
