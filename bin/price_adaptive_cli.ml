@@ -453,7 +453,10 @@ let verify_cmd =
              default; the store starts at 4,096 slots and doubles as it \
              fills, with no cap) or bitstate (SPIN-style supertrace \
              hashing — fixed memory, verdicts carry a measured omission \
-             probability)")
+             probability). The bitstate probability is not reproducible: \
+             fingerprints mix in closure code addresses, which move \
+             between runs of one binary and between builds, so the same \
+             search prints a slightly different figure from run to run")
   in
   let store_bits =
     Arg.(
@@ -522,7 +525,7 @@ let verify_cmd =
              ample-set prunes, fingerprint-store occupancy, per-domain \
              nodes, steals, the store's final size in slots (exact) or \
              bits (bitstate), bitstate omission probability, journal \
-             depth). The exact store's size can differ between two runs \
+             depth in log words). The exact store's size can differ between two runs \
              of one binary on one search: fingerprints mix in closure \
              code addresses, which move from run to run, so the states \
              fill the store's shards differently")
@@ -607,7 +610,7 @@ let verify_cmd =
               aborts applied %d\n\
               domains: %d%s, merge stall %dus, steals %d\n\
               store: %s, %d %s%s\n\
-              journal: peak %d records, %d undo records (%.1f/node)\n"
+              journal: peak %d words, %d undo records (%.1f/node)\n"
              s.Mcheck.Explore.dedup_hits s.Mcheck.Explore.resleeps
              s.Mcheck.Explore.sleep_prunes s.Mcheck.Explore.ample_chains
              s.Mcheck.Explore.ample_fused s.Mcheck.Explore.seen_entries

@@ -182,7 +182,7 @@ type stats = {
       (* idle window of the workers that finished before the last one —
          load-imbalance cost paid at the join *)
   journal_peak : int;
-      (* high-water undo-log depth (max over workers) *)
+      (* high-water undo-log depth in log words (max over workers) *)
   undo_records : int;  (* total undo records pushed *)
   steals : int;  (* work items taken from other workers *)
   store_capacity : int;  (* seen store: slots (exact) or bits (bitstate) *)
@@ -484,7 +484,7 @@ let publish_counters obs ~nodes ~violations (s : stats) =
   Obs.Telemetry.flush_counters obs
 
 (* Heartbeat: push counter snapshots, the instantaneous nodes/sec and
-   the current DFS depth to the sinks. Cadence is time-based
+   the deepest node the worker has reached so far to the sinks. Cadence is time-based
    (~1 Hz): the deadline/stop poll still runs every 1024 expansions, and
    a heartbeat is emitted from it only once [hb_due_us] has passed — so
    a fast search pays one [now_us] read per 1024 nodes and one sink
@@ -494,11 +494,11 @@ let publish_counters obs ~nodes ~violations (s : stats) =
    hub: its node count is every worker's (the budget drawn from the
    shared pool, less its own unspent quota), the other tallies are its
    own. *)
-let heartbeat ctx depth now =
+let heartbeat ctx now =
   let obs = ctx.obs in
   let nodes = ctx.budget - Atomic.get ctx.pool - ctx.quota in
   publish_counters obs ~nodes ~violations:ctx.nviol (stats_of_ctx ctx);
-  Obs.Telemetry.gauge obs "explore.frontier_depth" (float_of_int depth);
+  Obs.Telemetry.gauge obs "explore.max_depth" (float_of_int ctx.max_depth);
   let dn = nodes - ctx.hb_nodes and dt = now - ctx.hb_us in
   if dt > 0 && ctx.hb_us > 0 then
     Obs.Telemetry.gauge obs "explore.nodes_per_sec"
@@ -510,10 +510,10 @@ let heartbeat ctx depth now =
 (* The ~1 Hz gate around [heartbeat], called from the DFS loop's poll
    block. Re-arms one second after the beat actually fired, so the
    cadence adapts to stalls instead of bursting to catch up. *)
-let heartbeat_due ctx depth =
+let heartbeat_due ctx =
   let now = Obs.Telemetry.now_us ctx.obs in
   if now >= ctx.hb_due_us then begin
-    heartbeat ctx depth now;
+    heartbeat ctx now;
     ctx.hb_due_us <- now + 1_000_000
   end
 
@@ -680,7 +680,8 @@ let seen_admit ctx fp z =
    aborts the whole search (the machine is then discarded). *)
 
 (* Node fingerprint: O(1) from the journal fold; [~paranoid_fp] verifies
-   it against a full rehash and fails loudly on drift. *)
+   it against a full rehash, and every process's stored classification
+   word against a fresh one, and fails loudly on drift. *)
 let node_fp ctx m =
   let fp = Machine.fingerprint_fast m in
   if ctx.paranoid then begin
@@ -689,7 +690,15 @@ let node_fp ctx m =
       failwith
         (Printf.sprintf
            "Explore: incremental fingerprint drift (fast %#x, full %#x)" fp
-           full)
+           full);
+    for p = 0 to Machine.n_procs m - 1 do
+      let fast = Machine.classify_fast m p and fresh = Machine.classify m p in
+      if fast <> fresh then
+        failwith
+          (Printf.sprintf
+             "Explore: classification drift for p%d (stored %#x, fresh %#x)"
+             p fast fresh)
+    done
   end;
   fp
 
@@ -770,7 +779,7 @@ let rec dfs_journal ctx m schedule depth sleep =
         ctx.stopped <- Some `Millis;
         raise Done
     | _ -> ());
-    if Obs.Telemetry.enabled ctx.obs then heartbeat_due ctx depth
+    if Obs.Telemetry.enabled ctx.obs then heartbeat_due ctx
   end;
   ctx.nodes <- ctx.nodes + 1;
   if depth > ctx.max_depth then ctx.max_depth <- depth;
@@ -1162,6 +1171,7 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(on_spin = `Prune)
   if Obs.Telemetry.enabled obs then begin
     publish_counters obs ~nodes:r.nodes
       ~violations:(List.length r.violations) r.stats;
+    Obs.Telemetry.gauge obs "explore.max_depth" (float_of_int r.max_depth);
     if r.stats.omission_prob > 0.0 then
       Obs.Telemetry.gauge obs "explore.omission_prob" r.stats.omission_prob;
     (* final repaint trigger for the progress sink — also reached on

@@ -158,7 +158,9 @@ type stats = {
       (** summed idle time of the workers that finished before the last
           one did; 0 at one domain *)
   journal_peak : int;
-      (** high-water undo-log depth in records (max over workers) *)
+      (** high-water undo-log depth in log words, not records (max over
+          workers): a head record takes 4 or 11 words, a memory record 2
+          ({!Machine.Journal.peak}) *)
   undo_records : int;
       (** total undo records pushed across the search (summed over
           workers) *)
@@ -204,7 +206,13 @@ val render_verdict : result -> string * int
     2 is reserved for bad input. A [VERIFIED] line confesses qualified
     coverage inline: a nonzero [omission_prob] (bitstate aliasing) is
     appended rather than hidden in the stats. The exact store has no cap,
-    so an exact search's [VERIFIED] line carries no suffix. *)
+    so an exact search's [VERIFIED] line carries no suffix. A bitstate
+    line is not reproducible: fingerprints mix in closure code addresses
+    ({!Machine.fingerprint}), which move between runs of one binary and
+    between builds, so the probability it prints varies slightly from
+    run to run ([9.01e-05], [9.04e-05] and [8.93e-05] on three runs of
+    [verify tas -n 3 --store bitstate --store-bits 16]); compare the
+    verdict word and the exit code, not the figure. *)
 
 val enabled_moves :
   ?max_crashes:int -> ?max_aborts:int -> Machine.t -> move list

@@ -109,11 +109,12 @@ type acct = {
    operation. *)
 let t_head = 0
 (* passage / crash / abort counts, fp, fp_proc, the four machine
-   counters and the flag word: 11 words *)
+   counters and the flag word: 11 words. The flag word carries the
+   process's classification word ([cls_proc]) above its 8 flag bits. *)
 
 let t_head_mini = 1
 (* head for events that cannot touch those counters (reads, issues,
-   commits, fences, RMWs): fp, fp_proc and the flag word only *)
+   commits, fences, RMWs): fp, fp_proc and the flag word only, 4 words *)
 
 let t_mem = 2  (* aux=v; int: old value *)
 let t_buf_set = 3  (* aux=p; int: i; entry: old — issue replaced a write *)
@@ -136,8 +137,9 @@ type t = {
   flog : Flatstate.t;
   mutable journaling : bool;  (* implies lean *)
   fp_proc : int array;  (* per-process fingerprint terms (XOR fold) *)
+  cls_proc : int array;  (* per-process classification words ([classify]) *)
   mutable fp : int;  (* incrementally-maintained state fingerprint *)
-  mutable j_peak : int;  (* high-water journal depth *)
+  mutable j_peak : int;  (* high-water journal depth, in log words *)
   mutable j_records : int;  (* undo records pushed since enable *)
 }
 
@@ -237,6 +239,7 @@ let create (cfg : Config.t) =
     flog = Flatstate.create ();
     journaling = false;
     fp_proc = Array.make cfg.n 0;
+    cls_proc = Array.make cfg.n 0;
     fp = 0;
     j_peak = 0;
     j_records = 0;
@@ -274,6 +277,7 @@ let clone m =
     flog = Flatstate.create ();
     journaling = false;
     fp_proc = Array.copy m.fp_proc;
+    cls_proc = Array.copy m.cls_proc;
     j_peak = 0;
     j_records = 0;
   }
@@ -398,29 +402,84 @@ type pending_class =
   | K_marker
   | K_abort_done
 
-let pending_class m p : pending_class =
+(* A class's code in the classification word is its index here. *)
+let pending_classes =
+  [| K_enter (* 0 *); K_cs (* 1 *); K_exit (* 2 *); K_done (* 3 *);
+     K_read (* 4 *); K_issue_write (* 5 *); K_begin_fence (* 6 *);
+     K_end_fence (* 7 *); K_commit (* 8 *); K_rmw_fence (* 9 *);
+     K_cas (* 10 *); K_faa (* 11 *); K_swap (* 12 *); K_recover (* 13 *);
+     K_marker (* 14 *); K_abort_done (* 15 *) |]
+
+(* Pending class code [k] (bits 0-3), may-enable-CS (bit 4), and the step
+   footprint (bits 5 and up): its class [fc] in bits 5-7, its variable [v]
+   above. *)
+let[@inline] class_word k ~may fc v =
+  k lor (if may then 16 else 0) lor (fc lsl 5) lor (v lsl 8)
+
+(* Classification word of process [p]: its pending class
+   ({!pending_class}), the footprint of its next step
+   ({!step_footprint_packed}) and whether that step may leave it
+   CS-enabled ({!step_may_enable_cs}), from one match over its state.
+   Like [proc_term] it reads only [p]'s own state, so a journaling
+   machine refreshes it once per event ([j_refresh]) and answers every
+   per-node query with a load ([classify_fast]). Must discriminate
+   exactly like {!pending}.
+
+   The footprint classes are 0 = finished, 1 = local, 2 = read,
+   3 = write, 4 = rmw, 5 = CS. "Local" means the event touches only
+   process-local state: the process's own buffer, fence flags, section
+   bookkeeping and continuation — including reads satisfied by
+   store-to-load forwarding, which never reach shared memory.
+
+   May-enable-CS is conservative: true whenever the event advances the
+   continuation of a process that is (or becomes) in Entry — the
+   continuation's remainder cannot be inspected without running its
+   closures. An implicit RMW drain's EndFence leaves the pending RMW in
+   place, so it never completes the section. *)
+let classify m p =
   let pr = m.procs.(p) in
   match pr.sec with
-  | Finished -> K_done
-  | Crashed -> K_recover
-  | _ when pr.in_fence -> if Wbuf.is_empty pr.buf then K_end_fence else K_commit
-  | Ncs -> K_enter
+  | Finished -> class_word 3 ~may:false 0 0
+  | Crashed -> class_word 13 ~may:false 1 0
+  | _ when pr.in_fence ->
+      if Wbuf.is_empty pr.buf then
+        class_word 7 ~may:(pr.sec = Entry && not pr.fence_implicit) 1 0
+      else class_word 8 ~may:false 3 (Wbuf.peek_var pr.buf)
+  | Ncs -> class_word 0 ~may:true 1 0
   | Entry | Exiting | Aborting -> (
       match pr.cont with
       | Prog.Return () ->
-          if pr.sec = Entry then K_cs
-          else if pr.sec = Exiting then K_exit
-          else K_abort_done
+          if pr.sec = Entry then class_word 1 ~may:false 5 0
+          else if pr.sec = Exiting then class_word 2 ~may:false 1 0
+          else class_word 15 ~may:false 1 0
       | Prog.Bind (op, _) -> (
-          let rmw_needs_fence = not pr.rmw_fenced in
+          let entry = pr.sec = Entry in
+          (* an RMW waits for its implicit drain fence ([K_rmw_fence]) *)
+          let drain = class_word 9 ~may:false 1 0 in
           match op with
-          | Prog.Read _ -> K_read
-          | Prog.Write _ -> K_issue_write
-          | Prog.Fence -> K_begin_fence
-          | Prog.Cas _ -> if rmw_needs_fence then K_rmw_fence else K_cas
-          | Prog.Faa _ -> if rmw_needs_fence then K_rmw_fence else K_faa
-          | Prog.Swap _ -> if rmw_needs_fence then K_rmw_fence else K_swap
-          | Prog.Abortable _ -> K_marker))
+          | Prog.Read v ->
+              if Wbuf.mem pr.buf v then class_word 4 ~may:entry 1 0
+              else class_word 4 ~may:entry 2 v
+          | Prog.Write _ -> class_word 5 ~may:entry 1 0
+          | Prog.Fence -> class_word 6 ~may:false 1 0
+          | Prog.Cas (v, _, _) ->
+              if pr.rmw_fenced then class_word 10 ~may:entry 4 v else drain
+          | Prog.Faa (v, _) ->
+              if pr.rmw_fenced then class_word 11 ~may:entry 4 v else drain
+          | Prog.Swap (v, _) ->
+              if pr.rmw_fenced then class_word 12 ~may:entry 4 v else drain
+          | Prog.Abortable _ -> class_word 14 ~may:entry 1 0))
+
+(* The stored word on a journaling machine, a fresh one otherwise — the
+   same pattern as [fingerprint_fast]. *)
+let[@inline] classify_fast m p =
+  if m.journaling then m.cls_proc.(p) else classify m p
+
+let[@inline] pending_class m p : pending_class =
+  Array.unsafe_get pending_classes (classify_fast m p land 15)
+
+let[@inline] step_footprint_packed m p = classify_fast m p lsr 5
+let[@inline] step_may_enable_cs m p = classify_fast m p land 16 <> 0
 
 (* The variable of the pending event, for the classes that have one
    ([K_read], [K_issue_write], [K_cas]/[K_faa]/[K_swap], [K_commit]). *)
@@ -609,6 +668,11 @@ let[@inline] flags_of (pr : proc) =
   lor (if pr.needs_recovery then 64 else 0)
   lor if pr.abortable then 128 else 0
 
+(* The head records' flag word: the process flags in the low 8 bits, its
+   classification word above them. *)
+let[@inline] head_flags m (pr : proc) =
+  flags_of pr lor (m.cls_proc.(pr.pid) lsl 8)
+
 (* Head of every public mutator: snapshot the stepping process and the
    machine-global scalars, including the fingerprint state, so undo can
    restore them wholesale. Operands first, header last; the decoder in
@@ -635,7 +699,7 @@ let j_head ?(force_full = false) m (pr : proc) =
       Flatstate.reserve f 4;
       Flatstate.push_unsafe f m.fp;
       Flatstate.push_unsafe f m.fp_proc.(pr.pid);
-      Flatstate.push_unsafe f (flags_of pr);
+      Flatstate.push_unsafe f (head_flags m pr);
       Flatstate.push_unsafe f (t_head_mini lor (pr.pid lsl 4))
     end
     else begin
@@ -649,19 +713,21 @@ let j_head ?(force_full = false) m (pr : proc) =
       Flatstate.push_unsafe f m.active_count;
       Flatstate.push_unsafe f m.crash_count;
       Flatstate.push_unsafe f m.abort_count;
-      Flatstate.push_unsafe f (flags_of pr);
+      Flatstate.push_unsafe f (head_flags m pr);
       Flatstate.push_unsafe f (t_head lor (pr.pid lsl 4))
     end;
     jdone m
   end
 
 (* Tail of every public mutator: fold the stepping process's refreshed
-   fingerprint term into fp (memory deltas were applied inline). *)
+   fingerprint term into fp (memory deltas were applied inline) and
+   refresh its classification word. *)
 let[@inline] j_refresh m (pr : proc) =
   if m.journaling then begin
     let t = proc_term m pr.pid in
     m.fp <- m.fp lxor m.fp_proc.(pr.pid) lxor t;
-    m.fp_proc.(pr.pid) <- t
+    m.fp_proc.(pr.pid) <- t;
+    m.cls_proc.(pr.pid) <- classify m pr.pid
   end
 
 let[@inline] set_mem m v x =
@@ -703,7 +769,8 @@ let undo_record m =
     pr.crashes <- Flatstate.pop f;
     pr.passages <- Flatstate.pop f;
     pr.cont <- Flatstate.pop_cont f;
-    restore_flags pr flags
+    restore_flags pr flags;
+    m.cls_proc.(aux) <- flags lsr 8
   end
   else if tag = t_head_mini then begin
     let pr = m.procs.(aux) in
@@ -711,7 +778,8 @@ let undo_record m =
     m.fp_proc.(aux) <- Flatstate.pop f;
     m.fp <- Flatstate.pop f;
     pr.cont <- Flatstate.pop_cont f;
-    restore_flags pr flags
+    restore_flags pr flags;
+    m.cls_proc.(aux) <- flags lsr 8
   end
   else if tag = t_mem then m.mem.(aux) <- Flatstate.pop f
   else if tag = t_buf_set then begin
@@ -1253,56 +1321,6 @@ let step m p : Event.t =
   j_refresh m pr;
   e
 
-(* --- footprints ------------------------------------------------------ *)
-
-(* Shared-memory footprint of the event [step m p] would execute, decided
-   from machine state without executing it. This is what lets the model
-   checker's partial-order reduction (lib/mcheck) classify moves as
-   commuting without trial execution. The class is in the low 3 bits
-   (0 = finished, 1 = local, 2 = read, 3 = write, 4 = rmw, 5 = CS) and the
-   variable — when the class carries one — in the bits above. "Local"
-   means the event touches only process-local state: the process's own
-   buffer, fence flags, section bookkeeping and continuation — including
-   reads satisfied by store-to-load forwarding, which never reach shared
-   memory. Nothing is allocated: the explorer's scratch-footprint path
-   ({!Footprint.of_move_into}) calls this for every enabled move of every
-   node. *)
-let step_footprint_packed m p =
-  let pr = m.procs.(p) in
-  match pr.sec with
-  | Finished -> 0
-  | Crashed -> 1
-  | _ when pr.in_fence ->
-      if Wbuf.is_empty pr.buf then 1 else 3 lor (Wbuf.peek_var pr.buf lsl 3)
-  | Ncs -> 1
-  | Entry | Exiting | Aborting -> (
-      match pr.cont with
-      | Prog.Return () -> if pr.sec = Entry then 5 else 1
-      | Prog.Bind (op, _) -> (
-          let rmw_needs_fence = not pr.rmw_fenced in
-          match op with
-          | Prog.Read v -> if Wbuf.mem pr.buf v then 1 else 2 lor (v lsl 3)
-          | Prog.Write _ | Prog.Fence | Prog.Abortable _ -> 1
-          | Prog.Cas (v, _, _) | Prog.Faa (v, _) | Prog.Swap (v, _) ->
-              if rmw_needs_fence then 1 else 4 lor (v lsl 3)))
-
-(* Could [step m p] leave the process CS-enabled (in its entry section
-   with a completed entry program, outside any fence)? Conservative: true
-   whenever the event advances the continuation of a process that is (or
-   becomes) in Entry — the continuation's remainder cannot be inspected
-   without running its closures. An implicit RMW drain's EndFence leaves
-   the pending RMW in place, so it never completes the section. *)
-let step_may_enable_cs m p =
-  let pr = m.procs.(p) in
-  match pending_class m p with
-  | K_enter -> true
-  | K_end_fence -> pr.sec = Entry && not pr.fence_implicit
-  | K_read | K_issue_write | K_cas | K_faa | K_swap -> pr.sec = Entry
-  | K_marker -> pr.sec = Entry
-  | K_done | K_cs | K_exit | K_begin_fence | K_rmw_fence | K_commit
-  | K_recover | K_abort_done ->
-      false
-
 (* --- classification helpers for adversaries ------------------------- *)
 
 (* Would the pending event of [p] be special (Definition 3) if executed now?
@@ -1370,7 +1388,8 @@ module Journal = struct
       m.j_peak <- 0;
       m.j_records <- 0;
       for p = 0 to Array.length m.procs - 1 do
-        m.fp_proc.(p) <- proc_term m p
+        m.fp_proc.(p) <- proc_term m p;
+        m.cls_proc.(p) <- classify m p
       done;
       m.fp <- fingerprint m
     end

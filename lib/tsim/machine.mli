@@ -111,6 +111,7 @@ type pending_class =
   | K_abort_done
 
 val pending_class : t -> Pid.t -> pending_class
+(** Decoded from {!classify_fast}: a load on a journaling machine. *)
 
 val pending_var : t -> Pid.t -> Var.t
 (** The variable of the pending event, for the classes that carry one
@@ -227,7 +228,8 @@ val pending : t -> Pid.t -> pending
 
 val step_footprint_packed : t -> Pid.t -> int
 (** Shared-memory footprint of the event {!step} would execute, decided
-    from machine state without executing it and without allocating:
+    from machine state without executing it and without allocating
+    (decoded from {!classify_fast}: a load on a journaling machine):
     drives the model checker's partial-order reduction. The class is in
     the low 3 bits — 0: finished process ({!step} would raise); 1:
     touches only process-local state (its buffer, fence flags, section
@@ -243,7 +245,21 @@ val step_may_enable_cs : t -> Pid.t -> bool
     event advances the continuation of a process in (or entering) its
     entry section; exact [false] answers are guaranteed sound — the CS
     check of {!step} on {e other} processes cannot change across such an
-    event. *)
+    event. Decoded from {!classify_fast}. *)
+
+val classify : t -> Pid.t -> int
+(** The process's classification word, recomputed from its state: one
+    int packing its {!pending_class}, its {!step_footprint_packed} and
+    its {!step_may_enable_cs}. It reads only the process's own state.
+    The layout is private to this module: compare words, decode them
+    with the three functions above. *)
+
+val classify_fast : t -> Pid.t -> int
+(** The word a journaling machine keeps per process, refreshed once per
+    event and restored by {!Journal.undo_to} (O(1)); falls back to
+    {!classify} otherwise. Always equal to {!classify} — the
+    [~paranoid_fp] explorer mode asserts this for every process at every
+    node. *)
 
 (** {1 Execution} *)
 
@@ -340,7 +356,10 @@ module Journal : sig
       mark is beyond the current log. *)
 
   val peak : t -> int
-  (** High-water log depth since {!enable}. *)
+  (** High-water log depth since {!enable}, in words of the log, not in
+      records: a head record takes 4 or 11 words, a memory record 2 (the
+      continuations and buffer entries some records keep on side stacks
+      are not counted). *)
 
   val records : t -> int
   (** Total undo records pushed since {!enable} (monotone; not reduced

@@ -143,6 +143,111 @@ let walk_props =
       (rtas ~crash_semantics:Config.Atomic_prefix ());
   ]
 
+(* --- random walk: the classification words -------------------------- *)
+
+(* The class [Machine.pending] names, mapped by hand: [pending_class]
+   decodes a word, so this holds its code table to the variant. *)
+let class_of_pending : Machine.pending -> Machine.pending_class = function
+  | Machine.P_enter -> Machine.K_enter
+  | Machine.P_cs -> Machine.K_cs
+  | Machine.P_exit -> Machine.K_exit
+  | Machine.P_done -> Machine.K_done
+  | Machine.P_read _ -> Machine.K_read
+  | Machine.P_issue_write _ -> Machine.K_issue_write
+  | Machine.P_begin_fence -> Machine.K_begin_fence
+  | Machine.P_end_fence -> Machine.K_end_fence
+  | Machine.P_commit _ -> Machine.K_commit
+  | Machine.P_rmw_fence -> Machine.K_rmw_fence
+  | Machine.P_cas _ -> Machine.K_cas
+  | Machine.P_faa _ -> Machine.K_faa
+  | Machine.P_swap _ -> Machine.K_swap
+  | Machine.P_recover -> Machine.K_recover
+  | Machine.P_marker _ -> Machine.K_marker
+  | Machine.P_abort_done -> Machine.K_abort_done
+
+(* The stored words of a journaling machine answer like a fresh
+   computation: a clone does not journal, so its three functions
+   recompute from the state. *)
+let check_classes what m =
+  let fresh = Machine.clone m in
+  for p = 0 to Machine.n_procs m - 1 do
+    let pc = Machine.pending_class m p in
+    if
+      pc <> Machine.pending_class fresh p
+      || pc <> class_of_pending (Machine.pending m p)
+      || Machine.step_footprint_packed m p
+         <> Machine.step_footprint_packed fresh p
+      || Machine.step_may_enable_cs m p <> Machine.step_may_enable_cs fresh p
+    then Alcotest.failf "p%d: stale classification word %s" p what
+  done
+
+(* A walk that steps forward and now and then rolls back to a random
+   earlier mark, checking every word after each step that completed and
+   after each rollback. A step that raised leaves the machine mid-event
+   (no refresh ran), so only the rollback after it is checked. *)
+let walk_classes ~max_crashes ~max_aborts cfg seed =
+  let rng = Random.State.make [| seed |] in
+  let m = journaled_machine cfg in
+  check_classes "after enable" m;
+  let marks = ref [] and steps = ref 0 and continue = ref true in
+  while !continue && !steps < 80 do
+    incr steps;
+    let n_marks = List.length !marks in
+    if n_marks > 0 && Random.State.int rng 4 = 0 then begin
+      (* marks are newest first: roll back [i + 1] steps *)
+      let i = Random.State.int rng n_marks in
+      match List.filteri (fun j _ -> j >= i) !marks with
+      | mark :: older ->
+          Machine.Journal.undo_to m mark;
+          marks := older;
+          check_classes (Printf.sprintf "after undo_to (step %d)" !steps) m
+      | [] -> assert false
+    end
+    else
+      match E.enabled_moves ~max_crashes ~max_aborts m with
+      | [] -> continue := false
+      | moves -> (
+          let mv = List.nth moves (Random.State.int rng (List.length moves)) in
+          let mark = Machine.Journal.mark m in
+          match E.apply m mv with
+          | () ->
+              marks := mark :: !marks;
+              check_classes
+                (Printf.sprintf "after %s (step %d)" (E.move_to_string mv)
+                   !steps)
+                m
+          | exception (Machine.Exclusion_violation _ | Prog.Spin_exhausted _)
+            ->
+              Machine.Journal.undo_to m mark;
+              check_classes "after undoing a raising move" m)
+  done;
+  true
+
+let abortable_tas () =
+  Locks.Harness.config_of_lock ~model:Config.Cc_wb
+    ~crash_semantics:Config.Atomic_prefix
+    (Locks.Abortable_tas.make ~n:2) ~n:2
+
+let class_props =
+  List.map
+    (fun (name, max_crashes, max_aborts, cfg) ->
+      QCheck.Test.make ~count:60 ~name:("classification words: " ^ name)
+        QCheck.small_nat (fun seed ->
+          walk_classes ~max_crashes ~max_aborts cfg seed))
+    [
+      ("peterson unfenced TSO", 0, 0, peterson_unfenced ());
+      ("mp PSO", 0, 0, mp_pso ());
+      ( "rtas TSO, crashes<=2",
+        2, 0, rtas ~crash_semantics:Config.Atomic_prefix () );
+      ( "rtas PSO, crashes<=2",
+        2, 0,
+        { (rtas ~crash_semantics:Config.Flush_buffer ()) with
+          Config.ordering = Config.Pso } );
+      ("abortable tas TSO, crashes<=1, aborts<=2", 1, 2, abortable_tas ());
+      ( "abortable tas PSO, aborts<=2",
+        0, 2, { (abortable_tas ()) with Config.ordering = Config.Pso } );
+    ]
+
 (* Journaling requires lean mode, and lean mode excludes trace
    recording: the journal has no records for the accounting a full
    machine writes. Lean mode is one-way, a lean machine answers no
@@ -236,7 +341,7 @@ let test_journal_stats () =
     [ 1; 2 ]
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest walk_props
+  List.map QCheck_alcotest.to_alcotest (walk_props @ class_props)
   @ [
       Alcotest.test_case "engines agree: peterson" `Quick
         test_engines_peterson;

@@ -502,6 +502,27 @@ let test_explorer_telemetry_agrees () =
     (Some instrumented.Mcheck.Explore.stats.Mcheck.Explore.dedup_hits)
     (final "explore.dedup_hits")
 
+(* A search shorter than a second beats once, at its root (depth 0), so
+   the depth gauge must come from the final flush: its last value is the
+   result's max depth. *)
+let test_max_depth_gauge () =
+  let sink, events = Obs.Sink.memory () in
+  let obs = Obs.Telemetry.create ~sinks:[ sink ] () in
+  let r = Mcheck.Explore.explore ~max_nodes:2_000_000 ~obs (dekker_cfg ()) in
+  Obs.Telemetry.close obs;
+  let last =
+    List.fold_left
+      (fun acc e ->
+        match e.Obs.Event.payload with
+        | Obs.Event.Gauge ("explore.max_depth", v) -> Some v
+        | _ -> acc)
+      None (events ())
+  in
+  Alcotest.(check bool) "a deep search" true (r.Mcheck.Explore.max_depth > 1);
+  Alcotest.(check (option (float 0.0))) "last explore.max_depth"
+    (Some (float_of_int r.Mcheck.Explore.max_depth))
+    last
+
 (* The N of a [--progress] line. The line must read [search: N nodes],
    optionally followed by [ | R nodes/s] with R a whole number or a count
    of millions to one decimal ("1.2M"), and nothing else. *)
@@ -689,6 +710,8 @@ let suite =
       test_verdict_mapping;
     Alcotest.test_case "telemetry does not perturb the search" `Quick
       test_explorer_telemetry_agrees;
+    Alcotest.test_case "max-depth gauge on a short search" `Quick
+      test_max_depth_gauge;
     Alcotest.test_case "progress line: counts only" `Quick
       test_progress_line;
     Alcotest.test_case "adversary telemetry" `Quick

@@ -8,7 +8,9 @@
    (every successor, never the root) plus the root are the reference's
    state set. With the reduction on, the states it visits are a subset
    of that set. Every run — reduction on and off, sequential and
-   parallel — finds the same violation kinds.
+   parallel — finds the same violation kinds. Those runs are paranoid
+   ([~paranoid_fp]): every node's fingerprint and classification words
+   are checked against a fresh computation.
 
    The locks in [scratch_families] pass per-passage scratch through
    OCaml arrays that live outside the machine state, so in-place
@@ -31,10 +33,15 @@ let disagreements ?(max_crashes = 0) ?(max_aborts = 0) ?(on_spin = `Prune)
   (* a budget sized from the reference keeps the parallel driver's
      shared store small; a run that outgrows it reports non-exhaustion *)
   let max_nodes = max 10_000 (4 * Reference.count r) in
+  (* paranoid mode rechecks every node's incremental fingerprint and
+     classification words against a fresh computation; scratch arrays
+     outside the machine change continuation hashes behind the journal,
+     so it runs only where the state sets are compared *)
   let run ?on_fingerprint ~por ~domains () =
     let e =
       E.explore ~max_nodes ~max_violations:max_int ~on_spin ~por ~domains
-        ~max_crashes ~max_aborts ?on_fingerprint (mk_cfg ())
+        ~max_crashes ~max_aborts ?on_fingerprint ~paranoid_fp:states
+        (mk_cfg ())
     in
     let tag = Printf.sprintf "por=%b d=%d" por domains in
     if not e.E.exhausted then fail "%s: not exhausted" tag;
